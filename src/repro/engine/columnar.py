@@ -28,12 +28,15 @@ Wide payloads are encoded/decoded through the bulk bit-codec kernels
 :func:`~repro.clique.bits.decode_uint_array`) by the array ports in
 :mod:`repro.algorithms.columnar`.
 
-Observability, fault injection and transcripts are all supported: when a
-fault plan, transcript recording or a per-message observer is attached,
-delivery drops to an explicit per-message path that consults the
-:class:`~repro.faults.FaultInjector` with the exact semantics of the
-reference engine (sender always charged, receiver only on arrival, bulk
-exempt), so faulty columnar runs are differentially comparable.
+Observability, fault injection and transcripts are all supported, with
+the exact semantics of the reference engine (sender always charged,
+receiver only on arrival, bulk exempt), so faulty columnar runs are
+differentially comparable.  Transcript recording or a per-message
+observer sends delivery through the shared explicit-delivery core
+(:func:`repro.engine.delivery.deliver_rows`); a fault plan alone keeps
+the round in array form (:func:`repro.engine.delivery.deliver_columns`),
+where the :class:`~repro.faults.FaultInjector`'s row decisions become a
+keep mask over the expanded message columns.
 
 Array programs
 --------------
@@ -70,6 +73,13 @@ from ..faults import FaultInjector, resolve_fault_plan
 from ..obs import RoundStats, resolve_observer
 from ..obs.profile import PhaseTimer
 from .base import CHECK_LEVELS, Engine, canonical_check, register_engine
+from .delivery import (
+    BROADCAST,
+    deliver_columns,
+    deliver_rows,
+    inbox_columns,
+    sender_rows,
+)
 
 __all__ = [
     "ArrayContext",
@@ -700,7 +710,6 @@ class ColumnarEngine(Engine):
                 this_round,
                 injector=injector,
                 per_message=per_message,
-                explicit=explicit,
                 obs=obs,
                 records=records if record else None,
             )
@@ -922,7 +931,6 @@ class ColumnarEngine(Engine):
         *,
         injector: FaultInjector | None,
         per_message: bool,
-        explicit: bool,
         obs: Any,
         records: list | None,
     ) -> RoundStats:
@@ -938,27 +946,37 @@ class ColumnarEngine(Engine):
             n, bs, bw, us, uw, bulk
         )
 
-        if explicit:
-            coo, in_bulk = self._deliver_explicit(
-                ctx,
+        if records is not None or per_message:
+            coo = _deliver_per_message(
+                n,
                 this_round,
-                bs, bv, bw, us, ud, uv, uw,
+                (bs, bv, bw),
+                (us, ud, uv, uw),
+                bulk,
                 injector=injector,
-                per_message=per_message,
-                obs=obs,
+                obs=obs if per_message else None,
                 records=records,
                 received=received,
             )
-            ctx._in_bcast = (_EMPTY_I, _EMPTY_U, _EMPTY_I)
-            ctx._in_coo = coo
-            ctx._in_bulk = in_bulk
+        elif injector is not None:
+            # Faults only: the decisions become a keep mask over the
+            # columns and no message is built as an object.
+            coo = deliver_columns(
+                injector, this_round, n, (bs, bv, bw), (us, ud, uv, uw), bulk, received
+            )
         else:
             # Fault-free fast path: delivery is the identity transpose of
             # the outbox columns; only the accounting needs computing.
             _fast_received(received, bs, bw, ud, uw)
+            coo = None
+        if coo is None:
             ctx._in_bcast = (bs, bv, bw)
             ctx._in_coo = (us, ud, uv, uw)
-            ctx._in_bulk = list(bulk)
+        else:
+            # Explicit delivery lands broadcasts expanded in the COO inbox.
+            ctx._in_bcast = (_EMPTY_I, _EMPTY_U, _EMPTY_I)
+            ctx._in_coo = coo
+        ctx._in_bulk = list(bulk)
 
         stats = RoundStats(
             this_round,
@@ -973,99 +991,60 @@ class ColumnarEngine(Engine):
         ctx._clear_outbox()
         return stats
 
-    def _deliver_explicit(
-        self,
-        ctx: ArrayContext,
-        this_round: int,
-        bs, bv, bw, us, ud, uv, uw,
-        *,
-        injector: FaultInjector | None,
-        per_message: bool,
-        obs: Any,
-        records: list | None,
-        received: np.ndarray,
-    ):
-        """Per-message delivery with reference-engine fault semantics."""
-        n = ctx.n
-        inboxes: list[dict[int, BitString]] = [{} for _ in range(n)]
-        sent_records: list[dict[int, BitString]] = (
-            [{} for _ in range(n)] if records is not None else []
-        )
-        if injector is not None:
-            # Duplicate carryover first: a genuine same-link message wins.
-            injector.inject_pending(this_round, inboxes, received)
 
-        def one(src: int, dst: int, value: int, width: int, kind: str) -> None:
-            payload = BitString(value, width)
-            delivered = (
-                payload
-                if injector is None
-                else injector.deliver(this_round, src, dst, payload)
+def _deliver_per_message(
+    n: int,
+    this_round: int,
+    bcast: tuple,
+    unicast: tuple,
+    bulk: list,
+    *,
+    injector: FaultInjector | None,
+    obs: Any,
+    records: list | None,
+    received: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Deliver through the shared core when transcripts or a per-message
+    observer need every message; returns the inbox COO columns.
+
+    Bulk messages stay outside the COO inbox (``ctx.inbox_bulk``), but
+    they are occupied inbox slots in the reference engine, so the core
+    reserves them from forged messages.
+    """
+    entries = [
+        (src, BROADCAST, BitString(value, width), False)
+        for src, value, width in zip(*(col.tolist() for col in bcast))
+    ]
+    entries += [
+        (src, dst, BitString(value, width), False)
+        for src, dst, value, width in zip(*(col.tolist() for col in unicast))
+    ]
+    # Senders were already charged by _sent_accounting.
+    rows, _counts = sender_rows(entries, n, [0] * n)
+    bulk = [(src, dst, BitString(value, width)) for src, dst, value, width in bulk]
+    inboxes: list[dict[int, BitString]] = [{} for _ in range(n)]
+    sent_records = [{} for _ in range(n)] if records is not None else None
+    deliver_rows(
+        this_round,
+        rows,
+        inboxes,
+        received,
+        injector=injector,
+        sent_records=sent_records,
+        obs=obs,
+        bulk_outside=bulk,
+    )
+    if records is not None:
+        bulk_in: list[dict[int, BitString]] = [{} for _ in range(n)]
+        for src, dst, payload in bulk:
+            bulk_in[dst][src] = payload
+        for v in range(n):
+            records[v].append(
+                RoundRecord(
+                    sent=sent_records[v], received={**inboxes[v], **bulk_in[v]}
+                )
             )
-            if delivered is not None:
-                received[dst] += width
-                inboxes[dst][src] = delivered
-            if records is not None:
-                sent_records[src][dst] = payload
-            if per_message and delivered is not None:
-                obs.on_message(
-                    round=this_round, src=src, dst=dst, bits=width, kind=kind
-                )
-
-        for i in range(bs.size):
-            src, value, width = int(bs[i]), int(bv[i]), int(bw[i])
-            for dst in range(n):
-                if dst != src:
-                    one(src, dst, value, width, "broadcast")
-        for i in range(us.size):
-            one(int(us[i]), int(ud[i]), int(uv[i]), int(uw[i]), "unicast")
-        in_bulk: list[tuple[int, int, int, int]] = []
-        for src, dst, value, width in ctx._bulk:
-            in_bulk.append((src, dst, value, width))
-            if records is not None:
-                sent_records[src][dst] = BitString(value, width)
-            if per_message:
-                obs.on_message(
-                    round=this_round, src=src, dst=dst, bits=width, kind="bulk"
-                )
-        if injector is not None:
-            # Forged-identity messages land last, into slots no genuine
-            # delivery claimed.  Bulk slots live outside ``inboxes``
-            # here but are occupied inbox slots in the reference engine,
-            # so shadow them while the forged buffer lands.
-            shadow: list[tuple[int, int]] = []
-            for src, dst, value, width in in_bulk:
-                if src not in inboxes[dst]:
-                    inboxes[dst][src] = BitString(value, width)
-                    shadow.append((dst, src))
-            injector.finish_round(this_round, inboxes, received)
-            for dst, src in shadow:
-                del inboxes[dst][src]
-        if records is not None:
-            bulk_in: list[dict[int, BitString]] = [{} for _ in range(n)]
-            for src, dst, value, width in in_bulk:
-                bulk_in[dst][src] = BitString(value, width)
-            for v in range(n):
-                records[v].append(
-                    RoundRecord(
-                        sent=sent_records[v],
-                        received={**inboxes[v], **bulk_in[v]},
-                    )
-                )
-        count = sum(len(box) for box in inboxes)
-        src_col = np.empty(count, dtype=_I64)
-        dst_col = np.empty(count, dtype=_I64)
-        val_col = np.empty(count, dtype=_U64)
-        wid_col = np.empty(count, dtype=_I64)
-        i = 0
-        for dst in range(n):
-            for src, payload in inboxes[dst].items():
-                src_col[i] = src
-                dst_col[i] = dst
-                val_col[i] = payload.value
-                wid_col[i] = len(payload)
-                i += 1
-        return (src_col, dst_col, val_col, wid_col), in_bulk
+    return inbox_columns(inboxes)
 
 
 def _concat_outboxes(outboxes: Sequence[tuple]) -> tuple:
@@ -1207,8 +1186,8 @@ def _sent_accounting(
 
     Returns ``(sent, received, msg_bits, bulk_bits)`` with ``received``
     holding only the bulk-channel arrivals (message arrivals are added
-    by :func:`_fast_received` on the fault-free path or per delivery on
-    the explicit path).
+    by :func:`_fast_received` on the fault-free path or per arrival on
+    the faulty and per-message paths).
     """
     sent = np.zeros(n, dtype=_I64)
     received = np.zeros(n, dtype=_I64)

@@ -37,6 +37,7 @@ from .pool import RunSpec, run_spec
 __all__ = [
     "CATALOG",
     "COLUMNAR_CATALOG",
+    "COLUMNAR_FAULT_PLANS",
     "COST_DECLARATIONS",
     "EngineDiff",
     "NATIVE_RESILIENT",
@@ -767,6 +768,29 @@ def _metrics_mismatches(name: str, base, other) -> list[str]:
 #: error is not a comparable output).
 COLUMNAR_FAULT_CATALOG: tuple[str, ...] = ("fanout", "fanout_work")
 
+#: The default faulty legs of :func:`diff_columnar`.  The first plan
+#: rewrites and buffers messages (corruption, duplicates); the second
+#: can only lose them, which the columnar engine decides as a keep mask
+#: over its message columns.  Its seed makes every kind in it fire on
+#: the fault catalog's default configs.
+COLUMNAR_FAULT_PLANS: tuple[str, ...] = (
+    "drop=0.2,corrupt=0.1,duplicate=0.1,seed=3",
+    "drop=0.2,link=0.05,crash=0.05,restart=2,seed=1",
+)
+
+
+def _fault_leg_label(spec: "str | object") -> str:
+    """``"omission"`` for a plan that can only lose messages, else
+    ``"faulty"``."""
+    from ..faults import resolve_fault_plan
+
+    plan = resolve_fault_plan(spec)
+    rewrites = plan.corrupt_rate or plan.duplicate_rate or (
+        plan.byzantine_active
+        and {"equivocate", "forge"} & set(plan.byzantine_behaviours())
+    )
+    return "faulty" if rewrites else "omission"
+
 
 def _columnar_gate_engine(check: str, shard: "int | None"):
     """The columnar engine one ``diff_columnar`` axis point runs.
@@ -791,7 +815,7 @@ def diff_columnar(
     names: Sequence[str] | None = None,
     config: dict | None = None,
     *,
-    fault_plan: "str | object" = "drop=0.2,corrupt=0.1,duplicate=0.1,seed=3",
+    fault_plan: "str | object | Sequence" = COLUMNAR_FAULT_PLANS,
     shards: "Sequence[int | None]" = (None,),
 ) -> list[EngineDiff]:
     """The columnar correctness gate.
@@ -800,8 +824,11 @@ def diff_columnar(
     columnar backends at **every** check level and compares outputs,
     rounds, bit totals and the collected :class:`~repro.obs.RunMetrics`
     (bit-for-bit per round).  Entries in :data:`COLUMNAR_FAULT_CATALOG`
-    are additionally compared under ``fault_plan``, and the metrics
-    comparison doubles as transcript-level accounting parity.
+    are additionally compared under ``fault_plan`` — one plan or a
+    sequence of plans, one faulty leg each, labelled ``@omission`` for
+    a plan that can only lose messages and ``@faulty`` otherwise — and
+    the metrics comparison doubles as transcript-level accounting
+    parity.
 
     ``shards`` adds a shard-parallel axis: every ``(entry, check)``
     cell — the faulty leg included — is repeated per listed shard count
@@ -810,6 +837,11 @@ def diff_columnar(
     """
     from .base import CHECK_LEVELS, resolve_engine
 
+    legs = (
+        list(fault_plan)
+        if isinstance(fault_plan, (list, tuple))
+        else [fault_plan]
+    )
     reports: list[EngineDiff] = []
     for name in names if names is not None else sorted(COLUMNAR_CATALOG):
         point = dict(config or {})
@@ -839,9 +871,11 @@ def diff_columnar(
                     )
                 )
                 reports.append(report)
-            if name in COLUMNAR_FAULT_CATALOG:
+            if name not in COLUMNAR_FAULT_CATALOG:
+                continue
+            for leg in legs:
                 report = EngineDiff(
-                    label=f"{name}@faulty{suffix}",
+                    label=f"{name}@{_fault_leg_label(leg)}{suffix}",
                     engines=("reference", "columnar"),
                 )
                 faulty = {}
@@ -852,7 +886,7 @@ def diff_columnar(
                     result, _ = run_spec(
                         catalog_factory(dict(point)),
                         engine,
-                        fault_plan=fault_plan,
+                        fault_plan=leg,
                     )
                     faulty[label] = result
                     report.rounds[label] = result.rounds

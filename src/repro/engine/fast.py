@@ -53,11 +53,10 @@ from .base import (
     register_engine,
     spawn_generators,
 )
+from .delivery import BROADCAST as _BROADCAST
+from .delivery import deliver_rows, drain_entries, sender_rows
 
 __all__ = ["CHECK_LEVELS", "FastEngine"]
-
-#: Flat-outbox destination marker for a broadcast entry.
-_BROADCAST = -1
 
 
 class _FastNode(Node):
@@ -299,21 +298,21 @@ class FastEngine(Engine):
             else:
                 round_sent = sent_bits
                 round_received = received_bits
-            if injector is not None:
-                # Duplicate carryover lands first so a genuine message
-                # on the same link wins the inbox slot.
-                injector.inject_pending(this_round, inboxes, round_received)
             if rng is not None or record or per_message or injector is not None:
-                sent_records, bits = self._deliver_explicit(
-                    nodes,
-                    inboxes,
-                    rng,
-                    record,
-                    round_sent,
-                    round_received,
-                    obs if per_message else None,
+                # Something needs every message: the shared core.
+                rows, bits = sender_rows(
+                    drain_entries(enumerate(nodes)), n, round_sent
+                )
+                sent_records = [{} for _ in range(n)] if record else None
+                deliver_rows(
                     this_round,
-                    injector,
+                    rows,
+                    inboxes,
+                    round_received,
+                    injector=injector,
+                    sent_records=sent_records,
+                    obs=obs if per_message else None,
+                    rng=rng,
                 )
             else:
                 sent_records = None
@@ -515,77 +514,3 @@ class FastEngine(Engine):
             for u in range(n):
                 received_bits[u] += mixed_total - mixed_sent[u]
         return total_bits, bulk_bits, unicast_msgs, broadcast_msgs, bulk_msgs
-
-    @staticmethod
-    def _deliver_explicit(
-        nodes: list[_FastNode],
-        inboxes: list[dict[int, BitString]],
-        rng: random.Random | None,
-        record: bool,
-        sent_bits: list[int],
-        received_bits: list[int],
-        obs=None,
-        this_round: int = 0,
-        injector=None,
-    ) -> tuple[list[dict[int, BitString]] | None, tuple[int, int, int, int, int]]:
-        """Slow path: expand every message, optionally permute delivery
-        order, record transcripts, emit per-message observer events, and
-        apply fault injection (bulk messages are exempt — the privileged
-        router channel is reliable by fiat).  Message counts and sender
-        bits cover every *queued* message; receiver bits and inbox slots
-        only the delivered ones.  Returns the per-node sent records
-        (``None`` when not recording) and ``(message_bits, bulk_bits,
-        unicast_messages, broadcast_messages, bulk_messages)``."""
-        n = len(nodes)
-        messages: list[tuple[int, int, BitString, str]] = []
-        for v, node in enumerate(nodes):
-            for dst, payload in node._flat_out:
-                if dst == _BROADCAST:
-                    for u in range(n):
-                        if u != v:
-                            messages.append((v, u, payload, "broadcast"))
-                else:
-                    messages.append((v, dst, payload, "unicast"))
-            for dst, payload in node._flat_bulk:
-                messages.append((v, dst, payload, "bulk"))
-            node._flat_out = []
-            node._flat_bulk = []
-        if rng is not None:
-            rng.shuffle(messages)
-        sent_records: list[dict[int, BitString]] | None = (
-            [{} for _ in range(n)] if record else None
-        )
-        total_bits = 0
-        bulk_bits = 0
-        counts = {"unicast": 0, "broadcast": 0, "bulk": 0}
-        for src, dst, payload, kind in messages:
-            plen = len(payload)
-            if kind == "bulk":
-                bulk_bits += plen
-            else:
-                total_bits += plen
-            counts[kind] += 1
-            sent_bits[src] += plen
-            if injector is not None and kind != "bulk":
-                delivered = injector.deliver(this_round, src, dst, payload)
-            else:
-                delivered = payload
-            if delivered is not None:
-                received_bits[dst] += plen
-                inboxes[dst][src] = delivered
-            if sent_records is not None:
-                sent_records[src][dst] = payload
-            if obs is not None and delivered is not None:
-                obs.on_message(round=this_round, src=src, dst=dst, bits=plen, kind=kind)
-        if injector is not None:
-            # Forged-identity messages land last, into slots no genuine
-            # delivery claimed; the sorted buffer makes the outcome
-            # independent of the rng delivery permutation above.
-            injector.finish_round(this_round, inboxes, received_bits)
-        return sent_records, (
-            total_bits,
-            bulk_bits,
-            counts["unicast"],
-            counts["broadcast"],
-            counts["bulk"],
-        )

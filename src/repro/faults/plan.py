@@ -77,11 +77,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 from ..clique.bits import BitString
 from ..clique.errors import CliqueError
 
-__all__ = ["BYZANTINE_BEHAVIOURS", "FaultPlan"]
+__all__ = ["BYZANTINE_BEHAVIOURS", "FaultPlan", "digest_threshold"]
 
 #: The adversarial behaviour vocabulary of the Byzantine tier.
 BYZANTINE_BEHAVIOURS = ("equivocate", "forge", "selective", "limited")
@@ -279,6 +280,22 @@ class FaultPlan:
             h.update(b"\x00" + str(c).encode())
         return int.from_bytes(h.digest(), "big") / _SCALE
 
+    def _prefix(self, kind: str, *coords: int):
+        """The :meth:`_u01` hash state keyed up to one last coordinate.
+
+        ``_prefix(kind, *coords)`` updated with ``str(c).encode()`` digests
+        exactly like ``_u01(kind, *coords, c)`` (blake2b is streaming), so
+        a batch of draws that differ only in their last coordinate shares
+        one keyed state and pays one ``copy`` per draw.
+        """
+        h = hashlib.blake2b(digest_size=8)
+        h.update(str(self.seed).encode())
+        h.update(b"\x00" + kind.encode())
+        for c in coords:
+            h.update(b"\x00" + str(c).encode())
+        h.update(b"\x00")
+        return h
+
     # -- per-link / per-node schedule ------------------------------------
 
     def link_down(self, src: int, dst: int) -> bool:
@@ -411,16 +428,18 @@ class FaultPlan:
         return self._u01("byz-forge", round, src, dst) < self.byzantine_rate
 
     def forged_src(
-        self, round: int, src: int, dst: int, byzantine: frozenset[int]
+        self, round: int, src: int, dst: int, byzantine: Sequence[int]
     ) -> int | None:
         """The identity a forged message claims, or ``None`` for no-op.
 
         Channels are authenticated, so candidates are the *other*
         Byzantine nodes (excluding the receiver — a node never hears a
         message "from itself").  With no candidate the forge is a no-op
-        and the message passes through genuinely.
+        and the message passes through genuinely.  ``byzantine`` is the
+        Byzantine set in ascending order (the injector sorts it once per
+        run).
         """
-        candidates = sorted(byzantine - {src, dst})
+        candidates = [b for b in byzantine if b != src and b != dst]
         if not candidates:
             return None
         pick = int(self._u01("byz-forge-src", round, src, dst) * len(candidates))
@@ -440,3 +459,26 @@ class FaultPlan:
         if self.byzantine_active:
             extra += f", byzantine={self.byzantine!r}, f={self.byzantine_f}"
         return f"FaultPlan(seed={self.seed}, {active or 'zero-rate'}{extra})"
+
+
+def digest_threshold(rate: float) -> bytes:
+    """The 8-byte digest bound of the decision ``_u01(...) < rate``.
+
+    ``_u01`` maps a digest ``x`` to ``float(x) / 2**64``, which is
+    monotone in ``x``, so the digests that fire form a prefix
+    ``[0, T)``.  ``T`` is found by bisection over the very same
+    expression, which makes ``digest < T.to_bytes(8, "big")`` (a
+    same-length bytes comparison is a big-endian integer comparison)
+    bit-identical to the float test — rounding included: at
+    ``rate == 1.0`` the digests ``>= 2**64 - 1024`` round to exactly
+    ``1.0`` and do not fire.
+    """
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / _SCALE >= rate:
+            hi = mid
+        else:
+            lo = mid + 1
+    # rate <= 1.0 keeps lo <= 2**64 - 1024, so it always fits 8 bytes.
+    return lo.to_bytes(8, "big")

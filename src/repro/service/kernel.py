@@ -10,9 +10,10 @@ advance independently between barriers:
 
 * each round, every shard advances its live tasks to their next
   ``yield`` and drains their queued messages into one update;
-* the coordinator (:class:`ShardedEngine`) validates, applies fault
-  injection, performs delivery and bit accounting exactly like the fast
-  engine's explicit path, then hands each shard its nodes' inboxes;
+* the coordinator (:class:`ShardedEngine`) delivers the round through
+  the shared explicit-delivery core (:mod:`repro.engine.delivery`) —
+  fault injection and bit accounting exactly like the fast engine —
+  then hands each shard its nodes' inboxes;
 * shard boundary crossings use :class:`ShardTransport` — pickle
   protocol 5 with out-of-band buffers — so payload bytes move without
   an extra copy; ``ProcessShard`` speaks the same codec over a pipe to
@@ -47,7 +48,8 @@ from ..engine.base import (
     canonical_check,
     register_engine,
 )
-from ..engine.fast import _BROADCAST, _FastNode
+from ..engine.delivery import deliver_rows, drain_entries, sender_rows
+from ..engine.fast import _FastNode
 from ..engine.pool import RunSpec
 from ..faults import FaultInjector, resolve_fault_plan
 from ..obs import RoundStats, resolve_observer
@@ -184,29 +186,6 @@ def _build_nodes(
     return nodes, kernel
 
 
-def _drain_entries(
-    nodes: dict[int, _FastNode], full_check: bool
-) -> list[tuple[int, int, BitString, bool]]:
-    """Collect every queued message of a shard in delivery order.
-
-    Mirrors the fast engine's explicit path: per node (ascending id),
-    first the flat outbox in queue order, then the bulk channel.
-    """
-    entries: list[tuple[int, int, BitString, bool]] = []
-    for v, node in nodes.items():
-        if node._flat_out:
-            for dst, payload in node._flat_out:
-                entries.append((v, dst, payload, False))
-            node._flat_out = []
-        if node._flat_bulk:
-            for dst, payload in node._flat_bulk:
-                entries.append((v, dst, payload, True))
-            node._flat_bulk = []
-        if full_check and node._sent_to:
-            node._sent_to.clear()
-    return entries
-
-
 class InlineShard:
     """A shard advanced in the coordinator's own process.
 
@@ -247,7 +226,7 @@ class InlineShard:
                 node._inbox = inbound[offset]
                 node._round = round_no
         halted = self._kernel.step(round_no)
-        entries = _drain_entries(self._nodes, self._full_check)
+        entries = drain_entries(self._nodes.items(), self._full_check)
         for v, _ in halted:
             self._nodes[v]._halted = True
         update = (halted, entries)
@@ -1188,50 +1167,24 @@ class ShardedEngine(Engine):
                     raise RoundLimitExceeded(clique.max_rounds)
                 this_round = rounds + 1
 
-                # Deliver: expand, inject faults, account — semantics
-                # identical to the fast engine's explicit path.
+                # Deliver through the shared explicit-delivery core.
                 if timer is not None:
                     timer.start("deliver")
                 inboxes: list[dict[int, BitString]] = [{} for _ in range(n)]
                 round_sent = [0] * n
                 round_received = [0] * n
-                if injector is not None:
-                    injector.inject_pending(this_round, inboxes, round_received)
-                sent_records: list[dict[int, BitString]] | None = (
-                    [{} for _ in range(n)] if record else None
+                rows, counts = sender_rows(entries, n, round_sent)
+                round_msg_bits, round_bulk_bits, unicasts, broadcasts, bulks = counts
+                sent_records = [{} for _ in range(n)] if record else None
+                deliver_rows(
+                    this_round,
+                    rows,
+                    inboxes,
+                    round_received,
+                    injector=injector,
+                    sent_records=sent_records,
+                    obs=obs if per_message else None,
                 )
-                round_msg_bits = 0
-                round_bulk_bits = 0
-                counts = {"unicast": 0, "broadcast": 0, "bulk": 0}
-                for src, dst, payload, kind in _expand(entries, n):
-                    plen = len(payload)
-                    if kind == "bulk":
-                        round_bulk_bits += plen
-                    else:
-                        round_msg_bits += plen
-                    counts[kind] += 1
-                    round_sent[src] += plen
-                    if injector is not None and kind != "bulk":
-                        delivered = injector.deliver(this_round, src, dst, payload)
-                    else:
-                        delivered = payload
-                    if delivered is not None:
-                        round_received[dst] += plen
-                        inboxes[dst][src] = delivered
-                    if sent_records is not None:
-                        sent_records[src][dst] = payload
-                    if per_message and delivered is not None:
-                        obs.on_message(
-                            round=this_round,
-                            src=src,
-                            dst=dst,
-                            bits=plen,
-                            kind=kind,
-                        )
-                if injector is not None:
-                    # Forged-identity messages land last, into slots no
-                    # genuine delivery claimed.
-                    injector.finish_round(this_round, inboxes, round_received)
                 total_bits += round_msg_bits
                 bulk_bits += round_bulk_bits
                 for v in range(n):
@@ -1242,9 +1195,9 @@ class ShardedEngine(Engine):
                     obs.on_round(
                         RoundStats(
                             round=this_round,
-                            unicast_messages=counts["unicast"],
-                            broadcast_messages=counts["broadcast"],
-                            bulk_messages=counts["bulk"],
+                            unicast_messages=unicasts,
+                            broadcast_messages=broadcasts,
+                            bulk_messages=bulks,
                             message_bits=round_msg_bits,
                             bulk_bits=round_bulk_bits,
                             sent_bits=round_sent,
@@ -1303,19 +1256,6 @@ class ShardedEngine(Engine):
             transcripts=out_transcripts,
             metrics=metrics,
         )
-
-
-def _expand(entries: Sequence[tuple], n: int):
-    """Yield ``(src, dst, payload, kind)`` with broadcasts fanned out."""
-    for src, dst, payload, is_bulk in entries:
-        if is_bulk:
-            yield src, dst, payload, "bulk"
-        elif dst == _BROADCAST:
-            for u in range(n):
-                if u != src:
-                    yield src, u, payload, "broadcast"
-        else:
-            yield src, dst, payload, "unicast"
 
 
 def _fanout_program(senders: int, rounds: int) -> Callable:

@@ -22,6 +22,7 @@ from repro.engine import (
 )
 from repro.engine.diff import (
     COLUMNAR_FAULT_CATALOG,
+    COLUMNAR_FAULT_PLANS,
     catalog_factory,
 )
 from repro.engine.pool import run_spec
@@ -35,9 +36,32 @@ class TestDiffGate:
         bad = [r.summary() for r in reports if not r.ok]
         assert not bad, bad
         # Every ported algorithm ran at every check level, plus one
-        # faulty comparison per fault-catalog entry.
-        expected = 3 * len(COLUMNAR_CATALOG) + len(COLUMNAR_FAULT_CATALOG)
+        # faulty comparison per fault-catalog entry and faulty leg.
+        expected = 3 * len(COLUMNAR_CATALOG) + len(COLUMNAR_FAULT_CATALOG) * len(
+            COLUMNAR_FAULT_PLANS
+        )
         assert len(reports) == expected
+        labels = {r.label for r in reports}
+        for name in COLUMNAR_FAULT_CATALOG:
+            assert {f"{name}@faulty", f"{name}@omission"} <= labels
+
+    @pytest.mark.parametrize("spec", COLUMNAR_FAULT_PLANS)
+    @pytest.mark.parametrize("name", COLUMNAR_FAULT_CATALOG)
+    def test_every_fault_kind_of_the_faulty_legs_fires(self, name, spec):
+        # Spec key -> the fault kind it reports; the gate is not vacuous.
+        reported = {
+            "drop": "drop",
+            "corrupt": "corrupt",
+            "duplicate": "duplicate",
+            "link": "link_down",
+            "crash": "crash",
+        }
+        keys = [part.split("=")[0] for part in spec.split(",")]
+        expected = {reported[key] for key in keys if key in reported}
+        result, _ = run_spec(
+            catalog_factory({"algorithm": name}), "columnar", fault_plan=spec
+        )
+        assert expected <= set(result.metrics.faults), result.metrics.faults
 
     def test_catalog_lists_the_ported_algorithms(self):
         assert set(COLUMNAR_CATALOG) >= {

@@ -6,6 +6,7 @@ import pytest
 
 from repro.clique import CliqueGraph, run_algorithm
 from repro.clique.bits import BitString
+from repro.engine import adapt_generator
 
 ROUNDS = 4
 ENGINES = ("reference", "fast")
@@ -75,8 +76,15 @@ class TestDrops:
 
 
 class TestCrossEngineParity:
-    """The same plan must inject the same faults on every backend."""
+    """The same plan must inject the same faults on every backend.
 
+    The reference engine decides each message through the scalar
+    ``FaultInjector.deliver``; the others go through the shared
+    explicit-delivery core and its batched row decisions (columnar in
+    array form, as a keep mask, when nothing needs per-message objects).
+    """
+
+    @pytest.mark.parametrize("engine", ("fast", "columnar", "sharded"))
     @pytest.mark.parametrize(
         "spec",
         [
@@ -86,16 +94,19 @@ class TestCrossEngineParity:
             "link=0.3,seed=4",
             "crash=0.15,restart=2,seed=5",
             "drop=0.2,corrupt=0.1,dup=0.1,link=0.1,crash=0.05,seed=6",
+            "byzantine=equivocate+forge+selective+limited,f=3,seed=7,"
+            "byz_rate=0.4,limit=4",
         ],
     )
-    def test_engines_agree_on_outputs_and_fault_counts(self, spec):
+    def test_engines_agree_on_outputs_and_fault_counts(self, spec, engine):
         g = _graph()
+        program = adapt_generator(chatter) if engine == "columnar" else chatter
         ref = run_algorithm(chatter, g, engine="reference", fault_plan=spec)
-        fast = run_algorithm(chatter, g, engine="fast", fault_plan=spec)
-        assert ref.outputs == fast.outputs
-        assert ref.sent_bits == fast.sent_bits
-        assert ref.received_bits == fast.received_bits
-        assert ref.metrics.faults == fast.metrics.faults
+        other = run_algorithm(program, g, engine=engine, fault_plan=spec)
+        assert ref.outputs == other.outputs
+        assert ref.sent_bits == other.sent_bits
+        assert ref.received_bits == other.received_bits
+        assert ref.metrics.faults == other.metrics.faults
         assert ref.metrics.total_faults > 0  # the plan actually fired
 
 
