@@ -154,6 +154,11 @@ def compare_bench(
     ``tolerance`` (ratio > tolerance), ``improved`` when it sped up past
     ``improved_threshold``, and ``stable`` otherwise.  ``old``/``new``
     accept file paths, parsed dicts, or :class:`BenchReport` instances.
+
+    A quick report and a full one run different parameters, so their
+    timings are incomparable: a mode mismatch raises
+    :class:`~repro.clique.errors.CliqueError`.  Environment fingerprints
+    are not checked — the committed baseline comes from another machine.
     """
     if tolerance <= 1.0:
         raise CliqueError(f"tolerance must be > 1.0, not {tolerance}")
@@ -163,6 +168,12 @@ def compare_bench(
         )
     old_report = _as_report(old)
     new_report = _as_report(new)
+    if old_report.quick != new_report.quick:
+        modes = ["quick" if r.quick else "full" for r in (old_report, new_report)]
+        raise CliqueError(
+            f"bench mode mismatch: the old report is {modes[0]} and the new "
+            f"one is {modes[1]}; compare reports recorded in the same mode"
+        )
     entries: list[WorkloadComparison] = []
     for name in sorted(set(old_report.results) | set(new_report.results)):
         before = old_report.results.get(name)

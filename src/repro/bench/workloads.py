@@ -295,37 +295,6 @@ def _run_service_warm(params: dict, ctx: dict) -> dict:
     }
 
 
-def _run_shard_sweep(params: dict, ctx: dict) -> dict:
-    """Large-``n`` fan-out grid on the sharded backend via the pool."""
-    from ..engine import run_sweep
-    from ..service.kernel import fanout_spec
-
-    outcomes = run_sweep(
-        fanout_spec,
-        [
-            {
-                "n": params["n"],
-                "rounds": params["rounds"],
-                "senders": params["senders"],
-                "seed": seed,
-            }
-            for seed in range(params["seeds"])
-        ],
-        workers=params.get("workers", 1),
-        engine="sharded",
-    )
-    failed = [o for o in outcomes if o.failed]
-    if failed:  # pragma: no cover - pinned grids never fail
-        raise CliqueError(f"benchmark sweep had {len(failed)} failed points")
-    return {
-        "rounds": sum(o.result.rounds for o in outcomes),
-        "total_bits": sum(
-            o.result.total_message_bits + o.result.bulk_bits
-            for o in outcomes
-        ),
-    }
-
-
 def _setup_warm_cache(params: dict) -> dict:
     """Pre-warm a throwaway :class:`RunCache` so the timed runs measure
     the hit path (lookup + deserialise), not first execution."""
@@ -527,23 +496,6 @@ register_workload(
         setup=_setup_service,
         params={"algorithm": "bfs", "n": 16, "seeds": 4},
         quick_params={"n": 12, "seeds": 2},
-    )
-)
-register_workload(
-    Workload(
-        name="shard-sweep",
-        description="n=1024 broadcast fan-out grid on the sharded "
-        "coroutine-kernel backend",
-        run=_run_shard_sweep,
-        setup=_setup_pool_shutdown,
-        params={
-            "n": 1024,
-            "rounds": 4,
-            "senders": 64,
-            "seeds": 2,
-            "workers": 2,
-        },
-        quick_params={"rounds": 2, "senders": 8, "seeds": 1, "workers": 1},
     )
 )
 register_workload(

@@ -1109,9 +1109,13 @@ def _cmd_bench(args) -> int:
         return 0
 
     if args.bench_command == "compare":
-        comparison = compare_bench(
-            args.old, args.new, tolerance=args.tolerance
-        )
+        try:
+            comparison = compare_bench(
+                args.old, args.new, tolerance=args.tolerance
+            )
+        except CliqueError as exc:
+            print(f"repro bench: {exc}", file=sys.stderr)
+            return 2
         if args.markdown:
             print(comparison.markdown_table())
         else:

@@ -47,12 +47,6 @@ CHECK_LEVELS = ("full", "bandwidth", "off")
 #: Registry of engine names to engine classes (see :func:`register_engine`).
 ENGINES: dict[str, type["Engine"]] = {}
 
-#: Engines that live *above* this package (the service layer) and are
-#: imported on first resolve, keeping the engine -> service layering
-#: acyclic: ``repro.service`` imports ``repro.engine`` freely, while the
-#: engine registry only learns the module path of the lazy backend.
-_LAZY_ENGINES: dict[str, str] = {"sharded": "repro.service.kernel"}
-
 
 def canonical_check(spec: Any) -> str | None:
     """Normalise a ``check=`` argument to the canonical vocabulary.
@@ -78,14 +72,13 @@ def canonical_check(spec: Any) -> str | None:
 
 
 def engine_names() -> list[str]:
-    """Sorted names of every known backend, lazily-registered ones included.
+    """Sorted names of every registered backend.
 
     This is the single source of truth for user-facing engine choices
     (``repro run/sweep/stats/trace --engine``): a backend registered via
-    :func:`register_engine` or listed in :data:`_LAZY_ENGINES` appears
-    here without any CLI change.
+    :func:`register_engine` appears here without any CLI change.
     """
-    return sorted(set(ENGINES) | set(_LAZY_ENGINES))
+    return sorted(ENGINES)
 
 
 def register_engine(cls: type["Engine"]) -> type["Engine"]:
@@ -143,10 +136,6 @@ def resolve_engine(
                 )
         return spec
     if isinstance(spec, str):
-        if spec not in ENGINES and spec in _LAZY_ENGINES:
-            import importlib
-
-            importlib.import_module(_LAZY_ENGINES[spec])
         try:
             cls = ENGINES[spec]
         except KeyError:

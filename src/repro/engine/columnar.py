@@ -80,6 +80,7 @@ from .delivery import (
     inbox_columns,
     sender_rows,
 )
+from .shards import spawn_columnar_shards
 
 __all__ = [
     "ArrayContext",
@@ -146,7 +147,7 @@ class DualProgram:
 
     ``generator`` is the classic per-node program (``program(node)``);
     ``array`` is the columnar form (``program(ctx)``).  The object is
-    itself callable as a node program, so the reference/fast/sharded
+    itself callable as a node program, so the reference and fast
     engines run the generator form unchanged while the columnar engine
     picks up :attr:`array` — which is how ``repro.engine.diff``
     differentially gates every columnar port against the reference
@@ -548,7 +549,7 @@ class ColumnarEngine(Engine):
     transport:
         ``"direct"`` hands inline shard traffic over as objects;
         ``"pickle"`` round-trips it through the pickle-protocol-5
-        :class:`~repro.service.kernel.ShardTransport` (process shards
+        :class:`~repro.engine.shards.ShardTransport` (process shards
         always use the pickled framing).
     """
 
@@ -788,10 +789,6 @@ class ColumnarEngine(Engine):
         destination slice — so outputs, rounds, bits and metrics are
         bit-identical to ``shards=None`` for every shard count.
         """
-        # Lazy import: the service layer imports the engine package, so
-        # the engine only reaches up at execute time.
-        from ..service.kernel import spawn_columnar_shards
-
         n = clique.n
         bandwidth = clique.bandwidth
         pool = spawn_columnar_shards(

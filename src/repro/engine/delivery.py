@@ -1,6 +1,6 @@
 """The explicit per-message delivery core shared by the non-reference engines.
 
-The fast, columnar and sharded engines deliver a round message by
+The fast and columnar engines deliver a round message by
 message whenever something needs to see each message: a fault plan, a
 transcript, a per-message observer or the fast engine's
 ``shuffle_seed`` permutation.  This module is that one loop; the
@@ -51,14 +51,14 @@ BROADCAST = -1
 
 
 def drain_entries(
-    nodes: Iterable[tuple[int, Any]], full_check: bool = False
+    nodes: Iterable[tuple[int, Any]],
 ) -> list[tuple[int, int, Any, bool]]:
     """Collect the queued messages of ``(id, node)`` pairs in delivery order.
 
     Per node (in the given order), first the flat outbox in queue order,
     then the bulk channel, as ``(src, dst, payload, is_bulk)`` entries
     (``dst == BROADCAST`` marks an unexpanded broadcast).  Empties the
-    outboxes; ``full_check`` also resets the per-round duplicate guard.
+    outboxes.
     """
     entries: list[tuple[int, int, Any, bool]] = []
     for v, node in nodes:
@@ -70,8 +70,6 @@ def drain_entries(
             for dst, payload in node._flat_bulk:
                 entries.append((v, dst, payload, True))
             node._flat_bulk = []
-        if full_check and node._sent_to:
-            node._sent_to.clear()
     return entries
 
 

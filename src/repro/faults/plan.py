@@ -57,7 +57,7 @@ behaviours, ``+``-separated:
 ``equivocate``, ``forge`` and ``selective`` fire per message with
 probability ``byzantine_rate``; ``limited`` is a hard per-round cap.
 All decisions remain pure functions of ``(seed, round, src, dst)``, so
-the reference, fast, sharded and columnar engines — and any replay —
+the reference, fast and columnar engines — and any replay —
 inject byte-identical adversarial behaviour.  Byzantine *receivers*
 are not modelled here: programs are honest, and what a Byzantine node
 does with its inbox is an algorithm-level concern.

@@ -1,24 +1,16 @@
-"""Service layer: the sharded run kernel and the long-running daemon.
+"""Service layer: the long-running ``repro serve`` daemon.
 
-Two pieces sit here, both built on the engine substrate below:
-
-* :mod:`repro.service.kernel` — the ``engine="sharded"`` backend: node
-  programs become coroutine tasks on a round-synchronous discrete-event
-  kernel, partitioned into shards that advance independently between
-  round barriers and exchange messages as pickle-protocol-5 frames.
-* :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  ``repro serve`` daemon: a local-socket service that keeps the warm
-  worker pool and a resident :class:`~repro.engine.cache.RunCache`
-  alive across requests, so clients (``repro run --remote``) skip both
-  interpreter cold-start and recomputation.
+:mod:`repro.service.server` / :mod:`repro.service.client` form a
+local-socket service that keeps the warm worker pool and a resident
+:class:`~repro.engine.cache.RunCache` alive across requests, so clients
+(``repro run --remote``) skip both interpreter cold-start and
+recomputation; :mod:`repro.service.protocol` is their wire format.
 
 This package imports :mod:`repro.engine`, :mod:`repro.obs` and
-:mod:`repro.faults`; nothing below it imports back (the engine registry
-resolves ``"sharded"`` lazily by module path).
+:mod:`repro.faults`; nothing below it imports back.
 """
 
 from .client import ServiceClient, ServiceUnavailable
-from .kernel import Kernel, ShardedEngine, ShardTransport, fanout_spec
 from .protocol import (
     ServiceBusy,
     ServiceError,
@@ -29,16 +21,12 @@ from .protocol import (
 from .server import ReproServer, serve
 
 __all__ = [
-    "Kernel",
     "ReproServer",
     "ServiceBusy",
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailable",
-    "ShardTransport",
-    "ShardedEngine",
     "default_socket_path",
-    "fanout_spec",
     "recv_message",
     "send_message",
     "serve",

@@ -11,7 +11,7 @@ from repro.engine.diff import catalog_factory
 from repro.engine.pool import run_spec
 from repro.faults import BYZANTINE_BEHAVIOURS, FaultPlan
 
-ENGINES = ("reference", "fast", "sharded", "columnar")
+ENGINES = ("reference", "fast", "columnar")
 VALUE = 0xB5
 
 

@@ -1,6 +1,7 @@
 """The ratchet: classification, rendering, and the synthetic-regression
 gate the CI bench job depends on."""
 
+import json
 import time
 
 import pytest
@@ -88,6 +89,45 @@ class TestClassification:
     def test_unsupported_source_rejected(self):
         with pytest.raises(CliqueError, match="bench report"):
             compare_bench(42, synthetic_report({"a": 1.0}))
+
+    def test_quick_and_full_reports_are_not_compared(self):
+        quick = synthetic_report({"a": 1.0})
+        full = dict(synthetic_report({"a": 1.0}), quick=False)
+        with pytest.raises(CliqueError, match="old report is quick .* full"):
+            compare_bench(quick, full)
+        with pytest.raises(CliqueError, match="old report is full .* quick"):
+            compare_bench(full, quick)
+        assert compare_bench(full, full).ok
+
+    def test_fingerprints_are_not_compared(self):
+        old = synthetic_report({"a": 1.0})
+        new = dict(synthetic_report({"a": 1.0}), environment={"python": "y"})
+        assert compare_bench(old, new).ok
+
+
+class TestCliCompareErrors:
+    """Bad ``repro bench compare`` input exits 2 with a message, never a
+    traceback."""
+
+    def _write(self, tmp_path, name, report):
+        path = tmp_path / name
+        path.write_text(json.dumps(report))
+        return str(path)
+
+    def test_mode_mismatch_exits_2(self, tmp_path, capsys):
+        old = self._write(tmp_path, "old.json", synthetic_report({"a": 1.0}))
+        new = self._write(
+            tmp_path, "new.json", dict(synthetic_report({"a": 1.0}), quick=False)
+        )
+        assert main(["bench", "compare", old, new]) == 2
+        err = capsys.readouterr().err
+        assert "mode mismatch" in err and "quick" in err and "full" in err
+
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys):
+        path = self._write(tmp_path, "r.json", synthetic_report({"a": 1.0}))
+        code = main(["bench", "compare", path, path, "--tolerance", "0.5"])
+        assert code == 2
+        assert "tolerance must be > 1.0" in capsys.readouterr().err
 
 
 class TestRendering:

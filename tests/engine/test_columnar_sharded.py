@@ -14,9 +14,9 @@ from repro.engine import (
     array_program,
     resolve_engine,
 )
+from repro.engine import shards as engine_shards
 from repro.engine.diff import catalog_factory
 from repro.engine.pool import run_spec
-from repro.service import kernel as service_kernel
 
 FANOUT = {"algorithm": "fanout", "n": 24, "rounds": 3, "seed": 4}
 FANOUT_WORK = {
@@ -62,7 +62,7 @@ class TestShardedParity:
         _assert_identical(base, split)
 
     def test_process_executor_matches_single_instance(self):
-        if service_kernel._fork_context() is None:
+        if engine_shards._fork_context() is None:
             pytest.skip("no usable fork start method on this platform")
         base = _run_columnar(FANOUT_WORK)
         split = _run_columnar(FANOUT_WORK, shards=2, executor="process")
@@ -71,9 +71,9 @@ class TestShardedParity:
     def test_shared_memory_broadcast_image(self, monkeypatch):
         # Force every broadcast round through the shm descriptor path
         # (the default threshold keeps rounds this small inline).
-        if service_kernel._fork_context() is None:
+        if engine_shards._fork_context() is None:
             pytest.skip("no usable fork start method on this platform")
-        monkeypatch.setattr(service_kernel, "_SHM_MIN_BCAST", 1)
+        monkeypatch.setattr(engine_shards, "_SHM_MIN_BCAST", 1)
         base = _run_columnar(FANOUT)
         split = _run_columnar(FANOUT, shards=3, executor="process")
         _assert_identical(base, split)

@@ -92,8 +92,8 @@ def talker(node):
 @pytest.mark.parametrize("spec", PLANS)
 @pytest.mark.parametrize(
     "engine",
-    [FastEngine(), FastEngine(shuffle_seed=3), "columnar", "sharded"],
-    ids=["fast", "fast-shuffled", "columnar", "sharded"],
+    [FastEngine(), FastEngine(shuffle_seed=3), "columnar"],
+    ids=["fast", "fast-shuffled", "columnar"],
 )
 def test_per_message_core_matches_reference(spec, engine):
     """Transcripts and per-link metrics through the shared core equal the

@@ -20,19 +20,17 @@ from repro.service.client import ServiceClient
 
 
 class TestRegistry:
-    def test_engine_names_include_lazy_backends(self):
-        names = engine_names()
-        assert {"columnar", "fast", "reference", "sharded"} <= set(names)
-        assert names == sorted(names)
+    def test_engine_names_are_the_registered_backends(self):
+        assert engine_names() == ["columnar", "fast", "reference"]
+        assert engine_names() == sorted(ENGINES)
 
-    def test_lazy_engine_resolves_by_name(self):
-        engine = resolve_engine("sharded")
-        assert engine.name == "sharded"
-        assert "sharded" in ENGINES  # import side effect registered it
+    def test_every_engine_name_resolves(self):
+        for name in engine_names():
+            assert resolve_engine(name).name == name
 
     def test_unknown_engine_error_lists_everything(self):
-        with pytest.raises(CliqueError, match="sharded"):
-            resolve_engine("warp-drive")
+        with pytest.raises(CliqueError, match=r"\['columnar', 'fast', 'reference'\]"):
+            resolve_engine("sharded")
 
     def test_unknown_engine_error_suggests_nearest_match(self):
         with pytest.raises(CliqueError, match="did you mean 'columnar'"):

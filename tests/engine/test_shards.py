@@ -1,7 +1,7 @@
 """Shard boundary plumbing: ``shard_ranges`` partition properties and
-``ShardTransport`` out-of-band buffer round-trips of the array shapes
-the sharded columnar engine actually ships (non-contiguous slices,
-zero-length columns, >64-bit element widths)."""
+``ShardTransport`` round-trips — plain objects, and out-of-band buffers
+for the array shapes the sharded columnar engine actually ships
+(non-contiguous slices, zero-length columns, >64-bit element widths)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.clique.errors import CliqueError
-from repro.service.kernel import ShardTransport, shard_ranges
+from repro.engine.shards import ShardTransport, shard_ranges
 
 
 class TestShardRangesProperties:
@@ -54,6 +54,14 @@ class TestShardRangesProperties:
         with pytest.raises(CliqueError, match="at least one shard"):
             shard_ranges(8, shards)
 
+    def test_shard_ranges_partition(self):
+        for n, shards in ((10, 3), (7, 7), (5, 16), (1, 1)):
+            ranges = shard_ranges(n, shards)
+            covered = [v for lo, hi in ranges for v in range(lo, hi)]
+            assert covered == list(range(n))
+        with pytest.raises(CliqueError, match="at least one shard"):
+            shard_ranges(4, 0)
+
 
 def _assert_array_roundtrip(arr):
     body, buffers = ShardTransport.encode(arr)
@@ -66,6 +74,10 @@ def _assert_array_roundtrip(arr):
 
 
 class TestShardTransportBuffers:
+    def test_plain_objects_roundtrip(self):
+        obj = {"a": [1, 2, 3], "b": ("x", None)}
+        assert ShardTransport.roundtrip(obj) == obj
+
     def test_contiguous_array_ships_out_of_band(self):
         arr = np.arange(4096, dtype=np.uint64)
         body, buffers = ShardTransport.encode(arr)
@@ -77,6 +89,13 @@ class TestShardTransportBuffers:
         np.testing.assert_array_equal(
             ShardTransport.decode(body, buffers), arr
         )
+
+    def test_numpy_payloads_travel_out_of_band(self):
+        arr = np.arange(1024, dtype=np.int64)
+        body, buffers = ShardTransport.encode(arr)
+        assert buffers, "large arrays should use out-of-band buffers"
+        restored = ShardTransport.decode(body, buffers)
+        assert np.array_equal(restored, arr)
 
     def test_non_contiguous_view_roundtrips(self):
         base = np.arange(1000, dtype=np.uint64)

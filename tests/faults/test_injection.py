@@ -84,7 +84,7 @@ class TestCrossEngineParity:
     array form, as a keep mask, when nothing needs per-message objects).
     """
 
-    @pytest.mark.parametrize("engine", ("fast", "columnar", "sharded"))
+    @pytest.mark.parametrize("engine", ("fast", "columnar"))
     @pytest.mark.parametrize(
         "spec",
         [

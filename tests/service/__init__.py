@@ -1,1 +1,1 @@
-"""Tests for the service layer (sharded kernel + repro serve daemon)."""
+"""Tests for the service layer (the repro serve daemon)."""

@@ -81,12 +81,19 @@ class TestRequests:
             assert warm[field] == cold[field]
         assert server.cache.stats()["entries"] == 1
 
-    def test_run_on_sharded_engine(self, client):
-        fast = client.run("kvc", {"n": 9, "seed": 1})
-        sharded = client.run("kvc", {"n": 9, "seed": 1}, engine="sharded")
-        assert sharded["cached"] is False  # engine is part of the key
-        assert sharded["rounds"] == fast["rounds"]
-        assert sharded["common_output"] == fast["common_output"]
+    def test_run_on_columnar_engine(self, client):
+        config = {"n": 16, "rounds": 2, "seed": 1}
+        fast = client.run("fanout", config)
+        columnar = client.run("fanout", config, engine="columnar")
+        assert columnar["cached"] is False  # engine is part of the key
+        assert columnar["rounds"] == fast["rounds"]
+        assert columnar["common_output"] == fast["common_output"]
+
+    def test_unknown_engine_is_an_error_and_the_daemon_keeps_serving(self, client):
+        with pytest.raises(ServiceError, match="unknown engine 'sharded'"):
+            client.run("bfs", {"n": 8, "seed": 0}, engine="sharded")
+        assert client.run("bfs", {"n": 8, "seed": 0})["rounds"] >= 1
+        assert client.status()["counters"]["errors"] == 1
 
     def test_run_unknown_algorithm_is_an_error(self, client):
         with pytest.raises(ServiceError, match="unknown algorithm"):

@@ -24,13 +24,15 @@ MODULES = [
     "repro.engine",
     "repro.engine.base",
     "repro.engine.cache",
+    "repro.engine.columnar",
+    "repro.engine.delivery",
     "repro.engine.diff",
     "repro.engine.fast",
     "repro.engine.pool",
     "repro.engine.reference",
+    "repro.engine.shards",
     "repro.service",
     "repro.service.client",
-    "repro.service.kernel",
     "repro.service.protocol",
     "repro.service.server",
     "repro.algorithms",
