@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import sympy
@@ -171,6 +171,16 @@ class CostPoint:
     @property
     def total_bits(self) -> int:
         return self.message_bits + self.bulk_bits
+
+    @classmethod
+    def from_metrics(cls, metrics) -> "CostPoint":
+        """The metered costs of one run's :class:`~repro.obs.RunMetrics`."""
+        return cls(
+            n=metrics.n,
+            rounds=metrics.rounds,
+            message_bits=metrics.message_bits,
+            bulk_bits=metrics.bulk_bits,
+        )
 
     def to_dict(self) -> dict:
         """JSON-able mapping of the point (all values exact ints)."""
@@ -1126,25 +1136,8 @@ class SymbolicReport:
         return f"symbolic gate: {bad} FAILURES in {len(self.checks)} checks"
 
 
-def _measure(point: dict, engine) -> CostPoint:
-    """Run one catalog point fault-free and read its metered costs."""
-    from ..engine.diff import catalog_factory
-    from ..engine.pool import run_spec
-    from ..obs import MetricsCollector
-
-    result, _ = run_spec(
-        catalog_factory(dict(point)), engine, observer=MetricsCollector()
-    )
-    m = result.metrics
-    return CostPoint(
-        n=m.n,
-        rounds=m.rounds,
-        message_bits=m.message_bits,
-        bulk_bits=m.bulk_bits,
-    )
-
-
 def _compare(predicted: CostPoint, measured: CostPoint) -> list[str]:
+    """Closed form vs metered costs: the one place they are compared."""
     issues = []
     for quantity in ("rounds", "message_bits", "bulk_bits", "total_bits"):
         a, b = getattr(predicted, quantity), getattr(measured, quantity)
@@ -1161,17 +1154,19 @@ def validate_symbolic(
 ) -> SymbolicReport:
     """The exact gate: closed forms vs metered runs, zero tolerance.
 
-    For every named algorithm (default: the full catalog), every clique
-    size in ``ns`` and every engine, the catalog point is executed
-    fault-free with a metrics collector and the measured rounds /
-    message bits / bulk bits / total bits must equal the model's
-    evaluated closed forms **exactly**.  A ``fit_metric_exponent``
-    consistency check then fits the measured and the predicted series
-    (rounds and total bits) through the same estimator and requires
-    identical slopes.  Unregistered declared models are reported as
-    errors, so full-catalog runs enforce coverage.
+    For every named algorithm (default: the full catalog) and every
+    clique size in ``ns``, the catalog point runs fault-free as one
+    :func:`~repro.engine.diff.run_matrix` row over ``engines`` (so the
+    engines are also held to each other), and each cell's measured
+    rounds / message bits / bulk bits / total bits must equal the
+    model's evaluated closed forms **exactly**.  A
+    ``fit_metric_exponent`` consistency check then fits the measured
+    (first engine) and the predicted series (rounds and total bits)
+    through the same estimator and requires identical slopes.
+    Unregistered declared models are reported as errors, so
+    full-catalog runs enforce coverage.
     """
-    from ..engine.diff import CATALOG
+    from ..engine.diff import CATALOG, run_matrix
     from .fitting import fit_metric_exponent
 
     report = SymbolicReport()
@@ -1194,20 +1189,20 @@ def validate_symbolic(
             except CliqueError as exc:
                 report.errors.append(f"{name} n={n_val}: {exc}")
                 continue
-            for engine in engines:
-                engine_name = getattr(engine, "name", None) or str(engine)
-                measured = _measure(point, engine)
+            for cell in run_matrix([name], point, engines=engines):
+                report.errors.extend(f"{name} n={n_val}: {m}" for m in cell.mismatches)
+                measured = CostPoint.from_metrics(cell.result.metrics)
                 report.checks.append(
                     SymbolicCheck(
                         algorithm=name,
                         n=n_val,
-                        engine=engine_name,
+                        engine=cell.result.metrics.engine,
                         predicted=predicted,
                         measured=measured,
                         mismatches=_compare(predicted, measured),
                     )
                 )
-                if engine is engines[0]:
+                if cell.baseline is None:
                     measured_series.append(
                         SimpleNamespace(
                             n=n_val,
@@ -1248,9 +1243,3 @@ def validate_symbolic(
                     f"{fit_p.slope:.6f})"
                 )
     return report
-
-
-def collect_metrics(points: Iterable[dict], engine="reference"):
-    """Metered :class:`~repro.obs.RunMetrics`-shaped cost points for a
-    list of catalog config points (a convenience for notebooks/tests)."""
-    return [_measure(dict(p), engine) for p in points]

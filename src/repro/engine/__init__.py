@@ -16,8 +16,10 @@ One semantic model, multiple interchangeable execution backends:
 * :class:`~repro.engine.cache.RunCache` — a content-addressed on-disk
   run cache keyed by (program name, n, bandwidth, input digest, engine
   config), so re-run sweeps and benchmark reruns are free.
-* :mod:`repro.engine.diff` — the differential checker asserting that
-  backends agree on outputs and round counts across the catalog.
+* :mod:`repro.engine.diff` — the algorithm catalog and the
+  differential matrix (:func:`~repro.engine.diff.run_matrix`) holding
+  every backend to the reference engine's outputs, rounds, bits and
+  metrics, fault-free and under fault plans.
 
 Quickstart::
 
@@ -59,14 +61,11 @@ from .diff import (
     COST_DECLARATIONS,
     NATIVE_RESILIENT,
     RESILIENT_CATALOG,
-    EngineDiff,
+    Cell,
     algorithm,
-    assert_engines_agree,
     catalog_factory,
-    diff_catalog,
-    diff_columnar,
-    diff_engines,
-    diff_resilient,
+    compare,
+    run_matrix,
 )
 from .fast import FastEngine
 from .pool import (
@@ -88,11 +87,11 @@ __all__ = [
     "CHECK_LEVELS",
     "COLUMNAR_CATALOG",
     "COST_DECLARATIONS",
+    "Cell",
     "ColumnarEngine",
     "DualProgram",
     "ENGINES",
     "Engine",
-    "EngineDiff",
     "ExecutionSpec",
     "FastEngine",
     "NATIVE_RESILIENT",
@@ -106,21 +105,18 @@ __all__ = [
     "aggregate_sweep_metrics",
     "algorithm",
     "array_program",
-    "assert_engines_agree",
     "canonical_check",
     "catalog_factory",
+    "compare",
     "content_digest",
     "default_cache_dir",
     "derive_seed",
-    "diff_catalog",
-    "diff_columnar",
-    "diff_engines",
-    "diff_resilient",
     "engine_names",
     "pool_stats",
     "register_engine",
     "resolve_engine",
     "resolve_execution",
+    "run_matrix",
     "run_spec",
     "run_sweep",
     "shutdown_pool",

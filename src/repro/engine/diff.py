@@ -1,8 +1,8 @@
 """Differential checking between execution backends.
 
 The reference engine is the semantic ground truth; every other backend
-must produce identical ``RunResult.outputs`` and ``rounds`` on valid
-programs.  This module provides
+must produce identical outputs, rounds, bits and
+:class:`~repro.obs.RunMetrics` on valid programs.  This module provides
 
 * :data:`CATALOG` — named spec builders covering the library's
   algorithm families (broadcast/gather, BFS, APSP, matrix
@@ -13,19 +13,20 @@ programs.  This module provides
   ``config["algorithm"]`` (usable directly with
   :func:`~repro.engine.pool.run_sweep`, and the source of the
   ``catalog/*`` workloads in :mod:`repro.bench`);
-* :func:`diff_engines` / :func:`assert_engines_agree` — run one spec on
-  several backends and compare outputs, round counts and bit totals;
-* :func:`diff_resilient` — run catalog algorithms wrapped in the
-  :func:`repro.faults.resilient` ack/retransmit layer under a lossy
-  :class:`~repro.faults.FaultPlan` and check the outputs still match a
-  fault-free reference run (:data:`RESILIENT_CATALOG` names the
-  message-passing subset the wrapper supports — no bulk channel).
+* :func:`run_matrix` — the one differential gate: catalog entry ×
+  engine column × fault plan, with an optional closed-form row, each
+  cell run once and checked by :func:`compare` against its row's
+  baseline.  Under a fault plan, the Byzantine protocols and the
+  fan-out entries run as they are, and the other
+  :data:`RESILIENT_CATALOG` entries run wrapped in the
+  :func:`repro.faults.resilient` ack/retransmit layer, which must also
+  reproduce the fault-free outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,18 +38,16 @@ from .pool import RunSpec, run_spec
 __all__ = [
     "CATALOG",
     "COLUMNAR_CATALOG",
+    "COLUMNAR_FAULT_CATALOG",
     "COLUMNAR_FAULT_PLANS",
     "COST_DECLARATIONS",
-    "EngineDiff",
+    "Cell",
     "NATIVE_RESILIENT",
     "RESILIENT_CATALOG",
     "algorithm",
-    "assert_engines_agree",
     "catalog_factory",
-    "diff_catalog",
-    "diff_columnar",
-    "diff_engines",
-    "diff_resilient",
+    "compare",
+    "run_matrix",
 ]
 
 
@@ -61,7 +60,7 @@ __all__ = [
 CATALOG: dict[str, Callable[[dict], RunSpec]] = {}
 
 #: Catalog entries whose :class:`~repro.engine.columnar.DualProgram`
-#: carries a columnar form, i.e. the set :func:`diff_columnar` gates.
+#: carries a columnar form, i.e. the entries the columnar engine column runs.
 COLUMNAR_CATALOG: tuple[str, ...] = ()
 
 #: Analytic-twin declarations: catalog entry name -> the
@@ -80,8 +79,8 @@ def algorithm(
     ``columnar=True`` declares that the builder's program is a
     :class:`~repro.engine.columnar.DualProgram` carrying both the
     generator form and a columnar array form, adding the entry to
-    :data:`COLUMNAR_CATALOG` so the columnar differential gate picks it
-    up automatically.
+    :data:`COLUMNAR_CATALOG` so the columnar column of
+    :func:`run_matrix` picks it up automatically.
 
     ``cost`` names the entry's analytic twin — the symbolic
     :class:`~repro.analysis.symbolic.CostModel` whose closed forms must
@@ -431,508 +430,348 @@ def catalog_factory(config: dict) -> RunSpec:
 
 
 # ---------------------------------------------------------------------------
-# Differential checking
+# The differential matrix
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class EngineDiff:
-    """Comparison of one run across several backends."""
-
-    label: str
-    engines: tuple[str, ...]
-    rounds: dict[str, int] = field(default_factory=dict)
-    total_message_bits: dict[str, int] = field(default_factory=dict)
-    mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True when every backend agreed on outputs and round counts."""
-        return not self.mismatches
-
-    def summary(self) -> str:
-        """One-line human-readable verdict."""
-        if self.ok:
-            rounds = next(iter(self.rounds.values()), 0)
-            return f"{self.label}: {'/'.join(self.engines)} agree ({rounds} rounds)"
-        return f"{self.label}: MISMATCH — " + "; ".join(self.mismatches)
-
-
-def _engine_label(engine: "str | Engine | None") -> str:
-    if engine is None:
-        return "reference"
-    if isinstance(engine, Engine):
-        return engine.name
-    return str(engine)
-
-
-def diff_engines(
-    factory: Callable[[dict], RunSpec],
-    config: dict,
-    engines: Sequence["str | Engine"] = ("reference", "fast"),
-    label: str | None = None,
-    symbolic: bool = False,
-) -> EngineDiff:
-    """Run one grid point on every backend and compare the results.
-
-    The spec is rebuilt from ``factory(config)`` for each backend so no
-    state leaks between runs.  Outputs are compared node by node with
-    the same numpy-tolerant equality ``RunResult.common_output`` uses;
-    round counts and total message/bulk bits must match exactly.
-
-    ``symbolic=True`` folds the algorithm's analytic twin into the
-    comparison surface: the :class:`~repro.analysis.symbolic.CostModel`
-    declared for ``config["algorithm"]`` is evaluated at the same point
-    and its closed-form rounds and total bits must match the baseline
-    engine exactly, reported as a pseudo-engine row ``"symbolic"``.  The
-    model's ``domain`` pins (e.g. ``scheme="lenzen"`` for routing) are
-    merged into the config *before* the engines run, so every backend
-    and the closed form see the identical instance.
-    """
-    model = None
-    if symbolic:
-        from ..analysis.symbolic import get_cost_model
-
-        algo = config.get("algorithm", label)
-        model = get_cost_model(COST_DECLARATIONS.get(algo, algo))
-        config = model.config(config)
-    names = tuple(_engine_label(e) for e in engines)
-    report = EngineDiff(
-        label=label or config.get("algorithm", "program"),
-        engines=names + (("symbolic",) if model is not None else ()),
-    )
-    results: dict[str, RunResult] = {}
-    for engine, name in zip(engines, names):
-        result, _ = run_spec(factory(dict(config)), engine)
-        results[name] = result
-        report.rounds[name] = result.rounds
-        report.total_message_bits[name] = result.total_message_bits
-
-    baseline_name = names[0]
-    if model is not None:
-        predicted = model.evaluate(config)
-        report.rounds["symbolic"] = predicted.rounds
-        report.total_message_bits["symbolic"] = predicted.message_bits
-        base = results[baseline_name]
-        if predicted.rounds != base.rounds:
-            report.mismatches.append(
-                f"symbolic rounds: {baseline_name}={base.rounds} "
-                f"closed-form={predicted.rounds}"
-            )
-        if predicted.message_bits != base.total_message_bits:
-            report.mismatches.append(
-                f"symbolic message bits: {baseline_name}="
-                f"{base.total_message_bits} closed-form={predicted.message_bits}"
-            )
-        if predicted.bulk_bits != base.bulk_bits:
-            report.mismatches.append(
-                f"symbolic bulk bits: {baseline_name}={base.bulk_bits} "
-                f"closed-form={predicted.bulk_bits}"
-            )
-    baseline = results[baseline_name]
-    for name in names[1:]:
-        other = results[name]
-        if other.rounds != baseline.rounds:
-            report.mismatches.append(
-                f"rounds: {baseline_name}={baseline.rounds} {name}={other.rounds}"
-            )
-        if sorted(other.outputs) != sorted(baseline.outputs):
-            report.mismatches.append(
-                f"output nodes differ: {baseline_name}={sorted(baseline.outputs)} "
-                f"{name}={sorted(other.outputs)}"
-            )
-            continue
-        for v in sorted(baseline.outputs):
-            if not _outputs_equal(baseline.outputs[v], other.outputs[v]):
-                report.mismatches.append(
-                    f"node {v} output: {baseline_name}={baseline.outputs[v]!r} "
-                    f"{name}={other.outputs[v]!r}"
-                )
-        if other.total_message_bits != baseline.total_message_bits:
-            report.mismatches.append(
-                f"message bits: {baseline_name}={baseline.total_message_bits} "
-                f"{name}={other.total_message_bits}"
-            )
-        if other.bulk_bits != baseline.bulk_bits:
-            report.mismatches.append(
-                f"bulk bits: {baseline_name}={baseline.bulk_bits} "
-                f"{name}={other.bulk_bits}"
-            )
-    return report
-
-
-def assert_engines_agree(
-    factory: Callable[[dict], RunSpec],
-    config: dict,
-    engines: Sequence["str | Engine"] = ("reference", "fast"),
-    label: str | None = None,
-) -> EngineDiff:
-    """:func:`diff_engines`, raising :class:`CliqueError` on any mismatch."""
-    report = diff_engines(factory, config, engines=engines, label=label)
-    if not report.ok:
-        raise CliqueError(report.summary())
-    return report
-
-
-#: Catalog algorithms compatible with the :func:`repro.faults.resilient`
-#: wrapper: pure message-passing, no cost-model bulk channel (the
-#: wrapper's 3-bit frame header lives inside the per-link budget, so
-#: bulk sends are rejected).  The :data:`NATIVE_RESILIENT` subset is
-#: resilient *by protocol design* and runs unwrapped.
-RESILIENT_CATALOG: tuple[str, ...] = ("bfs", "broadcast", "kvc", "bracha", "dolev")
-
 #: Catalog entries that tolerate faults natively (Byzantine broadcast
-#: protocols): :func:`diff_resilient` runs them unwrapped and compares
-#: engine against engine — outputs, rounds, bits *and* full metrics
-#: including per-behaviour fault counters — instead of against a
-#: fault-free baseline (their outputs legitimately depend on the
+#: protocols).  Under a fault plan they run unwrapped and are compared
+#: engine against engine only: their outputs legitimately depend on the
 #: injected adversary, so "same as fault-free" is not the contract;
-#: "identical on every backend" is).
+#: "identical on every backend" is.
 NATIVE_RESILIENT: frozenset[str] = frozenset({"bracha", "dolev"})
 
+#: Catalog entries that join faulty legs: the :data:`NATIVE_RESILIENT`
+#: protocols, plus pure message-passing entries with no cost-model bulk
+#: channel that run wrapped in :func:`repro.faults.resilient` (the
+#: wrapper's 3-bit frame header lives inside the per-link budget, so
+#: bulk sends are rejected).
+RESILIENT_CATALOG: tuple[str, ...] = ("bfs", "broadcast", "kvc", "bracha", "dolev")
 
-def diff_resilient(
-    names: Sequence[str] | None = None,
-    config: dict | None = None,
-    *,
-    fault_plan: "str | object" = "drop=0.2",
-    engines: Sequence["str | Engine"] = ("reference", "fast"),
-    timeout: int = 2,
-    max_attempts: int = 8,
-    backoff_cap: int = 8,
-) -> list[EngineDiff]:
-    """Differentially verify the resilience layer under injected faults.
-
-    For each named algorithm the fault-free reference run is the ground
-    truth; the same program wrapped in :func:`repro.faults.resilient` is
-    then executed under ``fault_plan`` on every backend, and the outputs
-    must match node for node.  Round counts and bit totals legitimately
-    grow (the ack/retransmit protocol pays for masking the faults), so
-    the report records them per backend — next to the ``"fault-free"``
-    baseline — without treating the growth as a mismatch.
-
-    ``names`` defaults to :data:`RESILIENT_CATALOG`; algorithms using
-    the bulk channel are incompatible with the wrapper and will raise.
-    """
-    from ..faults import resilient
-
-    reports = []
-    for name in names if names is not None else RESILIENT_CATALOG:
-        point = dict(config or {})
-        point["algorithm"] = name
-        engine_names = tuple(_engine_label(e) for e in engines)
-        if name in NATIVE_RESILIENT:
-            reports.append(
-                _diff_native_resilient(point, engines, engine_names, fault_plan)
-            )
-            continue
-        report = EngineDiff(label=f"resilient:{name}", engines=engine_names)
-        baseline, _ = run_spec(catalog_factory(dict(point)), "reference")
-        report.rounds["fault-free"] = baseline.rounds
-        report.total_message_bits["fault-free"] = baseline.total_message_bits
-        for engine, engine_name in zip(engines, engine_names):
-            spec = catalog_factory(dict(point))
-            spec.program = resilient(
-                spec.program,
-                timeout=timeout,
-                max_attempts=max_attempts,
-                backoff_cap=backoff_cap,
-            )
-            result, _ = run_spec(spec, engine, fault_plan=fault_plan)
-            report.rounds[engine_name] = result.rounds
-            report.total_message_bits[engine_name] = result.total_message_bits
-            if sorted(result.outputs) != sorted(baseline.outputs):
-                report.mismatches.append(
-                    f"output nodes differ: fault-free="
-                    f"{sorted(baseline.outputs)} "
-                    f"{engine_name}={sorted(result.outputs)}"
-                )
-                continue
-            for v in sorted(baseline.outputs):
-                if not _outputs_equal(baseline.outputs[v], result.outputs[v]):
-                    report.mismatches.append(
-                        f"node {v} output: fault-free="
-                        f"{baseline.outputs[v]!r} "
-                        f"{engine_name}={result.outputs[v]!r}"
-                    )
-        reports.append(report)
-    return reports
-
-
-def _diff_native_resilient(
-    point: dict,
-    engines: Sequence["str | Engine"],
-    engine_names: tuple[str, ...],
-    fault_plan: "str | object",
-) -> EngineDiff:
-    """Engine-vs-engine comparison for :data:`NATIVE_RESILIENT` entries.
-
-    The first engine's faulty run is the baseline; every other backend
-    must reproduce its outputs, rounds, bit totals and full metrics —
-    fault counters included — under the same seeded plan.  Runs attach
-    a metrics observer so per-behaviour adversary counters are part of
-    the comparison surface.
-    """
-    from ..obs import MetricsCollector
-
-    name = point["algorithm"]
-    report = EngineDiff(label=f"byzantine:{name}", engines=engine_names)
-    results: dict[str, RunResult] = {}
-    for engine, engine_name in zip(engines, engine_names):
-        spec = catalog_factory(dict(point))
-        result, _ = run_spec(
-            spec, engine, fault_plan=fault_plan, observer=MetricsCollector()
-        )
-        results[engine_name] = result
-        report.rounds[engine_name] = result.rounds
-        report.total_message_bits[engine_name] = result.total_message_bits
-    baseline_name = engine_names[0]
-    baseline = results[baseline_name]
-    for engine_name in engine_names[1:]:
-        other = results[engine_name]
-        if sorted(other.outputs) != sorted(baseline.outputs):
-            report.mismatches.append(
-                f"output nodes differ: {baseline_name}="
-                f"{sorted(baseline.outputs)} "
-                f"{engine_name}={sorted(other.outputs)}"
-            )
-            continue
-        for v in sorted(baseline.outputs):
-            if not _outputs_equal(baseline.outputs[v], other.outputs[v]):
-                report.mismatches.append(
-                    f"node {v} output: {baseline_name}="
-                    f"{baseline.outputs[v]!r} "
-                    f"{engine_name}={other.outputs[v]!r}"
-                )
-        report.mismatches.extend(
-            _metrics_mismatches(engine_name, baseline.metrics, other.metrics)
-        )
-    return report
-
-
-def _metrics_mismatches(name: str, base, other) -> list[str]:
-    """Compare two ``RunMetrics`` across backends.
-
-    Broadcasts are counted in different slots by design (the reference
-    engine expands them to unicasts), so per-slot message counts are
-    compared as totals; bit volumes, per-node load profiles, counters
-    and fault totals must match exactly.
-    """
-    issues: list[str] = []
-    if base is None or other is None:
-        if (base is None) != (other is None):
-            issues.append(f"metrics presence: reference={base} {name}={other}")
-        return issues
-    for field_name in ("rounds", "message_bits", "bulk_bits"):
-        a, b = getattr(base, field_name), getattr(other, field_name)
-        if a != b:
-            issues.append(f"metrics.{field_name}: reference={a} {name}={b}")
-    total_a = base.unicast_messages + base.broadcast_messages
-    total_b = other.unicast_messages + other.broadcast_messages
-    if total_a != total_b or base.bulk_messages != other.bulk_messages:
-        issues.append(
-            f"metrics message totals: reference="
-            f"{(total_a, base.bulk_messages)} {name}="
-            f"{(total_b, other.bulk_messages)}"
-        )
-    if tuple(base.sent_bits) != tuple(other.sent_bits) or tuple(
-        base.received_bits
-    ) != tuple(other.received_bits):
-        issues.append(f"metrics per-node load profile differs on {name}")
-    if tuple(base.counters) != tuple(other.counters):
-        issues.append(f"metrics counters differ on {name}")
-    if dict(base.faults) != dict(other.faults):
-        issues.append(
-            f"metrics.faults: reference={base.faults} {name}={other.faults}"
-        )
-    for ra, rb in zip(base.per_round, other.per_round):
-        if (
-            ra.message_bits != rb.message_bits
-            or ra.bulk_bits != rb.bulk_bits
-            or ra.messages != rb.messages
-            or ra.max_load_bits != rb.max_load_bits
-            or ra.faults != rb.faults
-        ):
-            issues.append(
-                f"metrics round {ra.round}: reference={ra.to_dict()} "
-                f"{name}={rb.to_dict()}"
-            )
-            break
-    return issues
-
-
-#: Columnar-ported entries safe to diff *under an active fault plan*:
-#: their outputs depend on individual deliveries but the protocol has no
-#: multi-round reassembly that a dropped chunk would turn into an error
-#: (chunked collectives raise on loss in both engines, but the raised
-#: error is not a comparable output).
+#: Columnar-ported entries that join every faulty leg unwrapped: their
+#: outputs depend on individual deliveries, but the protocol has no
+#: multi-round reassembly that a dropped chunk would turn into an error.
 COLUMNAR_FAULT_CATALOG: tuple[str, ...] = ("fanout", "fanout_work")
 
-#: The default faulty legs of :func:`diff_columnar`.  The first plan
-#: rewrites and buffers messages (corruption, duplicates); the second
-#: can only lose them, which the columnar engine decides as a keep mask
-#: over its message columns.  Its seed makes every kind in it fire on
-#: the fault catalog's default configs.
+# Why the rest of the catalog sits out every faulty leg (each entry was
+# run at its default config under a drop-only, a corrupting and a
+# crashing plan, unwrapped and wrapped):
+#
+# * apsp, matmul, sorting: their chunked all-broadcast reassembly raises
+#   ProtocolViolation on the first lost chunk; wrapped, the retransmit
+#   window pushes them past the 1024-round limit.
+# * kds, kis, subgraph: the same reassembly error unwrapped; wrapped,
+#   their bulk-channel sends are rejected by the wrapper.
+# * routing: a lost relay chunk raises ProtocolViolation ("unexpected
+#   chunk"); wrapped, the frame header leaves fewer bits per link than
+#   relay routing needs.
+#
+# A raised error is not a comparable output, so none of them has a
+# faulty-leg contract.  The wrapped entries (bfs, broadcast, kvc) join
+# only plans that just drop messages: resilient() masks loss, not
+# corruption, duplication, dead links, crashes or Byzantine rewrites
+# (under those, broadcast and kvc raise and bfs returns other outputs).
+
+#: Two faulty legs that make every fault kind fire on the fault
+#: catalog's default configs.  The first plan rewrites and buffers
+#: messages (corruption, duplicates); the second can only lose them,
+#: which the columnar engine decides as a keep mask over its message
+#: columns.
 COLUMNAR_FAULT_PLANS: tuple[str, ...] = (
     "drop=0.2,corrupt=0.1,duplicate=0.1,seed=3",
     "drop=0.2,link=0.05,crash=0.05,restart=2,seed=1",
 )
 
 
-def _fault_leg_label(spec: "str | object") -> str:
-    """``"omission"`` for a plan that can only lose messages, else
-    ``"faulty"``."""
+@dataclass
+class Cell:
+    """One run of the differential matrix and its verdict.
+
+    ``column`` names the engine column (``"reference@full"``,
+    ``"columnar@off/shards=3"``) or ``"symbolic"`` for the closed-form
+    row; ``plan`` is the fault plan it ran under (``None`` = fault-free).
+    ``wrapped`` marks a run of the program wrapped in
+    :func:`repro.faults.resilient`.  ``baseline`` is the column this
+    cell was compared against (``None`` for a baseline itself).
+    """
+
+    algorithm: str
+    column: str
+    plan: "str | object | None" = None
+    wrapped: bool = False
+    result: RunResult | None = None
+    baseline: str | None = None
+    mismatches: list[str] = field(default_factory=list)
+
+    @property
+    def leg(self) -> str:
+        """``"fault-free"``, ``"omission"`` (a plan that can only lose
+        messages), ``"faulty"`` (corruption, duplicates) or
+        ``"byzantine"``."""
+        from ..faults import resolve_fault_plan
+
+        plan = resolve_fault_plan(self.plan)
+        if plan is None:
+            return "fault-free"
+        if plan.byzantine_active:
+            return "byzantine"
+        return "faulty" if plan.corrupt_rate or plan.duplicate_rate else "omission"
+
+    @property
+    def label(self) -> str:
+        prefix = "resilient:" if self.wrapped else ""
+        suffix = "" if self.plan is None else f"[{self.plan}]"
+        return f"{prefix}{self.algorithm}@{self.leg}{suffix}"
+
+    @property
+    def ok(self) -> bool:
+        """True when the cell matched everything it was compared with."""
+        return not self.mismatches
+
+    def summary(self) -> str:
+        """One-line human-readable verdict."""
+        head = f"{self.label} {self.column}"
+        if self.baseline is not None:
+            head += f" vs {self.baseline}"
+        if self.mismatches:
+            return f"{head}: MISMATCH — " + "; ".join(self.mismatches)
+        if self.result is None:
+            return f"{head}: agree"
+        return (
+            f"{head}: {'agree' if self.baseline else 'baseline'} "
+            f"({self.result.rounds} rounds, "
+            f"{self.result.total_message_bits} message bits)"
+        )
+
+
+def _output_mismatches(base: Cell, other: Cell) -> list[str]:
+    """Node-by-node output comparison (numpy-tolerant equality)."""
+    a, b = base.result.outputs, other.result.outputs
+    x, y = base.column, other.column
+    if sorted(a) != sorted(b):
+        return [f"output nodes: {x}={sorted(a)} {y}={sorted(b)}"]
+    return [
+        f"node {v} output: {x}={a[v]!r} {y}={b[v]!r}"
+        for v in sorted(a)
+        if not _outputs_equal(a[v], b[v])
+    ]
+
+
+def compare(base: Cell, other: Cell) -> list[str]:
+    """Everything two runs of one matrix row must agree on.
+
+    Outputs node by node; rounds, message and bulk bits; the per-node
+    sent/received bits and counters; and the full
+    :class:`~repro.obs.RunMetrics` — every field but the engine name and
+    phase timings, per round included, fault counters and per-round
+    fault deltas included.  Broadcasts are counted in different slots by
+    design (the reference engine expands them to unicasts), so message
+    counts are compared as totals.  Each mismatch names both columns.
+    """
+    issues = _output_mismatches(base, other)
+    x, y = base.column, other.column
+    a, b = base.result, other.result
+    for name in (
+        "rounds",
+        "total_message_bits",
+        "bulk_bits",
+        "sent_bits",
+        "received_bits",
+        "counters",
+    ):
+        va, vb = getattr(a, name), getattr(b, name)
+        if va != vb:
+            issues.append(f"{name}: {x}={va} {y}={vb}")
+    ma, mb = a.metrics, b.metrics
+    if ma is None or mb is None:
+        if (ma is None) != (mb is None):
+            issues.append(f"metrics: {x}={ma is not None} {y}={mb is not None}")
+        return issues
+    for name in (
+        "n",
+        "bandwidth",
+        "rounds",
+        "message_bits",
+        "bulk_bits",
+        "messages",
+        "bulk_messages",
+        "sent_bits",
+        "received_bits",
+        "counters",
+        "link_bits",
+        "faults",
+    ):
+        va, vb = getattr(ma, name), getattr(mb, name)
+        if va != vb:
+            issues.append(f"metrics.{name}: {x}={va} {y}={vb}")
+    if len(ma.per_round) != len(mb.per_round):
+        issues.append(
+            f"metrics rounds recorded: {x}={len(ma.per_round)} "
+            f"{y}={len(mb.per_round)}"
+        )
+    for ra, rb in zip(ma.per_round, mb.per_round):
+        if _round_view(ra) != _round_view(rb):
+            issues.append(
+                f"metrics round {ra.round}: {x}={ra.to_dict()} {y}={rb.to_dict()}"
+            )
+            break
+    return issues
+
+
+def _round_view(r) -> tuple:
+    """A :class:`~repro.obs.RoundMetrics` with message slots as totals."""
+    return (
+        r.round,
+        r.messages,
+        r.bulk_messages,
+        r.message_bits,
+        r.bulk_bits,
+        r.max_load_node,
+        r.max_load_bits,
+        r.faults,
+    )
+
+
+def _column(engine: "str | Engine") -> tuple[str, Engine]:
+    """An engine column: its label and its resolved engine."""
+    from .base import resolve_engine
+
+    engine = resolve_engine(engine)
+    label = f"{engine.name}@{engine.check}"
+    shards = getattr(engine, "shards", None)
+    if shards is not None:
+        label += f"/shards={shards}"
+    return label, engine
+
+
+def _joins(name: str, plan: "str | object | None") -> str | None:
+    """How catalog entry ``name`` joins the leg of ``plan``: ``"native"``
+    (as it is), ``"wrapped"`` (in :func:`repro.faults.resilient`), or
+    ``None`` (it sits out; see the notes above)."""
     from ..faults import resolve_fault_plan
 
-    plan = resolve_fault_plan(spec)
-    rewrites = plan.corrupt_rate or plan.duplicate_rate or (
-        plan.byzantine_active
-        and {"equivocate", "forge"} & set(plan.byzantine_behaviours())
+    plan = resolve_fault_plan(plan)
+    if plan is None or name in NATIVE_RESILIENT or name in COLUMNAR_FAULT_CATALOG:
+        return "native"
+    drop_only = not plan.byzantine_active and not (
+        plan.corrupt_rate
+        or plan.duplicate_rate
+        or plan.link_failure_rate
+        or plan.crash_rate
     )
-    return "faulty" if rewrites else "omission"
+    return "wrapped" if name in RESILIENT_CATALOG and drop_only else None
 
 
-def _columnar_gate_engine(check: str, shard: "int | None"):
-    """The columnar engine one ``diff_columnar`` axis point runs.
+def _run_row(
+    name: str,
+    point: dict,
+    columns: list[tuple[str, Engine]],
+    plan: "str | object | None",
+    wrapped: bool = False,
+) -> Iterator[Cell]:
+    """Run one entry on each column that can run it under one plan.
 
-    ``shard=None`` is the classic single-instance engine; a shard count
-    builds a shard-parallel engine on inline shards with the pickled
-    transport, so every gate point exercises the full shard codec
-    without paying a process fork per (entry, check, shards) cell —
-    process-executor parity has its own dedicated tests.
+    Lazy, so a caller that needs only the baseline runs only that.  The
+    first such column is the row's baseline; every later cell is
+    compared against it.  The columnar engine runs only entries that
+    carry an array form (:class:`~repro.engine.columnar.DualProgram`).
     """
-    from .base import resolve_engine
-    from .columnar import ColumnarEngine
+    from ..faults import resilient
+    from .columnar import DualProgram
 
-    if shard is None:
-        return resolve_engine("columnar", check=check)
-    return ColumnarEngine(
-        check=check, shards=shard, executor="inline", transport="pickle"
-    )
+    base = None
+    for label, engine in columns:
+        spec = catalog_factory(dict(point))
+        if wrapped:
+            spec.program = resilient(spec.program)
+        if engine.name == "columnar" and not isinstance(spec.program, DualProgram):
+            continue
+        result, _ = run_spec(spec, engine, fault_plan=plan)
+        cell = Cell(name, label, plan, wrapped, result)
+        if base is None:
+            base = cell
+        else:
+            cell.baseline = base.column
+            cell.mismatches = compare(base, cell)
+        yield cell
 
 
-def diff_columnar(
+def run_matrix(
     names: Sequence[str] | None = None,
     config: dict | None = None,
     *,
-    fault_plan: "str | object | Sequence" = COLUMNAR_FAULT_PLANS,
-    shards: "Sequence[int | None]" = (None,),
-) -> list[EngineDiff]:
-    """The columnar correctness gate.
-
-    For every columnar-ported catalog entry, runs the reference and
-    columnar backends at **every** check level and compares outputs,
-    rounds, bit totals and the collected :class:`~repro.obs.RunMetrics`
-    (bit-for-bit per round).  Entries in :data:`COLUMNAR_FAULT_CATALOG`
-    are additionally compared under ``fault_plan`` — one plan or a
-    sequence of plans, one faulty leg each, labelled ``@omission`` for
-    a plan that can only lose messages and ``@faulty`` otherwise — and
-    the metrics comparison doubles as transcript-level accounting
-    parity.
-
-    ``shards`` adds a shard-parallel axis: every ``(entry, check)``
-    cell — the faulty leg included — is repeated per listed shard count
-    (``None`` = classic single-instance), and each must stay
-    bit-identical to the reference engine.
-    """
-    from .base import CHECK_LEVELS, resolve_engine
-
-    legs = (
-        list(fault_plan)
-        if isinstance(fault_plan, (list, tuple))
-        else [fault_plan]
-    )
-    reports: list[EngineDiff] = []
-    for name in names if names is not None else sorted(COLUMNAR_CATALOG):
-        point = dict(config or {})
-        point["algorithm"] = name
-        for shard in shards:
-            suffix = "" if shard is None else f"@shards={shard}"
-            for check in CHECK_LEVELS:
-                engines = (
-                    resolve_engine("reference", check=check),
-                    _columnar_gate_engine(check, shard),
-                )
-                report = diff_engines(
-                    catalog_factory,
-                    point,
-                    engines=engines,
-                    label=f"{name}@{check}{suffix}",
-                )
-                results = {
-                    e.name: run_spec(catalog_factory(dict(point)), e)[0]
-                    for e in engines
-                }
-                report.mismatches.extend(
-                    _metrics_mismatches(
-                        "columnar",
-                        results["reference"].metrics,
-                        results["columnar"].metrics,
-                    )
-                )
-                reports.append(report)
-            if name not in COLUMNAR_FAULT_CATALOG:
-                continue
-            for leg in legs:
-                report = EngineDiff(
-                    label=f"{name}@{_fault_leg_label(leg)}{suffix}",
-                    engines=("reference", "columnar"),
-                )
-                faulty = {}
-                for label, engine in (
-                    ("reference", "reference"),
-                    ("columnar", _columnar_gate_engine("bandwidth", shard)),
-                ):
-                    result, _ = run_spec(
-                        catalog_factory(dict(point)),
-                        engine,
-                        fault_plan=leg,
-                    )
-                    faulty[label] = result
-                    report.rounds[label] = result.rounds
-                    report.total_message_bits[label] = (
-                        result.total_message_bits
-                    )
-                base, other = faulty["reference"], faulty["columnar"]
-                for v in sorted(base.outputs):
-                    if not _outputs_equal(base.outputs[v], other.outputs[v]):
-                        report.mismatches.append(
-                            f"node {v} faulty output: reference="
-                            f"{base.outputs[v]!r} columnar={other.outputs[v]!r}"
-                        )
-                if base.received_bits != other.received_bits:
-                    report.mismatches.append("faulty received_bits differ")
-                report.mismatches.extend(
-                    _metrics_mismatches("columnar", base.metrics, other.metrics)
-                )
-                reports.append(report)
-    return reports
-
-
-def diff_catalog(
-    names: Sequence[str] | None = None,
-    config: dict | None = None,
     engines: Sequence["str | Engine"] = ("reference", "fast"),
+    fault_plan: "str | object | Sequence | None" = None,
     symbolic: bool = False,
-) -> list[EngineDiff]:
-    """Differentially check every named catalog algorithm.
+) -> list[Cell]:
+    """The differential matrix: catalog entry × engine column × fault plan.
 
-    ``config`` supplies shared overrides (``n``, ``seed``, ...); each
-    algorithm keeps its own defaults otherwise.  ``symbolic=True`` adds
-    each entry's closed-form cost model as an extra comparison row (see
-    :func:`diff_engines`).
+    ``names`` defaults to the whole :data:`CATALOG`; ``config`` supplies
+    shared overrides (``n``, ``seed``, ...).  ``engines`` are the
+    columns — names or :class:`Engine` instances, so each check level
+    and each shard count is a column of its own.  The first column that
+    can run an entry is the baseline of its row; every other cell runs
+    once and is checked against it by :func:`compare`.
+
+    ``fault_plan`` is one plan or a sequence of plans; ``None`` is the
+    fault-free leg.  Under a plan, :data:`NATIVE_RESILIENT` and
+    :data:`COLUMNAR_FAULT_CATALOG` entries run unwrapped; the other
+    :data:`RESILIENT_CATALOG` entries join drop-only plans wrapped in
+    :func:`repro.faults.resilient` and must also reproduce the outputs
+    of the fault-free baseline; the rest of the catalog sits out.
+
+    ``symbolic=True`` adds a ``"symbolic"`` row per entry: the declared
+    :class:`~repro.analysis.symbolic.CostModel` evaluated at the same
+    point must match the fault-free baseline's rounds and bits exactly
+    (through :func:`repro.analysis.symbolic._compare`).  The model's
+    ``domain`` pins (e.g. ``scheme="lenzen"`` for routing) are merged
+    into the config first, so every column runs the instance the closed
+    form describes.
+
+    Returns every cell, baselines included, in run order.
     """
-    reports = []
+    columns = [_column(e) for e in engines]
+    plans = list(fault_plan) if isinstance(fault_plan, (list, tuple)) else [fault_plan]
+    plans.sort(key=lambda p: p is not None)
+    cells: list[Cell] = []
     for name in names if names is not None else sorted(CATALOG):
-        point = dict(config or {})
-        point["algorithm"] = name
-        reports.append(
-            diff_engines(
-                catalog_factory,
-                point,
-                engines=engines,
-                label=name,
-                symbolic=symbolic,
-            )
-        )
-    return reports
+        point = {**(config or {}), "algorithm": name}
+        model = None
+        if symbolic:
+            from ..analysis.symbolic import get_cost_model
+
+            model = get_cost_model(COST_DECLARATIONS.get(name, name))
+            point = model.config(point)
+        legs = [(plan, _joins(name, plan)) for plan in plans]
+        legs = [(plan, joins) for plan, joins in legs if joins]
+        free = None  # the fault-free baseline, run at most once
+        if None not in plans and (
+            model or any(joins == "wrapped" for _, joins in legs)
+        ):
+            free = next(_run_row(name, point, columns, None), None)
+            cells += [free] if free else []
+        for plan, joins in legs:
+            row = list(_run_row(name, point, columns, plan, joins == "wrapped"))
+            if plan is None:
+                free = row[0] if row else None
+            elif joins == "wrapped" and free:
+                for cell in row:
+                    cell.mismatches += _output_mismatches(free, cell)
+            cells += row
+        if model and free:
+            cells.append(_symbolic_cell(name, model, point, free))
+    return cells
+
+
+def _symbolic_cell(name: str, model, point: dict, free: Cell) -> Cell:
+    """The closed-form row of one entry, checked against its baseline."""
+    from ..analysis.symbolic import CostPoint, _compare
+
+    cell = Cell(name, "symbolic", baseline=free.column)
+    try:
+        predicted = model.evaluate(point)
+    except CliqueError as exc:
+        cell.mismatches.append(f"closed form: {exc}")
+        return cell
+    measured = CostPoint.from_metrics(free.result.metrics)
+    cell.mismatches = _compare(predicted, measured)
+    return cell

@@ -312,7 +312,7 @@ class InlineColumnarShard:
     With ``transport="pickle"`` both the posted round traffic and the
     emitted update round-trip through :class:`ShardTransport`, so the
     frames a process boundary would carry are exercised in-process —
-    the configuration the ``diff_columnar`` shards axis gates on.
+    the configuration of the shard columns in CI's differential matrix.
     """
 
     def __init__(

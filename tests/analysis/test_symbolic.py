@@ -136,46 +136,53 @@ class TestValidation:
 
 class TestDiffSurfaceFold:
     def test_diff_engines_symbolic_row(self):
-        from repro.engine.diff import catalog_factory, diff_engines
+        from repro.engine.diff import run_matrix
 
-        report = diff_engines(
-            catalog_factory,
-            {"algorithm": "fanout", "n": 8},
-            engines=("reference",),
-            symbolic=True,
+        base, row = run_matrix(
+            ["fanout"], {"n": 8}, engines=("reference",), symbolic=True
         )
-        assert report.ok, report.summary()
-        assert "symbolic" in report.engines
-        assert report.rounds["symbolic"] == report.rounds["reference"]
+        assert base.ok and row.ok, row.summary()
+        assert row.column == "symbolic" and row.baseline == "reference@full"
+        assert row.result is None
+        predicted = symbolic.get_cost_model("fanout").evaluate({"n": 8})
+        assert predicted.rounds == base.result.rounds
 
     def test_diff_engines_symbolic_pins_domain(self):
-        from repro.engine.diff import catalog_factory, diff_engines
+        from repro.engine.diff import catalog_factory, run_matrix
+        from repro.engine.pool import run_spec
 
         # routing's closed form exists only for the lenzen scheme; the
         # fold must pin it for the engines as well, or the comparison
         # would race two different instances.
-        report = diff_engines(
-            catalog_factory,
-            {"algorithm": "routing", "n": 8, "scheme": "relay"},
+        cells = run_matrix(
+            ["routing"],
+            {"n": 8, "scheme": "relay"},
             engines=("reference", "fast"),
             symbolic=True,
         )
-        assert report.ok, report.summary()
+        assert all(c.ok for c in cells), [c.summary() for c in cells]
+        lenzen, _ = run_spec(
+            catalog_factory({"algorithm": "routing", "n": 8, "scheme": "lenzen"})
+        )
+        relay, _ = run_spec(catalog_factory({"algorithm": "routing", "n": 8}))
+        assert lenzen.rounds != relay.rounds
+        assert cells[0].result.rounds == lenzen.rounds
 
     def test_diff_catalog_symbolic_full(self):
-        from repro.engine.diff import diff_catalog
+        from repro.engine.diff import run_matrix
 
-        reports = diff_catalog(
-            names=["broadcast", "kvc"],
-            config={"n": 8},
+        cells = run_matrix(
+            ["broadcast", "kvc"],
+            {"n": 8},
             engines=("reference",),
             symbolic=True,
         )
-        assert all(r.ok for r in reports)
-        assert all("symbolic" in r.engines for r in reports)
+        assert all(c.ok for c in cells)
+        rows = [c.algorithm for c in cells if c.column == "symbolic"]
+        assert rows == ["broadcast", "kvc"]
 
     def test_diff_engines_symbolic_detects_drift(self):
-        from repro.engine.diff import catalog_factory, diff_engines
+        from repro.engine.diff import run_matrix
 
         broken = symbolic.CostModel(
             name="fanout",
@@ -187,16 +194,13 @@ class TestDiffSurfaceFold:
         saved = symbolic.COST_MODELS["fanout"]
         symbolic.COST_MODELS["fanout"] = broken
         try:
-            report = diff_engines(
-                catalog_factory,
-                {"algorithm": "fanout", "n": 8},
-                engines=("reference",),
-                symbolic=True,
+            base, row = run_matrix(
+                ["fanout"], {"n": 8}, engines=("reference",), symbolic=True
             )
         finally:
             symbolic.COST_MODELS["fanout"] = saved
-        assert not report.ok
-        assert any("symbolic message bits" in m for m in report.mismatches)
+        assert base.ok and not row.ok
+        assert any(m.startswith("message_bits: predicted=") for m in row.mismatches)
 
     def test_catalog_factory_did_you_mean(self):
         from repro.engine.diff import catalog_factory

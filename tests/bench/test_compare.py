@@ -1,6 +1,7 @@
 """The ratchet: classification, rendering, and the synthetic-regression
 gate the CI bench job depends on."""
 
+import dataclasses
 import json
 import time
 
@@ -190,13 +191,23 @@ class TestSyntheticSlowdownGate:
         assert not verdict.ok, verdict.summary()
         assert verdict.regressions[0].name == self.NAME
 
-    def test_cli_compare_exits_nonzero_on_regression(
-        self, monkeypatch, tmp_path, capsys
-    ):
+    def test_cli_compare_exits_nonzero_on_regression(self, tmp_path, capsys):
+        # The real timed slowdown is test_two_x_slowdown_fails_the_ratchet;
+        # here the "new" report is the measured baseline with every
+        # recorded timing scaled by 2.5, so the exit code cannot depend
+        # on how steady the host's clock is.
         baseline = run_suite([self.NAME], quick=True, repeats=3)
         baseline.write(tmp_path / "old.json")
-        self._slowed_suite(monkeypatch, factor=2.5)
-        run_suite([self.NAME], quick=True, repeats=3).write(tmp_path / "new.json")
+        timing = baseline.results[self.NAME]
+        slowed = dataclasses.replace(
+            timing,
+            seconds=timing.seconds * 2.5,
+            best=timing.best * 2.5,
+            times=[t * 2.5 for t in timing.times],
+        )
+        dataclasses.replace(baseline, results={self.NAME: slowed}).write(
+            tmp_path / "new.json"
+        )
         code = main(
             [
                 "bench",

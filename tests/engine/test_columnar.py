@@ -13,12 +13,14 @@ from repro.clique.errors import (
 )
 from repro.clique.network import CongestedClique
 from repro.engine import (
+    CHECK_LEVELS,
     COLUMNAR_CATALOG,
+    NATIVE_RESILIENT,
     ColumnarEngine,
     DualProgram,
     array_program,
-    diff_columnar,
     resolve_engine,
+    run_matrix,
 )
 from repro.engine.diff import (
     COLUMNAR_FAULT_CATALOG,
@@ -32,18 +34,29 @@ class TestDiffGate:
     """The acceptance gate: reference and columnar agree everywhere."""
 
     def test_full_catalog_all_check_levels(self):
-        reports = diff_columnar()
-        bad = [r.summary() for r in reports if not r.ok]
-        assert not bad, bad
-        # Every ported algorithm ran at every check level, plus one
-        # faulty comparison per fault-catalog entry and faulty leg.
-        expected = 3 * len(COLUMNAR_CATALOG) + len(COLUMNAR_FAULT_CATALOG) * len(
-            COLUMNAR_FAULT_PLANS
+        engines = [
+            resolve_engine(name, check=check)
+            for check in CHECK_LEVELS
+            for name in ("reference", "columnar")
+        ]
+        cells = run_matrix(
+            COLUMNAR_CATALOG,
+            engines=engines,
+            fault_plan=(None, *COLUMNAR_FAULT_PLANS),
         )
-        assert len(reports) == expected
-        labels = {r.label for r in reports}
+        bad = [c.summary() for c in cells if not c.ok]
+        assert not bad, bad
+        # Every ported algorithm ran on every column fault-free; the
+        # fault catalog and the Byzantine protocols ran every faulty leg.
+        faulty = set(COLUMNAR_FAULT_CATALOG) | NATIVE_RESILIENT
+        per_column = len(COLUMNAR_CATALOG) + len(faulty) * len(COLUMNAR_FAULT_PLANS)
+        assert len(cells) == len(engines) * per_column
         for name in COLUMNAR_FAULT_CATALOG:
-            assert {f"{name}@faulty", f"{name}@omission"} <= labels
+            assert {c.leg for c in cells if c.algorithm == name} == {
+                "fault-free",
+                "faulty",
+                "omission",
+            }
 
     @pytest.mark.parametrize("spec", COLUMNAR_FAULT_PLANS)
     @pytest.mark.parametrize("name", COLUMNAR_FAULT_CATALOG)
@@ -72,8 +85,14 @@ class TestDiffGate:
         }
 
     def test_single_entry_with_config_override(self):
-        reports = diff_columnar(["fanout"], {"n": 16, "seed": 5})
-        assert all(r.ok for r in reports), [r.summary() for r in reports]
+        cells = run_matrix(
+            ["fanout"],
+            {"n": 16, "seed": 5},
+            engines=("reference", "columnar"),
+            fault_plan=(None, *COLUMNAR_FAULT_PLANS),
+        )
+        assert len(cells) == 2 * (1 + len(COLUMNAR_FAULT_PLANS))
+        assert all(c.ok for c in cells), [c.summary() for c in cells]
 
 
 class TestColumnarExecution:

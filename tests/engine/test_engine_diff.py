@@ -1,39 +1,44 @@
-"""Differential tests: the fast backend must be observationally
-equivalent to the reference backend on the whole algorithm catalog."""
+"""Differential tests: every backend must be observationally
+equivalent to the reference backend on the whole algorithm catalog,
+checked through the one differential matrix."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.diff as diff
 from repro.clique.errors import CliqueError
 from repro.engine import (
     CATALOG,
     FastEngine,
-    assert_engines_agree,
     catalog_factory,
-    diff_catalog,
-    diff_engines,
+    compare,
+    run_matrix,
     run_spec,
 )
+from repro.engine.diff import COLUMNAR_FAULT_PLANS
 from repro.clique.network import _outputs_equal
+
+
+def _assert_ok(cells):
+    assert all(c.ok for c in cells), [c.summary() for c in cells if not c.ok]
 
 
 class TestCatalogAgreement:
     @pytest.mark.parametrize("algorithm", sorted(CATALOG))
     def test_reference_and_fast_agree(self, algorithm):
-        report = assert_engines_agree(
-            catalog_factory, {"algorithm": algorithm, "n": 8, "seed": 3}
-        )
-        assert report.ok
-        assert report.engines == ("reference", "fast")
-        assert report.rounds["reference"] == report.rounds["fast"]
+        base, fast = run_matrix([algorithm], {"n": 8, "seed": 3})
+        _assert_ok([base, fast])
+        assert (base.column, fast.column) == ("reference@full", "fast@bandwidth")
+        assert base.baseline is None and fast.baseline == "reference@full"
+        assert base.result.rounds == fast.result.rounds
 
     @pytest.mark.parametrize("algorithm", ["broadcast", "bfs", "kds", "subgraph"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_agreement_across_seeds(self, algorithm, seed):
-        assert_engines_agree(
-            catalog_factory, {"algorithm": algorithm, "n": 9, "seed": seed}
-        )
+        _assert_ok(run_matrix([algorithm], {"n": 9, "seed": seed}))
 
     def test_catalog_covers_required_families(self):
         # The acceptance criterion: at least eight distinct families.
@@ -51,30 +56,123 @@ class TestCatalogAgreement:
             assert name in CATALOG
 
     def test_diff_catalog_all_ok(self):
-        reports = diff_catalog(config={"n": 6, "seed": 1})
-        assert len(reports) == len(CATALOG)
-        assert all(r.ok for r in reports), [r.summary() for r in reports]
+        cells = run_matrix(config={"n": 6, "seed": 1})
+        assert len(cells) == 2 * len(CATALOG)
+        assert sorted({c.algorithm for c in cells}) == sorted(CATALOG)
+        _assert_ok(cells)
 
     def test_fast_check_levels_agree(self):
-        for check in ("full", "bandwidth", "off"):
-            assert_engines_agree(
-                catalog_factory,
-                {"algorithm": "bfs", "n": 8, "seed": 0},
-                engines=("reference", FastEngine(check=check)),
-                label=f"bfs/{check}",
-            )
+        engines = ["reference"] + [
+            FastEngine(check=check) for check in ("full", "bandwidth", "off")
+        ]
+        cells = run_matrix(["bfs"], {"n": 8, "seed": 0}, engines=engines)
+        assert [c.column for c in cells] == [
+            "reference@full",
+            "fast@full",
+            "fast@bandwidth",
+            "fast@off",
+        ]
+        _assert_ok(cells)
 
     def test_mismatch_is_reported(self):
-        # Same algorithm, different configs -> a rigged "engine pair"
-        # is not possible through the public API, so check the report
-        # machinery directly on unequal specs.
-        report = diff_engines(
-            catalog_factory,
-            {"algorithm": "broadcast", "n": 6, "seed": 0},
+        (base,) = run_matrix(["broadcast"], {"n": 6, "seed": 0}, engines=["reference"])
+        (other,) = run_matrix(["broadcast"], {"n": 6, "seed": 1}, engines=["fast"])
+        issues = compare(base, other)
+        assert issues
+        # Each mismatch names both sides, whichever engine the base is.
+        assert all("reference@full=" in m and "fast@bandwidth=" in m for m in issues)
+        assert compare(other, other) == []
+        other.mismatches = issues
+        assert not other.ok and "MISMATCH" in other.summary()
+
+    def test_fast_fault_delta_drift_is_a_mismatch(self, monkeypatch):
+        # A fast engine that books one fault into a round's delta but
+        # leaves every total alone must fail the gate.
+        def drifted(spec, engine=None, **kwargs):
+            result, value = run_spec(spec, engine, **kwargs)
+            if engine.name == "fast":
+                m = result.metrics
+                first = dataclasses.replace(m.per_round[0], faults=1)
+                m = dataclasses.replace(m, per_round=(first, *m.per_round[1:]))
+                result = dataclasses.replace(result, metrics=m)
+            return result, value
+
+        monkeypatch.setattr(diff, "run_spec", drifted)
+        base, fast = run_matrix(["fanout"], {"n": 6})
+        assert base.ok and not fast.ok
+        assert any(m.startswith("metrics round 1:") for m in fast.mismatches)
+
+
+class TestMatrixRunsEachCellOnce:
+    @pytest.mark.parametrize(
+        "plans", [(None, "drop=0.2,seed=4", COLUMNAR_FAULT_PLANS[0]), "drop=0.2,seed=4"]
+    )
+    def test_one_run_per_distinct_cell(self, monkeypatch, plans):
+        calls = []
+
+        def counting(spec, engine=None, **kwargs):
+            calls.append(engine)
+            return run_spec(spec, engine, **kwargs)
+
+        monkeypatch.setattr(diff, "run_spec", counting)
+        cells = run_matrix(
+            ["fanout", "bfs", "kds"],
+            {"n": 6},
+            engines=("reference", "fast", "columnar", FastEngine(check="off")),
+            fault_plan=plans,
+            symbolic=True,
         )
-        assert report.ok and "agree" in report.summary()
-        report.mismatches.append("rounds: reference=1 fast=2")
-        assert not report.ok and "MISMATCH" in report.summary()
+        _assert_ok(cells)
+        runs = [c for c in cells if c.result is not None]
+        assert len(calls) == len(runs)
+        keys = {(c.algorithm, c.column, c.plan, c.wrapped) for c in runs}
+        assert len(keys) == len(runs)
+        # One fault-free baseline per entry, shared by the symbolic row
+        # and (for bfs) the wrapped leg's output check.
+        for name in ("fanout", "bfs", "kds"):
+            free = [c for c in runs if c.algorithm == name and c.plan is None]
+            assert free and free[0].baseline is None
+        symbolic = [c.algorithm for c in cells if c.column == "symbolic"]
+        assert symbolic == ["fanout", "bfs", "kds"]
+        # kds sits out every faulty leg; columnar skips generator entries.
+        assert not [c for c in runs if c.algorithm == "kds" and c.plan is not None]
+        assert not [c for c in runs if c.algorithm == "bfs" and "columnar" in c.column]
+
+
+# Faulty legs the fuzzer draws from: drop-only (the wrapped entries
+# join), rewriting, crashing and Byzantine; the drawn seed is appended.
+_FUZZ_PLANS = (
+    "drop=0.2",
+    "drop=0.2,corrupt=0.1,duplicate=0.1",
+    "drop=0.2,link=0.05,crash=0.05,restart=2",
+    "byzantine=equivocate+forge+selective+limited,f=1,byz_rate=0.4,limit=3",
+)
+
+
+class TestMatrixFuzz:
+    """Random catalog configs through the full matrix: every column and,
+    for entries that join faulty legs, a drawn fault plan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        algorithm=st.sampled_from(sorted(CATALOG)),
+        # From n=3 up: the resilient frame header needs a budget of
+        # more than 3 bits, and n=2 gives the wrapped entries only 2.
+        n=st.integers(min_value=3, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**16),
+        multiplier=st.integers(min_value=2, max_value=4),
+        plan=st.sampled_from(_FUZZ_PLANS),
+        plan_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_every_cell_agrees(self, algorithm, n, seed, multiplier, plan, plan_seed):
+        cells = run_matrix(
+            [algorithm],
+            {"n": n, "seed": seed, "bandwidth_multiplier": multiplier},
+            engines=("reference", "fast", "columnar"),
+            fault_plan=(None, f"{plan},seed={plan_seed}"),
+        )
+        _assert_ok(cells)
+        assert cells and cells[0].plan is None
 
 
 class TestShuffleInvariance:

@@ -11,7 +11,9 @@ from repro.clique.errors import (
     InvalidAddress,
     ProtocolViolation,
 )
-from repro.engine import RESILIENT_CATALOG, diff_resilient
+from repro.engine import NATIVE_RESILIENT, RESILIENT_CATALOG, run_matrix
+from repro.engine.diff import catalog_factory
+from repro.engine.pool import run_spec
 from repro.faults import HEADER_BITS, attempt_offsets, resilient
 from repro.faults.resilience import _decode_frame, _encode_frame
 
@@ -169,21 +171,63 @@ class TestMasking:
 
 class TestCatalogDifferential:
     def test_resilient_catalog_matches_fault_free_reference(self):
-        reports = diff_resilient(
-            config={"n": 9, "seed": 3}, fault_plan="drop=0.25,seed=11"
+        cells = run_matrix(
+            RESILIENT_CATALOG,
+            {"n": 9, "seed": 3},
+            fault_plan="drop=0.25,seed=11",
         )
-        assert [r.label.split(":", 1)[1] for r in reports] == list(RESILIENT_CATALOG)
-        for report in reports:
-            assert report.ok, report.summary()
-            if report.label.startswith("byzantine:"):
+        assert all(c.ok for c in cells), [c.summary() for c in cells if not c.ok]
+        assert list(dict.fromkeys(c.algorithm for c in cells)) == list(
+            RESILIENT_CATALOG
+        )
+        for name in RESILIENT_CATALOG:
+            row = [c for c in cells if c.algorithm == name]
+            free = [c for c in row if c.plan is None]
+            faulty = [c for c in row if c.plan is not None]
+            assert [c.column for c in faulty] == ["reference@full", "fast@bandwidth"]
+            if name in NATIVE_RESILIENT:
                 # Native entries are compared engine against engine
-                # under the plan; there is no fault-free baseline row.
-                assert "fault-free" not in report.rounds
+                # under the plan; there is no fault-free baseline run.
+                assert not free
+                assert all(not c.wrapped and c.label.startswith(name) for c in faulty)
                 continue
-            # The masking overhead is real and visible per backend.
-            for name in report.engines:
-                assert report.rounds[name] > report.rounds["fault-free"]
+            # Wrapped entries: one fault-free baseline whose outputs every
+            # faulty cell reproduces, at a masking overhead that is real
+            # and visible per backend.
+            assert len(free) == 1
+            for cell in faulty:
+                assert cell.wrapped and cell.label.startswith(f"resilient:{name}@")
+                assert cell.result.rounds > free[0].result.rounds
+
+    def test_wrapped_cells_are_held_to_fault_free_outputs(self, monkeypatch):
+        # Every engine returns the same wrong output under the plan, so
+        # the engines agree with each other; only the fault-free check
+        # can catch it.
+        import dataclasses
+
+        import repro.engine.diff as diff
+
+        def lossy(spec, engine=None, **kwargs):
+            result, value = run_spec(spec, engine, **kwargs)
+            if kwargs.get("fault_plan") is not None:
+                outputs = {**result.outputs, 0: "lost"}
+                result = dataclasses.replace(result, outputs=outputs)
+            return result, value
+
+        monkeypatch.setattr(diff, "run_spec", lossy)
+        free, *faulty = run_matrix(["bfs"], {"n": 6}, fault_plan="drop=0.2,seed=1")
+        assert free.ok and len(faulty) == 2
+        for cell in faulty:
+            assert cell.mismatches == [
+                f"node 0 output: reference@full={free.result.outputs[0]!r} "
+                f"{cell.column}='lost'"
+            ]
 
     def test_bulk_algorithms_are_rejected(self):
+        spec = catalog_factory({"algorithm": "kds", "n": 9, "seed": 3})
+        spec.program = resilient(spec.program)
         with pytest.raises(ProtocolViolation, match="bulk"):
-            diff_resilient(["kds"], {"n": 9, "seed": 3}, fault_plan="drop=0.1")
+            run_spec(spec, "reference", fault_plan="drop=0.1")
+        # So kds sits out the faulty legs of the matrix.
+        cells = run_matrix(["kds"], {"n": 9, "seed": 3}, fault_plan="drop=0.1")
+        assert cells == []
