@@ -11,7 +11,6 @@ definition of "how we time the engine" in the repository.
 import gc
 
 import numpy as np
-import pytest
 
 from repro.algorithms.common import decode_bool_row, encode_bool_row
 from repro.bench import all_to_all_chatter, measure
@@ -19,9 +18,6 @@ from repro.clique.bits import BitString
 from repro.clique.network import CongestedClique
 from repro.clique.routing import route
 from repro.engine import FastEngine
-from repro.engine.columnar import ColumnarEngine
-from repro.engine.diff import catalog_factory
-from repro.engine.pool import available_cpus, run_spec
 from repro.problems import generators as gen
 
 
@@ -84,50 +80,6 @@ def test_fast_engine_speedup_on_fanout():
     assert fast.best * 2 <= ref.best, (
         f"fast engine not 2x faster: reference {ref.best * 1e3:.1f}ms, "
         f"fast {fast.best * 1e3:.1f}ms"
-    )
-
-
-def test_sharded_columnar_speedup_on_fanout_work():
-    """Acceptance gate: on a multicore runner, the shard-parallel
-    columnar engine is >= 1.5x faster than single-instance columnar on
-    the n=1024 compute-heavy fan-out (best-of-3 wall clock), with
-    bit-identical results.  Auto-skips where the process may only
-    schedule on one core — there is nothing to parallelise into.
-    """
-    cores = available_cpus()
-    if cores < 2:
-        pytest.skip(f"sharded speedup needs >= 2 usable cores, have {cores}")
-    config = {
-        "algorithm": "fanout_work",
-        "n": 1024,
-        "rounds": 4,
-        "state": 4096,
-        "passes": 6,
-        "seed": 0,
-    }
-    single = ColumnarEngine(check="bandwidth")
-    sharded = ColumnarEngine(check="bandwidth", shards=2, executor="process")
-
-    base = measure(
-        lambda: run_spec(catalog_factory(dict(config)), single)[0],
-        repeats=3,
-        warmup=1,
-    )
-    split = measure(
-        lambda: run_spec(catalog_factory(dict(config)), sharded)[0],
-        repeats=3,
-        warmup=1,
-    )
-    # Identical observable results ...
-    assert split.result.outputs == base.result.outputs
-    assert split.result.rounds == base.result.rounds
-    assert split.result.total_message_bits == base.result.total_message_bits
-    assert split.result.sent_bits == base.result.sent_bits
-    assert split.result.received_bits == base.result.received_bits
-    # ... at least 1.5x faster on two shards.
-    assert split.best * 1.5 <= base.best, (
-        f"sharded columnar not 1.5x faster: single {base.best * 1e3:.1f}ms, "
-        f"shards=2 {split.best * 1e3:.1f}ms"
     )
 
 

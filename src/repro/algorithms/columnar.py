@@ -570,19 +570,10 @@ def fanout_generator(node) -> Generator[None, None, tuple[int, int]]:
     return (count, fold)
 
 
-@array_program(shardable=True)
+@array_program
 def fanout_array(ctx) -> Generator[None, None, list[tuple[int, int]]]:
-    """Columnar twin of :func:`fanout_generator` — fully vectorised.
-
-    Shardable: broadcasts are emitted for the owned senders only
-    (identical columns to the classic full-range emission when the
-    owned range is the whole clique), the evolving per-node value is
-    deterministic from the global inputs so every shard advances the
-    full vector, and the inbox is consumed by whole-column/scatter
-    updates — valid on owned rows whatever slice arrives.
-    """
+    """Columnar twin of :func:`fanout_generator` — fully vectorised."""
     n = ctx.n
-    lo, hi = ctx.lo, ctx.hi
     rounds = int(ctx.auxes[0])
     w = _fanout_width(ctx.bandwidth)
     mask = _U64((1 << w) - 1)
@@ -590,7 +581,7 @@ def fanout_array(ctx) -> Generator[None, None, list[tuple[int, int]]]:
     count = np.zeros(n, dtype=_I64)
     fold = np.zeros(n, dtype=_U64)
     for r in range(rounds):
-        ctx.broadcast(x[lo:hi], w, senders=ctx.ids[lo:hi])
+        ctx.broadcast(x, w)
         yield
         bs, bv, _bw = ctx.inbox_broadcast
         if bs.size:
@@ -607,13 +598,12 @@ def fanout_array(ctx) -> Generator[None, None, list[tuple[int, int]]]:
     return [(int(count[v]), int(fold[v])) for v in range(n)]
 
 
-# -- fanout_work: the compute-heavy shard-parallel stress program -----------
+# -- fanout_work: the compute-heavy stress program ---------------------------
 #
-# ``fanout`` is communication-bound: O(n) vector work per round, nothing
-# for extra cores to chew on.  ``fanout_work`` adds a per-node hidden
-# state of ``state`` uint64 lanes put through ``passes`` xorshift-
-# multiply mixing passes per round — O(n * state * passes) elementwise
-# work that shard-parallel execution genuinely splits — and exchanges
+# ``fanout`` is communication-bound: O(n) vector work per round.
+# ``fanout_work`` adds a per-node hidden state of ``state`` uint64 lanes
+# put through ``passes`` xorshift-multiply mixing passes per round —
+# O(n * state * passes) elementwise program compute — and exchanges
 # digests over a k-regular ring (unicast only, so the fast and explicit
 # delivery paths agree message for message).  Both twins run their lane
 # arithmetic through the same numpy uint64 helpers, so the wrapping
@@ -703,27 +693,25 @@ def fanout_work_generator(node) -> Generator[None, None, tuple[int, int]]:
     return (count, fold ^ final)
 
 
-@array_program(shardable=True)
+@array_program
 def fanout_work_array(ctx) -> Generator[None, None, list[tuple[int, int]]]:
     """Columnar twin of :func:`fanout_work_generator`.
 
-    Shardable: the lane state is held as an ``(owned, m)`` matrix —
-    the part shard-parallel execution actually splits — digests go out
-    src-major for the owned senders only, and the received digests are
-    folded back with scatter reductions over owned destinations.
+    The lane state is held as an ``(n, m)`` matrix, digests go out
+    src-major, and the received digests are folded back with scatter
+    reductions.
     """
     n = ctx.n
-    lo, hi = ctx.lo, ctx.hi
     rounds, m, passes = _work_params(ctx.auxes[0])
     w = _fanout_width(ctx.bandwidth)
     mask = _U64((1 << w) - 1)
     k = _work_degree(n)
-    state = _work_state(ctx.inputs[lo:hi], m)
+    state = _work_state(ctx.inputs, m)
     count = np.zeros(n, dtype=_I64)
     fold = np.zeros(n, dtype=_U64)
     offs = np.arange(1, k + 1, dtype=_I64)
-    src_col = np.repeat(ctx.ids[lo:hi], k)
-    dst_col = (src_col + np.tile(offs, hi - lo)) % n
+    src_col = np.repeat(ctx.ids, k)
+    dst_col = (src_col + np.tile(offs, n)) % n
     for r in range(rounds):
         _work_mix(state, r, passes)
         digest = _work_digest(state, mask)
@@ -736,13 +724,10 @@ def fanout_work_array(ctx) -> Generator[None, None, list[tuple[int, int]]]:
             np.add.at(count, dst, 1)
             np.bitwise_xor.at(fold, dst, val)
             np.bitwise_xor.at(rf, dst, val)
-        state[:, 0] ^= rf[lo:hi]
+        state[:, 0] ^= rf
     _work_mix(state, rounds, passes)
     final = _work_digest(state, mask)
-    return {
-        v: (int(count[v]), int(fold[v]) ^ int(final[v - lo]))
-        for v in range(lo, hi)
-    }
+    return [(int(count[v]), int(fold[v]) ^ int(final[v])) for v in range(n)]
 
 
 def _flow_length(src: int, dst: int) -> int:

@@ -112,7 +112,7 @@ def environment_fingerprint() -> dict:
 
     ``cpu_count`` is the machine; ``cpu_affinity`` the cores this
     process may actually use (cgroup/taskset clamps show up only here),
-    which is what pool and shard sizing go by.
+    which is what sweep pool sizing goes by.
     """
     import numpy
 

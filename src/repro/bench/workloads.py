@@ -545,59 +545,6 @@ register_workload(
 )
 register_workload(
     Workload(
-        name="columnar-sharded-fanout",
-        description="n=1024 compute-heavy fan-out split across two "
-        "process shards (shard-parallel columnar engine)",
-        run=_run_catalog,
-        params={
-            "execution": {
-                "engine": "columnar",
-                "check": "bandwidth",
-                "shards": 2,
-            },
-            "config": {
-                "algorithm": "fanout_work",
-                "n": 1024,
-                "rounds": 4,
-                "state": 4096,
-                "passes": 6,
-                "seed": 0,
-            },
-        },
-        quick_params={
-            "config": {
-                "algorithm": "fanout_work",
-                "n": 128,
-                "rounds": 2,
-                "state": 512,
-                "passes": 2,
-                "seed": 0,
-            },
-        },
-    )
-)
-register_workload(
-    Workload(
-        name="columnar-sharded-matmul",
-        description="the columnar matmul with shards=3 requested — the "
-        "port is not shardable, so this meters the transparent "
-        "single-instance fallback overhead",
-        run=_run_catalog,
-        params={
-            "execution": {
-                "engine": "columnar",
-                "check": "bandwidth",
-                "shards": 3,
-            },
-            "config": {"algorithm": "matmul", "n": 27, "seed": 0},
-        },
-        quick_params={
-            "config": {"algorithm": "matmul", "n": 12, "seed": 0},
-        },
-    )
-)
-register_workload(
-    Workload(
         name="faults/drop-overhead",
         description="fast-engine fan-out under a deterministic drop plan "
         "(per-delivery injector cost)",

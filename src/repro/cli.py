@@ -189,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="validation level",
     )
     p_sweep.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=(
-            "shard-parallel execution on supporting engines "
-            "(columnar; 0 = one shard per available core)"
-        ),
-    )
-    p_sweep.add_argument(
         "--cache", default=None, metavar="DIR",
         help="run-cache directory (reruns of the same grid are free)",
     )
@@ -235,13 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.add_argument(
         "--check", choices=_LazyChoices(_check_choices), default=None
-    )
-    p_stats.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=(
-            "shard-parallel execution on supporting engines "
-            "(columnar; 0 = one shard per available core)"
-        ),
     )
     p_stats.add_argument(
         "--links", type=int, default=0, metavar="K",
@@ -339,13 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument(
         "--check", choices=_LazyChoices(_check_choices), default=None
-    )
-    p_trace.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=(
-            "shard-parallel execution on supporting engines "
-            "(columnar; 0 = one shard per available core)"
-        ),
     )
     p_trace.add_argument(
         "--limit", type=int, default=40,
@@ -806,7 +785,6 @@ def _cmd_stats(args) -> int:
         check=args.check,
         observer=collector,
         fault_plan=args.fault_plan,
-        shards=args.shards,
     )
     cache = RunCache(args.cache) if args.cache else None
     key = None
@@ -949,7 +927,6 @@ def _cmd_trace(args) -> int:
             engine=args.engine,
             check=args.check,
             observer=tracer,
-            shards=args.shards,
         ),
     )
     if args.jsonl:
@@ -1003,7 +980,6 @@ def _cmd_sweep(args) -> int:
         engine=args.engine,
         check=args.check,
         fault_plan=args.fault_plan,
-        shards=args.shards,
     )
     cache = RunCache(args.cache) if args.cache else None
     outcomes = run_sweep(

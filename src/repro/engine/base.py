@@ -89,9 +89,7 @@ def register_engine(cls: type["Engine"]) -> type["Engine"]:
     return cls
 
 
-def resolve_engine(
-    spec: "str | Engine | None", check: Any = None, shards: "int | None" = None
-) -> "Engine":
+def resolve_engine(spec: "str | Engine | None", check: Any = None) -> "Engine":
     """Turn an ``engine=`` argument into an :class:`Engine` instance.
 
     ``None`` means the reference backend; a string is looked up in
@@ -99,11 +97,7 @@ def resolve_engine(
     through unchanged.  ``check`` (one of :data:`CHECK_LEVELS`) selects
     the validation level for name/``None`` specs; combining it with an
     engine *instance* whose configured level differs is a conflict and
-    raises :class:`~repro.clique.errors.CliqueError`.  ``shards``
-    requests shard-parallel execution (``0`` = one shard per available
-    core) and follows the same rules: it configures name/``None`` specs
-    and must agree with a pre-built instance; an engine without a
-    ``shards`` knob rejects it.
+    raises :class:`~repro.clique.errors.CliqueError`.
     """
     check = canonical_check(check)
     if spec is None:
@@ -115,25 +109,6 @@ def resolve_engine(
                 f"configured with check={spec.check!r} but the run asked "
                 f"for check={check!r}"
             )
-        if shards is not None:
-            if not hasattr(spec, "shards"):
-                raise CliqueError(
-                    f"engine {spec!r} does not support shards; "
-                    f"use engine='columnar' for shard-parallel array "
-                    f"programs"
-                )
-            if spec.shards is not None and spec.shards != shards:
-                raise CliqueError(
-                    f"conflicting shard counts: engine {spec!r} is "
-                    f"configured with shards={spec.shards!r} but the run "
-                    f"asked for shards={shards!r}"
-                )
-            if spec.shards is None:
-                raise CliqueError(
-                    f"engine instance {spec!r} was built without shards; "
-                    f"pass shards={shards!r} to its constructor or spell "
-                    f"the engine by name"
-                )
         return spec
     if isinstance(spec, str):
         try:
@@ -146,21 +121,7 @@ def resolve_engine(
             raise CliqueError(
                 f"unknown engine {spec!r}; known engines: {known}{hint}"
             ) from None
-        kwargs: dict = {}
-        if check is not None:
-            kwargs["check"] = check
-        if shards is not None:
-            kwargs["shards"] = shards
-        try:
-            return cls(**kwargs)
-        except TypeError:
-            if shards is not None:
-                raise CliqueError(
-                    f"engine {spec!r} does not support shards; "
-                    f"use engine='columnar' for shard-parallel array "
-                    f"programs"
-                ) from None
-            raise
+        return cls() if check is None else cls(check=check)
     raise CliqueError(
         f"engine must be a name, an Engine instance or None, got {spec!r}"
     )

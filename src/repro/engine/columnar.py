@@ -80,7 +80,6 @@ from .delivery import (
     inbox_columns,
     sender_rows,
 )
-from .shards import spawn_columnar_shards
 
 __all__ = [
     "ArrayContext",
@@ -109,37 +108,10 @@ class ArrayProgram(Protocol):
         ...
 
 
-def array_program(
-    fn: Callable | None = None, *, shardable: bool = False
-) -> Callable:
-    """Mark ``fn(ctx)`` as an array program runnable by the columnar engine.
-
-    ``shardable=True`` additionally declares the program safe for
-    shard-parallel execution (``ColumnarEngine(shards=N)``), where each
-    shard runs its own program instance over an owned node range
-    ``[ctx.lo, ctx.hi)``.  A shardable program must uphold the contract:
-
-    * emissions carry only owned senders (``lo <= src < hi``), queued in
-      ascending owned-block order, so concatenating the shard outboxes
-      in shard order reproduces the single-instance emission columns;
-    * the inbox is consumed order-insensitively — :attr:`inbox_messages`
-      arrives filtered to owned destinations (scatter reductions such as
-      ``np.add.at`` / ``np.bitwise_xor.at`` qualify; positional
-      consumption does not), while :attr:`inbox_broadcast` stays global;
-    * outputs and counters need only be valid on owned rows (the
-      coordinator merges owned slices), and outputs must be picklable
-      when the process executor ships them back.
-
-    Programs without the flag transparently fall back to single-instance
-    execution whatever ``shards=`` asks for.
-    """
-
-    def mark(f: Callable) -> Callable:
-        f.__is_array_program__ = True
-        f.__columnar_shardable__ = shardable
-        return f
-
-    return mark if fn is None else mark(fn)
+def array_program(fn: Callable) -> Callable:
+    """Mark ``fn(ctx)`` as an array program runnable by the columnar engine."""
+    fn.__is_array_program__ = True
+    return fn
 
 
 class DualProgram:
@@ -300,11 +272,6 @@ class ArrayContext:
         Per-node resolved inputs, indexed by node id.
     round:
         Completed communication rounds.
-    lo, hi:
-        The owned node range under shard-parallel execution (see
-        :func:`array_program`); ``(0, n)`` — every node — on the
-        single-instance path, so range-aware programs behave
-        identically there.
 
     Emission (before a ``yield``): :meth:`broadcast`, :meth:`send`,
     :meth:`bulk_send`.  Inbox (after a ``yield``):
@@ -321,8 +288,6 @@ class ArrayContext:
         "inputs",
         "auxes",
         "round",
-        "lo",
-        "hi",
         "_check",
         "_bcast",
         "_uni",
@@ -342,8 +307,6 @@ class ArrayContext:
         inputs: Sequence[Any],
         auxes: Sequence[Any],
         check: str = "bandwidth",
-        lo: int = 0,
-        hi: int | None = None,
     ) -> None:
         self.n = n
         self.bandwidth = bandwidth
@@ -351,8 +314,6 @@ class ArrayContext:
         self.inputs = tuple(inputs)
         self.auxes = tuple(auxes)
         self.round = 0
-        self.lo = lo
-        self.hi = n if hi is None else hi
         self._check = check
         self._bcast: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._uni: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -530,27 +491,6 @@ class ColumnarEngine(Engine):
         Force per-node transcript recording (also enabled by the
         clique's ``record_transcripts``); recording uses the explicit
         per-message delivery path.
-    shards:
-        ``None`` (the default) runs the classic single-instance path.
-        ``N > 1`` partitions the node range into ``N`` shards (clamped
-        to ``n``) that each run their own instance of a *shardable*
-        array program (see :func:`array_program`), exchanging only the
-        cross-shard message columns per round; ``0`` means one shard
-        per available CPU.  Results are bit-identical to the
-        single-instance path for every shard count.  Runs that need the
-        explicit per-message path (fault plans, transcripts, per-message
-        or timing observers) and non-shardable programs transparently
-        fall back to single-instance execution.
-    executor:
-        ``"process"`` (the default when sharding) forks one worker per
-        shard; ``"inline"`` advances the shards in-process (testing and
-        differential gating).  Falls back to inline with a
-        :class:`RuntimeWarning` where ``fork`` is unavailable.
-    transport:
-        ``"direct"`` hands inline shard traffic over as objects;
-        ``"pickle"`` round-trips it through the pickle-protocol-5
-        :class:`~repro.engine.shards.ShardTransport` (process shards
-        always use the pickled framing).
     """
 
     name = "columnar"
@@ -559,60 +499,20 @@ class ColumnarEngine(Engine):
         self,
         check: str = "bandwidth",
         record_transcripts: bool = False,
-        shards: "int | None" = None,
-        executor: "str | None" = None,
-        transport: str = "direct",
     ) -> None:
         check = canonical_check(check)
         if check not in CHECK_LEVELS:
             raise CliqueError(f"check must be one of {CHECK_LEVELS}, got {check!r}")
-        if shards is not None and (
-            isinstance(shards, bool) or not isinstance(shards, int) or shards < 0
-        ):
-            raise CliqueError(
-                f"shards must be None, 0 (auto) or a positive int, got {shards!r}"
-            )
-        if executor not in (None, "inline", "process"):
-            raise CliqueError(
-                f"executor must be 'inline' or 'process', got {executor!r}"
-            )
-        if transport not in ("direct", "pickle"):
-            raise CliqueError(
-                f"transport must be 'direct' or 'pickle', got {transport!r}"
-            )
         self.check = check
         self.record_transcripts = record_transcripts
-        self.shards = shards
-        self.executor = executor
-        self.transport = transport
 
     def describe(self) -> dict:
-        """Engine configuration (cache key component).
-
-        The shard keys appear only when sharding is configured, so
-        cache keys of classic single-instance runs are unchanged.
-        """
-        out = {
+        """Engine configuration (cache key component)."""
+        return {
             "engine": self.name,
             "check": self.check,
             "record_transcripts": self.record_transcripts,
         }
-        if self.shards is not None:
-            out["shards"] = self.shards
-            out["executor"] = self.executor or "process"
-            out["transport"] = self.transport
-        return out
-
-    def _effective_shards(self, n: int) -> int:
-        """The resolved shard count for an ``n``-node run."""
-        shards = self.shards
-        if shards is None:
-            return 1
-        if shards == 0:
-            from .pool import available_cpus
-
-            shards = available_cpus()
-        return max(1, min(int(shards), n))
 
     def execute(
         self,
@@ -646,19 +546,6 @@ class ColumnarEngine(Engine):
         per_message = obs is not None and obs.wants_messages
         track_halts = obs is not None and obs.wants_halts
         timer = PhaseTimer() if obs is not None and obs.wants_timing else None
-        explicit = injector is not None or record or per_message
-
-        shard_count = self._effective_shards(n)
-        if (
-            shard_count > 1
-            and not explicit
-            and not track_halts
-            and timer is None
-            and getattr(array, "__columnar_shardable__", False)
-        ):
-            return self._execute_sharded(
-                clique, array, inputs, auxes, obs=obs, shard_count=shard_count
-            )
 
         if timer is not None:
             timer.start("spawn")
@@ -764,158 +651,6 @@ class ColumnarEngine(Engine):
             received_bits=tuple(int(x) for x in received_totals),
             counters=counters,
             transcripts=out_transcripts,
-            metrics=metrics,
-        )
-
-    # -- shard-parallel execution ----------------------------------------
-
-    def _execute_sharded(
-        self,
-        clique,
-        array: Callable,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-        *,
-        obs: Any,
-        shard_count: int,
-    ) -> RunResult:
-        """Run a shardable array program across ``shard_count`` shards.
-
-        Each shard advances its own instance of ``array`` over an owned
-        node range; the coordinator concatenates the shard outboxes in
-        shard order (equal to the single-instance emission columns by
-        the shardable contract), validates and accounts them with the
-        exact single-instance code, and routes each shard its owned
-        destination slice — so outputs, rounds, bits and metrics are
-        bit-identical to ``shards=None`` for every shard count.
-        """
-        n = clique.n
-        bandwidth = clique.bandwidth
-        pool = spawn_columnar_shards(
-            array,
-            n,
-            bandwidth,
-            inputs,
-            auxes,
-            check=self.check,
-            count=shard_count,
-            executor=self.executor or "process",
-            transport=self.transport,
-        )
-        if obs is not None:
-            obs.on_run_start(n=n, bandwidth=bandwidth, engine=self.name)
-
-        rounds = 0
-        total_bits = 0
-        bulk_total = 0
-        sent_totals = np.zeros(n, dtype=_I64)
-        received_totals = np.zeros(n, dtype=_I64)
-        outputs: dict[int, Any] = {}
-        counter_cols: dict[str, np.ndarray] = {}
-        ranges = pool.ranges
-        count = len(ranges)
-        finished = [False] * count
-        empty_outbox = (
-            _EMPTY_I, _EMPTY_U, _EMPTY_I,
-            _EMPTY_I, _EMPTY_I, _EMPTY_U, _EMPTY_I,
-        )
-        outboxes: list = [(empty_outbox, [])] * count
-
-        def absorb(index: int, reply) -> None:
-            outboxes[index] = (reply.columns, reply.bulk)
-            if reply.finished and not finished[index]:
-                finished[index] = True
-                lo, hi = ranges[index]
-                for v, out in _normalise_outputs(reply.value, n).items():
-                    if lo <= v < hi:
-                        outputs[v] = out
-                for key, col in (reply.counters or {}).items():
-                    dest = counter_cols.get(key)
-                    if dest is None:
-                        dest = counter_cols[key] = np.zeros(n, dtype=_I64)
-                    dest[lo:hi] = np.asarray(col, dtype=_I64)[lo:hi]
-
-        try:
-            for index, reply in enumerate(pool.first()):
-                absorb(index, reply)
-            while True:
-                pending = any(
-                    cols[0].size or cols[3].size or bulk
-                    for cols, bulk in outboxes
-                )
-                if all(finished) and not pending:
-                    break
-                if rounds >= clique.max_rounds:
-                    raise RoundLimitExceeded(clique.max_rounds)
-                this_round = rounds + 1
-
-                bs, bv, bw, us, ud, uv, uw, bulk = _concat_outboxes(outboxes)
-                bs, bv, bw, us, ud, uv, uw = _validate_columns(
-                    n, bandwidth, self.check,
-                    bs, bv, bw, us, ud, uv, uw, bulk,
-                )
-                sent, received, msg_bits, bulk_bits = _sent_accounting(
-                    n, bs, bw, us, uw, bulk
-                )
-                _fast_received(received, bs, bw, ud, uw)
-                total_bits += msg_bits
-                bulk_total += bulk_bits
-                sent_totals += sent
-                received_totals += received
-                rounds = this_round
-                if obs is not None:
-                    obs.on_round(
-                        RoundStats(
-                            this_round,
-                            int(us.size),
-                            int(bs.size) * (n - 1),
-                            len(bulk),
-                            msg_bits,
-                            bulk_bits,
-                            sent.tolist(),
-                            received.tolist(),
-                        )
-                    )
-
-                outboxes = [(empty_outbox, [])] * count
-                live = [i for i in range(count) if not finished[i]]
-                if live:
-                    slices = []
-                    for index in live:
-                        lo, hi = ranges[index]
-                        if us.size:
-                            owned = (ud >= lo) & (ud < hi)
-                            coo = (us[owned], ud[owned], uv[owned], uw[owned])
-                        else:
-                            coo = (us, ud, uv, uw)
-                        slices.append(
-                            (coo, [t for t in bulk if lo <= t[1] < hi])
-                        )
-                    replies = pool.step(this_round, (bs, bv, bw), live, slices)
-                    for index, reply in zip(live, replies):
-                        absorb(index, reply)
-        except BaseException:
-            pool.close(kill=True)
-            raise
-        pool.close()
-
-        counters = tuple(
-            {key: int(col[v]) for key, col in counter_cols.items()}
-            for v in range(n)
-        )
-        metrics = None
-        if obs is not None:
-            obs.on_run_end(rounds=rounds, counters=counters)
-            metrics = obs.run_metrics()
-        return RunResult(
-            outputs=outputs,
-            rounds=rounds,
-            total_message_bits=total_bits,
-            bulk_bits=bulk_total,
-            sent_bits=tuple(int(x) for x in sent_totals),
-            received_bits=tuple(int(x) for x in received_totals),
-            counters=counters,
-            transcripts=None,
             metrics=metrics,
         )
 
@@ -1044,38 +779,6 @@ def _deliver_per_message(
     return inbox_columns(inboxes)
 
 
-def _concat_outboxes(outboxes: Sequence[tuple]) -> tuple:
-    """Concatenate per-shard ``(columns, bulk)`` outboxes in shard order.
-
-    By the shardable contract each program instance emits its owned
-    block in ascending order, so shard-order concatenation reproduces
-    the single-instance emission columns exactly.
-    """
-    bseg = [cols for cols, _bulk in outboxes if cols[0].size]
-    useg = [cols for cols, _bulk in outboxes if cols[3].size]
-    if len(bseg) == 1:
-        bs, bv, bw = bseg[0][:3]
-    elif bseg:
-        bs = np.concatenate([s[0] for s in bseg])
-        bv = np.concatenate([s[1] for s in bseg])
-        bw = np.concatenate([s[2] for s in bseg])
-    else:
-        bs, bv, bw = _EMPTY_I, _EMPTY_U, _EMPTY_I
-    if len(useg) == 1:
-        us, ud, uv, uw = useg[0][3:]
-    elif useg:
-        us = np.concatenate([s[3] for s in useg])
-        ud = np.concatenate([s[4] for s in useg])
-        uv = np.concatenate([s[5] for s in useg])
-        uw = np.concatenate([s[6] for s in useg])
-    else:
-        us, ud, uv, uw = _EMPTY_I, _EMPTY_I, _EMPTY_U, _EMPTY_I
-    bulk: list = []
-    for _cols, shard_bulk in outboxes:
-        bulk.extend(shard_bulk)
-    return bs, bv, bw, us, ud, uv, uw, bulk
-
-
 def _validate_columns(
     n: int,
     bandwidth: int,
@@ -1085,9 +788,6 @@ def _validate_columns(
 ):
     """Apply a check level to one round's emission columns.
 
-    Shared by the single-instance delivery path and the shard-parallel
-    coordinator (which validates the *concatenated* shard columns, so
-    the two paths raise identically on the same invalid traffic).
     Returns the possibly-deduplicated columns.
     """
     b = bandwidth

@@ -308,9 +308,9 @@ def _spec_fanout(config: dict) -> RunSpec:
 def _spec_fanout_work(config: dict) -> RunSpec:
     """Compute-heavy fan-out: lane mixing plus k-regular ring digests.
 
-    The shard-parallel stress entry — per-node hidden uint64 lane state
-    mixed ``passes`` times per round (the work extra cores split),
-    digests unicast to the ``min(8, n-1)`` next ring neighbours, and an
+    The compute-heavy stress entry — per-node hidden uint64 lane state
+    mixed ``passes`` times per round (program compute that dominates
+    delivery), digests unicast to the ``min(8, n-1)`` next ring neighbours, and an
     output folding every delivery *and* the final lane state.
     """
     from ..algorithms.columnar import (
@@ -487,7 +487,7 @@ class Cell:
     """One run of the differential matrix and its verdict.
 
     ``column`` names the engine column (``"reference@full"``,
-    ``"columnar@off/shards=3"``) or ``"symbolic"`` for the closed-form
+    ``"columnar@off"``) or ``"symbolic"`` for the closed-form
     row; ``plan`` is the fault plan it ran under (``None`` = fault-free).
     ``wrapped`` marks a run of the program wrapped in
     :func:`repro.faults.resilient`.  ``baseline`` is the column this
@@ -636,11 +636,7 @@ def _column(engine: "str | Engine") -> tuple[str, Engine]:
     from .base import resolve_engine
 
     engine = resolve_engine(engine)
-    label = f"{engine.name}@{engine.check}"
-    shards = getattr(engine, "shards", None)
-    if shards is not None:
-        label += f"/shards={shards}"
-    return label, engine
+    return f"{engine.name}@{engine.check}", engine
 
 
 def _joins(name: str, plan: "str | object | None") -> str | None:
@@ -708,7 +704,7 @@ def run_matrix(
     ``names`` defaults to the whole :data:`CATALOG`; ``config`` supplies
     shared overrides (``n``, ``seed``, ...).  ``engines`` are the
     columns — names or :class:`Engine` instances, so each check level
-    and each shard count is a column of its own.  The first column that
+    is a column of its own.  The first column that
     can run an entry is the baseline of its row; every other cell runs
     once and is checked against it by :func:`compare`.
 

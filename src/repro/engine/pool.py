@@ -707,10 +707,8 @@ def run_sweep(
     if exec_spec.engine is None:
         exec_spec = replace(exec_spec, engine="fast")
     engine = exec_spec.engine
-    if exec_spec.check is not None or exec_spec.shards is not None:
-        engine = resolve_engine(
-            engine, check=exec_spec.check, shards=exec_spec.shards
-        )
+    if exec_spec.check is not None:
+        engine = resolve_engine(engine, check=exec_spec.check)
     observer = exec_spec.observer
     fault_plan = exec_spec.fault_plan
     if isinstance(observer, Observer):

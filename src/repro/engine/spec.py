@@ -55,10 +55,7 @@ class ExecutionSpec:
     instance; ``observer`` an observer *spec* (``True``/``False``/
     ``"metrics"``/``"off"``) or instance; ``fault_plan`` a spec string
     like ``"drop=0.2,seed=7"`` or a :class:`~repro.faults.FaultPlan`;
-    ``transcripts`` overrides the clique's transcript recording;
-    ``shards`` requests shard-parallel execution (``0`` = one shard per
-    available core) on engines that support it — currently
-    ``engine="columnar"``.
+    ``transcripts`` overrides the clique's transcript recording.
     """
 
     engine: Any = None
@@ -66,20 +63,9 @@ class ExecutionSpec:
     observer: Any = None
     fault_plan: Any = None
     transcripts: bool | None = None
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "check", canonical_check(self.check))
-        shards = self.shards
-        if shards is not None and (
-            isinstance(shards, bool)
-            or not isinstance(shards, int)
-            or shards < 0
-        ):
-            raise CliqueError(
-                f"shards must be a non-negative int (0 = one shard per "
-                f"available core) or None, got {shards!r}"
-            )
 
     # -- construction ----------------------------------------------------
 
@@ -120,7 +106,7 @@ class ExecutionSpec:
         if isinstance(plan, dict):
             from ..faults import FaultPlan
 
-            kwargs["fault_plan"] = FaultPlan(**plan)
+            kwargs["fault_plan"] = FaultPlan.from_dict(plan)
         return cls(**kwargs)
 
     # -- serialisation ---------------------------------------------------
@@ -174,9 +160,7 @@ class ExecutionSpec:
         from ..obs import describe_observer
 
         plan = resolve_fault_plan(self.fault_plan)
-        engine = resolve_engine(
-            self.engine, check=self.check, shards=self.shards
-        )
+        engine = resolve_engine(self.engine, check=self.check)
         return {
             "engine": engine.describe(),
             "observer": describe_observer(self.observer),
@@ -193,7 +177,6 @@ class ExecutionSpec:
         observer: Any = None,
         fault_plan: Any = None,
         transcripts: bool | None = None,
-        shards: int | None = None,
     ) -> "ExecutionSpec":
         """Overlay legacy per-field keywords onto this spec.
 
@@ -209,7 +192,6 @@ class ExecutionSpec:
             ("observer", observer),
             ("fault_plan", fault_plan),
             ("transcripts", transcripts),
-            ("shards", shards),
         ):
             if value is None:
                 continue
@@ -257,14 +239,13 @@ def resolve_execution(
     observer: Any = None,
     fault_plan: Any = None,
     transcripts: bool | None = None,
-    shards: int | None = None,
 ) -> ResolvedExecution:
     """The one resolution point for "how does this run execute".
 
     Coerces ``execution`` (spec, dict, engine name/instance or ``None``),
     overlays the legacy keywords (conflicts raise), resolves the engine
-    through the registry — lazy backends included — and returns the
-    bundle every entry point hands to ``Engine.execute``.
+    through the registry and returns the bundle every entry point hands
+    to ``Engine.execute``.
     """
     spec = ExecutionSpec.coerce(execution).merged(
         engine=engine,
@@ -272,10 +253,9 @@ def resolve_execution(
         observer=observer,
         fault_plan=fault_plan,
         transcripts=transcripts,
-        shards=shards,
     )
     return ResolvedExecution(
-        engine=resolve_engine(spec.engine, check=spec.check, shards=spec.shards),
+        engine=resolve_engine(spec.engine, check=spec.check),
         observer=spec.observer,
         fault_plan=spec.fault_plan,
         transcripts=spec.transcripts,

@@ -237,6 +237,32 @@ class FaultPlan:
                 raise CliqueError(f"bad fault-plan value in {part!r}") from None
         return cls(**kwargs)
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultPlan":
+        """Rebuild a plan from its field dict (the form
+        :meth:`repro.engine.spec.ExecutionSpec.to_dict` emits).
+
+        Keys must be field names; an unknown key fails with the known
+        fields and a nearest-match suggestion, like :meth:`from_spec`
+        (a mistyped alias such as ``"dorp"`` suggests ``'drop_rate'``).
+        """
+        import difflib
+
+        field_names = sorted(f.name for f in fields(cls))
+        unknown = sorted(set(data) - set(field_names))
+        if unknown:
+            close = difflib.get_close_matches(
+                unknown[0], sorted(set(_SPEC_ALIASES) | set(field_names)), n=1
+            )
+            hint = ""
+            if close:
+                hint = f"; did you mean {_SPEC_ALIASES.get(close[0], close[0])!r}?"
+            raise CliqueError(
+                f"unknown FaultPlan field(s) {unknown}; known fields: "
+                f"{field_names}{hint}"
+            )
+        return cls(**data)
+
     # -- introspection ---------------------------------------------------
 
     @property

@@ -134,6 +134,57 @@ class TestColumnarExecution:
         assert engine.check == "off"
         assert engine.describe()["engine"] == "columnar"
 
+    def test_describe_is_the_single_instance_cache_key(self):
+        # The description is run-cache key material: another key here
+        # would turn every warmed columnar cache entry into a miss.
+        assert ColumnarEngine(check="off").describe() == {
+            "engine": "columnar",
+            "check": "off",
+            "record_transcripts": False,
+        }
+
+    def test_fanout_work_twins_agree(self):
+        # The array twin (columnar) against the generator twin (fast):
+        # same outputs, rounds, bits and per-node accounting.
+        cfg = {
+            "algorithm": "fanout_work",
+            "n": 24,
+            "rounds": 3,
+            "state": 64,
+            "passes": 2,
+            "seed": 4,
+        }
+        fast, _ = run_spec(catalog_factory(dict(cfg)), "fast")
+        col, _ = run_spec(catalog_factory(dict(cfg)), "columnar")
+        assert col.outputs == fast.outputs
+        assert col.rounds == fast.rounds == 3
+        assert col.total_message_bits == fast.total_message_bits
+        assert col.sent_bits == fast.sent_bits
+        assert col.received_bits == fast.received_bits
+
+    def test_bulk_channel_delivers(self):
+        n = 9
+        inputs = [3 * v + 1 for v in range(n)]
+        result = CongestedClique(n, max_rounds=10).run(
+            _bulk_echo, inputs, engine=ColumnarEngine(check="bandwidth")
+        )
+        assert result.outputs[0] == sum(inputs)
+        assert result.rounds == 1
+        assert result.bulk_bits == 64 * (n - 1)
+        assert result.received_bits[0] == 64 * (n - 1) + (n - 1)
+
+
+@array_program
+def _bulk_echo(ctx):
+    # Every node bulk-sends its input to node 0 and broadcasts one bit;
+    # node 0 then sums its bulk inbox.
+    for v in range(1, ctx.n):
+        ctx.bulk_send(v, 0, int(ctx.inputs[v]), 64)
+    ctx.broadcast(np.asarray(ctx.ids, dtype=np.uint64) & np.uint64(1), 1)
+    yield
+    total = sum(val for (_, dst, val, _) in ctx.inbox_bulk if dst == 0)
+    return {v: total + int(ctx.inputs[0]) if v == 0 else 0 for v in range(ctx.n)}
+
 
 @array_program
 def _duplicate_sender(ctx):

@@ -115,6 +115,28 @@ class TestSpec:
         with pytest.raises(CliqueError, match="unknown ExecutionSpec field"):
             ExecutionSpec.from_dict({"enginee": "fast"})
 
+    def test_removed_shards_field_is_rejected(self):
+        with pytest.raises(CliqueError) as info:
+            ExecutionSpec.from_dict({"engine": "columnar", "shards": 2})
+        message = str(info.value)
+        assert "unknown ExecutionSpec field(s) ['shards']" in message
+        assert (
+            "known: ['check', 'engine', 'fault_plan', 'observer', "
+            "'transcripts']" in message
+        )
+        with pytest.raises(TypeError):
+            ExecutionSpec(engine="columnar", shards=2)
+        with pytest.raises(TypeError):
+            resolve_execution("columnar", shards=2)
+
+    def test_unknown_fault_plan_field_names_the_known_fields(self):
+        with pytest.raises(CliqueError) as info:
+            ExecutionSpec.from_dict({"fault_plan": {"dorp": 0.1}})
+        message = str(info.value)
+        assert "unknown FaultPlan field(s) ['dorp']" in message
+        assert "'drop_rate'" in message and "'byzantine_limit'" in message
+        assert message.endswith("did you mean 'drop_rate'?")
+
     def test_describe_matches_legacy_components(self):
         spec = ExecutionSpec(engine="fast", check="off", observer="metrics")
         desc = spec.describe()

@@ -2,6 +2,7 @@
 equivalence, cache integration, factory pickling fallbacks, and the
 failure-containment layer (crashing points, hanging points, retries)."""
 
+import os
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from repro.engine import (
     run_spec,
     run_sweep,
 )
+from repro.engine.pool import available_cpus
 
 
 def echo_factory(config: dict) -> RunSpec:
@@ -141,6 +143,15 @@ class TestWorkers:
         for a, b in zip(ref, fast):
             assert a.result.outputs == b.result.outputs
             assert a.result.total_message_bits == b.result.total_message_bits
+
+
+    def test_available_cpus_is_the_affinity_mask(self):
+        # Pool sizing and the bench fingerprint go by the cores this
+        # process may run on, not by the machine's core count.
+        cpus = available_cpus()
+        assert cpus >= 1
+        if hasattr(os, "sched_getaffinity"):
+            assert cpus == len(os.sched_getaffinity(0))
 
 
 class TestCacheIntegration:

@@ -95,6 +95,33 @@ class TestRequests:
         assert client.run("bfs", {"n": 8, "seed": 0})["rounds"] >= 1
         assert client.status()["counters"]["errors"] == 1
 
+    @pytest.mark.parametrize(
+        "execution, message",
+        [
+            ({"shards": 2}, r"unknown ExecutionSpec field\(s\) \['shards'\]"),
+            (
+                {"engine": "columnar", "fault_plan": {"dorp": 0.1}},
+                r"unknown FaultPlan field\(s\) \['dorp'\].*did you mean "
+                r"'drop_rate'",
+            ),
+        ],
+        ids=["removed-shards", "fault-plan-typo"],
+    )
+    def test_bad_execution_is_an_error_and_the_daemon_keeps_serving(
+        self, client, execution, message
+    ):
+        # Sent raw: the client would reject these before they leave.
+        request = {
+            "op": "run",
+            "algorithm": "fanout",
+            "config": {"n": 8, "rounds": 2, "seed": 0},
+            "execution": execution,
+        }
+        with pytest.raises(ServiceError, match=message):
+            client.request(request)
+        assert client.run("fanout", {"n": 8, "rounds": 2, "seed": 0})["rounds"] == 2
+        assert client.status()["counters"]["errors"] == 1
+
     def test_run_unknown_algorithm_is_an_error(self, client):
         with pytest.raises(ServiceError, match="unknown algorithm"):
             client.run("nope", {"n": 8})

@@ -139,6 +139,13 @@ class TestCommands:
         assert "sweep: subgraph" in out
         assert "fitted exponents" in out
 
+    @pytest.mark.parametrize("command", ["sweep", "stats", "trace"])
+    def test_removed_shards_flag_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "fanout", "--engine", "columnar", "--shards", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
     def test_sweep_single_n_skips_fit(self, capsys):
         assert main(["sweep", "bfs", "--ns", "8", "--workers", "1"]) == 0
         assert "need >= 2 distinct n" in capsys.readouterr().out

@@ -30,7 +30,6 @@ MODULES = [
     "repro.engine.fast",
     "repro.engine.pool",
     "repro.engine.reference",
-    "repro.engine.shards",
     "repro.service",
     "repro.service.client",
     "repro.service.protocol",
