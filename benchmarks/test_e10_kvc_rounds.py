@@ -56,7 +56,7 @@ def n_sweep(k: int = 3) -> list[dict]:
         kvc_planted_point,
         [{"k": k, "n": n, "p": 0.4, "seed": n} for n in (16, 32, 64, 128, 256)],
         workers=2,
-        engine="fast",
+        execution="fast",
     )
     return [
         {
@@ -77,7 +77,7 @@ def k_sweep(n: int = 64) -> list[dict]:
         kvc_planted_point,
         [{"k": k, "n": n, "p": 0.35, "seed": k} for k in (2, 4, 8, 12)],
         workers=2,
-        engine="fast",
+        execution="fast",
     )
     return [
         {
@@ -95,7 +95,7 @@ def correctness() -> int:
         kvc_random_point,
         [{"n": 9, "k": 3, "seed": seed} for seed in range(8)],
         workers=2,
-        engine="fast",
+        execution="fast",
     )
     return sum(1 for o in outcomes if not o.value)
 

@@ -75,7 +75,7 @@ def triangle_sweep():
             triangle_point,
             [{"n": n} for n in (27, 64, 125, 216)],
             workers=2,
-            engine="fast",
+            execution="fast",
         )
     )
 
@@ -86,7 +86,7 @@ def four_is_sweep():
             four_is_point,
             [{"n": n} for n in (16, 81, 256)],
             workers=2,
-            engine="fast",
+            execution="fast",
         )
     )
 

@@ -57,7 +57,7 @@ def mm_sweep() -> list[dict]:
         ring_mm_point,
         [{"n": n} for n in (27, 64, 125, 216)],
         workers=2,
-        engine="fast",
+        execution="fast",
     )
     return [
         {

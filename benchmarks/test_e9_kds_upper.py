@@ -59,7 +59,7 @@ def scaling(k: int, ns: list[int]) -> list[dict]:
         kds_planted_point,
         [{"k": k, "n": n} for n in ns],
         workers=2,
-        engine="fast",
+        execution="fast",
     )
     return [
         {
@@ -80,7 +80,7 @@ def correctness_sweep(k: int = 2) -> int:
         kds_random_point,
         [{"n": 9, "k": k, "seed": seed} for seed in range(8)],
         workers=2,
-        engine="fast",
+        execution="fast",
     )
     return sum(1 for o in outcomes if not o.value)
 

@@ -17,7 +17,7 @@ from repro.bench import all_to_all_chatter, measure
 from repro.clique.bits import BitString
 from repro.clique.network import CongestedClique
 from repro.clique.routing import route
-from repro.engine import FastEngine
+from repro.engine import ExecutionSpec, FastEngine
 from repro.problems import generators as gen
 
 
@@ -38,7 +38,7 @@ def test_message_fanout_reference_engine(benchmark):
     n, rounds = 64, 16
 
     def work():
-        return all_to_all_chatter(n, rounds, engine="reference")
+        return all_to_all_chatter(n, rounds, execution="reference")
 
     result = benchmark(work)
     assert result.rounds == rounds
@@ -51,7 +51,7 @@ def test_message_fanout_fast_engine(benchmark):
     engine = FastEngine(check="bandwidth")
 
     def work():
-        return all_to_all_chatter(n, rounds, engine=engine)
+        return all_to_all_chatter(n, rounds, execution=engine)
 
     result = benchmark(work)
     assert result.rounds == rounds
@@ -67,7 +67,7 @@ def test_fast_engine_speedup_on_fanout():
 
     ref = measure(lambda: all_to_all_chatter(n, rounds), repeats=5, warmup=0)
     fast = measure(
-        lambda: all_to_all_chatter(n, rounds, engine=engine),
+        lambda: all_to_all_chatter(n, rounds, execution=engine),
         repeats=5,
         warmup=0,
     )
@@ -118,7 +118,9 @@ def test_metrics_overhead_on_fanout():
             for _ in range(10):
                 timing = measure(
                     lambda: all_to_all_chatter(
-                        n, rounds, engine=engine, observer=False
+                        n,
+                        rounds,
+                        execution=ExecutionSpec(engine=engine, observer=False),
                     ),
                     repeats=1,
                     warmup=0,
@@ -126,7 +128,7 @@ def test_metrics_overhead_on_fanout():
                 off_times += timing.times
                 off_result = timing.result
                 timing = measure(
-                    lambda: all_to_all_chatter(n, rounds, engine=engine),
+                    lambda: all_to_all_chatter(n, rounds, execution=engine),
                     repeats=1,
                     warmup=0,
                 )

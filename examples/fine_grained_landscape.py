@@ -33,7 +33,7 @@ def measure(algorithm, ns, seed=1, **params):
         {"algorithm": algorithm, "n": n, "seed": seed, "p": 0.2, **params}
         for n in ns
     ]
-    outcomes = run_sweep(catalog_factory, configs, workers=2, engine="fast")
+    outcomes = run_sweep(catalog_factory, configs, workers=2, execution="fast")
     rows = []
     for outcome in outcomes:
         load = max(

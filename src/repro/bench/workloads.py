@@ -35,14 +35,7 @@ __all__ = [
 ]
 
 
-def all_to_all_chatter(
-    n: int,
-    rounds: int,
-    engine: Any = None,
-    observer: Any = None,
-    fault_plan: Any = None,
-    execution: Any = None,
-):
+def all_to_all_chatter(n: int, rounds: int, *, execution: Any = None):
     """The canonical fan-out microbenchmark: every node sends one bit to
     every other node, ``rounds`` times (also used by the throughput
     acceptance gates in ``benchmarks/test_engine_throughput.py``)."""
@@ -56,13 +49,7 @@ def all_to_all_chatter(
             yield
         return None
 
-    return CongestedClique(n).run(
-        prog,
-        execution=execution,
-        engine=engine,
-        observer=observer,
-        fault_plan=fault_plan,
-    )
+    return CongestedClique(n).run(prog, execution=execution)
 
 
 def _info_from_result(result) -> dict:
@@ -84,51 +71,21 @@ def _info_from_result(result) -> dict:
     }
 
 
-#: Legacy one-word engine specs of the workload registry, expressed as
-#: :class:`~repro.engine.ExecutionSpec` dicts.  New workloads carry a
-#: full ``"execution"`` dict in their params instead.
-_ENGINE_SPECS: dict[str, dict] = {
-    "reference": {"engine": "reference"},
-    "fast": {"engine": "fast", "check": "bandwidth"},
-    "fast-noobs": {"engine": "fast", "check": "bandwidth", "observer": False},
-    "columnar": {"engine": "columnar", "check": "bandwidth"},
-}
-
-
-def _workload_execution(params: dict):
-    """The workload's :class:`~repro.engine.ExecutionSpec`.
-
-    Params may carry an ``"execution"`` dict (the ``to_dict`` form) or a
-    legacy one-word ``"engine"`` spec; a flat ``"fault_plan"`` key fills
-    the spec's unset fault-plan field either way.
-    """
-    from ..engine import ExecutionSpec
-
-    raw = params.get("execution")
-    if raw is None:
-        name = params.get("engine", "fast")
-        try:
-            raw = _ENGINE_SPECS[name]
-        except KeyError:
-            raise CliqueError(
-                f"unknown workload engine spec {name!r}; known: "
-                f"{sorted(_ENGINE_SPECS)} (or pass an 'execution' dict)"
-            ) from None
-    return ExecutionSpec.coerce(dict(raw)).merged(
-        fault_plan=params.get("fault_plan")
-    )
+def _info_with_faults(result, params: dict) -> dict:
+    """:func:`_info_from_result`, plus the injected-fault count when the
+    workload's execution carries a fault plan."""
+    info = _info_from_result(result)
+    metrics = result.metrics
+    if params["execution"].get("fault_plan") is not None and metrics is not None:
+        info["faults"] = metrics.total_faults
+    return info
 
 
 def _run_fanout(params: dict, ctx: dict) -> dict:
     result = all_to_all_chatter(
-        params["n"],
-        params["rounds"],
-        execution=_workload_execution(params),
+        params["n"], params["rounds"], execution=params["execution"]
     )
-    info = _info_from_result(result)
-    if params.get("fault_plan") is not None and result.metrics is not None:
-        info["faults"] = result.metrics.total_faults
-    return info
+    return _info_with_faults(result, params)
 
 
 def _run_relay_route(params: dict, ctx: dict) -> dict:
@@ -172,13 +129,9 @@ def _run_catalog(params: dict, ctx: dict) -> dict:
     from ..engine.pool import run_spec
 
     result, _ = run_spec(
-        catalog_factory(dict(params["config"])),
-        execution=_workload_execution(params),
+        catalog_factory(dict(params["config"])), execution=params["execution"]
     )
-    info = _info_from_result(result)
-    if params.get("fault_plan") is not None and result.metrics is not None:
-        info["faults"] = result.metrics.total_faults
-    return info
+    return _info_with_faults(result, params)
 
 
 def _sweep_grid(params: dict) -> list[dict]:
@@ -190,14 +143,14 @@ def _sweep_grid(params: dict) -> list[dict]:
 
 
 def _run_sweep_workload(params: dict, ctx: dict) -> dict:
-    from ..engine import FastEngine, run_sweep
+    from ..engine import run_sweep
     from ..engine.diff import catalog_factory
 
     outcomes = run_sweep(
         catalog_factory,
         _sweep_grid(params),
         workers=params.get("workers", 1),
-        engine=FastEngine(check="bandwidth"),
+        execution=params["execution"],
         cache=ctx.get("cache"),
     )
     failed = [o for o in outcomes if o.failed]
@@ -298,7 +251,7 @@ def _run_service_warm(params: dict, ctx: dict) -> dict:
 def _setup_warm_cache(params: dict) -> dict:
     """Pre-warm a throwaway :class:`RunCache` so the timed runs measure
     the hit path (lookup + deserialise), not first execution."""
-    from ..engine import FastEngine, RunCache, run_sweep
+    from ..engine import RunCache, run_sweep
     from ..engine.diff import catalog_factory
 
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-cache-")
@@ -307,7 +260,7 @@ def _setup_warm_cache(params: dict) -> dict:
         catalog_factory,
         _sweep_grid(params),
         workers=1,
-        engine=FastEngine(check="bandwidth"),
+        execution=params["execution"],
         cache=cache,
     )
     return {"cache": cache, "cleanup": tmp.cleanup}
@@ -367,12 +320,19 @@ def get_workloads(names: "list[str] | None" = None) -> list[Workload]:
     return [SUITE[name] for name in names]
 
 
+#: The execution most workloads run under (the batch engine at its
+#: default check level, spelled out so the workload pins it).
+_FAST = {"engine": "fast", "check": "bandwidth"}
+
+_BYZANTINE_PLAN = "byzantine=equivocate+selective,f=1,seed=7,byz_rate=0.5"
+
+
 register_workload(
     Workload(
         name="fanout/reference",
         description="all-to-all 1-bit fan-out, reference engine",
         run=_run_fanout,
-        params={"engine": "reference", "n": 48, "rounds": 8},
+        params={"execution": {"engine": "reference"}, "n": 48, "rounds": 8},
         quick_params={"n": 24, "rounds": 4},
     )
 )
@@ -381,7 +341,7 @@ register_workload(
         name="fanout/fast",
         description="all-to-all 1-bit fan-out, fast engine (metrics on)",
         run=_run_fanout,
-        params={"engine": "fast", "n": 48, "rounds": 8},
+        params={"execution": _FAST, "n": 48, "rounds": 8},
         quick_params={"n": 24, "rounds": 4},
     )
 )
@@ -390,7 +350,11 @@ register_workload(
         name="fanout/fast-noobs",
         description="all-to-all fan-out, fast engine, observer=False",
         run=_run_fanout,
-        params={"engine": "fast-noobs", "n": 48, "rounds": 8},
+        params={
+            "execution": {**_FAST, "observer": False},
+            "n": 48,
+            "rounds": 8,
+        },
         quick_params={"n": 24, "rounds": 4},
     )
 )
@@ -417,7 +381,10 @@ register_workload(
         name="catalog/kds",
         description="Theorem 9 k-dominating set (diff catalog, fast engine)",
         run=_run_catalog,
-        params={"config": {"algorithm": "kds", "n": 32, "seed": 0, "k": 2}},
+        params={
+            "config": {"algorithm": "kds", "n": 32, "seed": 0, "k": 2},
+            "execution": _FAST,
+        },
         quick_params={"config": {"algorithm": "kds", "n": 16, "seed": 0, "k": 2}},
     )
 )
@@ -426,7 +393,10 @@ register_workload(
         name="catalog/kvc",
         description="Theorem 11 k-vertex cover (diff catalog, fast engine)",
         run=_run_catalog,
-        params={"config": {"algorithm": "kvc", "n": 32, "seed": 0, "k": 3}},
+        params={
+            "config": {"algorithm": "kvc", "n": 32, "seed": 0, "k": 3},
+            "execution": _FAST,
+        },
         quick_params={"config": {"algorithm": "kvc", "n": 16, "seed": 0, "k": 3}},
     )
 )
@@ -435,7 +405,10 @@ register_workload(
         name="catalog/matmul",
         description="cube-partitioned matrix multiply (diff catalog)",
         run=_run_catalog,
-        params={"config": {"algorithm": "matmul", "n": 24, "seed": 0}},
+        params={
+            "config": {"algorithm": "matmul", "n": 24, "seed": 0},
+            "execution": _FAST,
+        },
         quick_params={"config": {"algorithm": "matmul", "n": 12, "seed": 0}},
     )
 )
@@ -444,7 +417,10 @@ register_workload(
         name="catalog/sorting",
         description="PSRS distributed sorting (diff catalog, fast engine)",
         run=_run_catalog,
-        params={"config": {"algorithm": "sorting", "n": 24, "seed": 0}},
+        params={
+            "config": {"algorithm": "sorting", "n": 24, "seed": 0},
+            "execution": _FAST,
+        },
         quick_params={"config": {"algorithm": "sorting", "n": 12, "seed": 0}},
     )
 )
@@ -453,7 +429,12 @@ register_workload(
         name="sweep/uncached",
         description="serial bfs sweep through run_sweep, no cache",
         run=_run_sweep_workload,
-        params={"algorithm": "bfs", "ns": [12, 16], "seeds": 2},
+        params={
+            "algorithm": "bfs",
+            "ns": [12, 16],
+            "seeds": 2,
+            "execution": _FAST,
+        },
         quick_params={"ns": [8, 12], "seeds": 1},
     )
 )
@@ -463,7 +444,12 @@ register_workload(
         description="the same bfs sweep served entirely from a warm RunCache",
         run=_run_sweep_workload,
         setup=_setup_warm_cache,
-        params={"algorithm": "bfs", "ns": [12, 16], "seeds": 2},
+        params={
+            "algorithm": "bfs",
+            "ns": [12, 16],
+            "seeds": 2,
+            "execution": _FAST,
+        },
         quick_params={"ns": [8, 12], "seeds": 1},
     )
 )
@@ -473,7 +459,13 @@ register_workload(
         description="parallel bfs sweep on the persistent warm worker pool",
         run=_run_sweep_workload,
         setup=_setup_pool_shutdown,
-        params={"algorithm": "bfs", "ns": [12, 16], "seeds": 3, "workers": 2},
+        params={
+            "algorithm": "bfs",
+            "ns": [12, 16],
+            "seeds": 3,
+            "workers": 2,
+            "execution": _FAST,
+        },
         quick_params={"ns": [8, 12], "seeds": 2},
     )
 )
@@ -520,7 +512,7 @@ register_workload(
         "engine (columnar speedup twin)",
         run=_run_catalog,
         params={
-            "execution": {"engine": "fast", "check": "bandwidth"},
+            "execution": _FAST,
             "config": {"algorithm": "fanout", "n": 1024, "rounds": 6, "seed": 0},
         },
         quick_params={
@@ -550,10 +542,9 @@ register_workload(
         "(per-delivery injector cost)",
         run=_run_fanout,
         params={
-            "engine": "fast",
+            "execution": {**_FAST, "fault_plan": "drop=0.05,seed=7"},
             "n": 48,
             "rounds": 8,
-            "fault_plan": "drop=0.05,seed=7",
         },
         quick_params={"n": 24, "rounds": 4},
     )
@@ -564,7 +555,10 @@ register_workload(
         description="Bracha reliable broadcast, honest run "
         "(f + 5 rounds of tagged all-to-all echo/ready traffic)",
         run=_run_catalog,
-        params={"config": {"algorithm": "bracha", "n": 48, "f": 4, "seed": 0}},
+        params={
+            "config": {"algorithm": "bracha", "n": 48, "f": 4, "seed": 0},
+            "execution": _FAST,
+        },
         quick_params={"config": {"algorithm": "bracha", "n": 16, "f": 1, "seed": 0}},
     )
 )
@@ -575,10 +569,9 @@ register_workload(
         "(per-delivery adversary cost; honest twin is fanout/fast)",
         run=_run_fanout,
         params={
-            "engine": "fast",
+            "execution": {**_FAST, "fault_plan": _BYZANTINE_PLAN},
             "n": 48,
             "rounds": 8,
-            "fault_plan": "byzantine=equivocate+selective,f=1,seed=7,byz_rate=0.5",
         },
         quick_params={"n": 24, "rounds": 4},
     )

@@ -87,6 +87,8 @@ def _catalog_choices() -> "list[str]":
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (see the module docstring)."""
+    from .engine.spec import BATCH_ENGINE
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -160,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Derived from repro.engine.diff.CATALOG on first use, so new
     # catalog entries appear here without any CLI change.
     catalog_names = _LazyChoices(_catalog_choices)
+    batch_engine_help = f"execution backend (default: {BATCH_ENGINE})"
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -182,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--engine",
         choices=_LazyChoices(_engine_choices),
-        default="fast",
+        default=None,
+        help=batch_engine_help,
     )
     p_sweep.add_argument(
         "--check", choices=_LazyChoices(_check_choices), default="bandwidth",
@@ -224,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument(
         "--engine",
         choices=_LazyChoices(_engine_choices),
-        default="fast",
+        default=None,
+        help=batch_engine_help,
     )
     p_stats.add_argument(
         "--check", choices=_LazyChoices(_check_choices), default=None
@@ -321,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--engine",
         choices=_LazyChoices(_engine_choices),
-        default="fast",
+        default=None,
+        help=batch_engine_help,
     )
     p_trace.add_argument(
         "--check", choices=_LazyChoices(_check_choices), default=None
@@ -531,6 +537,7 @@ _REMOTE_ALGORITHMS = {
 
 
 def _cmd_run_remote(args) -> int:
+    from .engine import ExecutionSpec
     from .service import ServiceClient, ServiceError
 
     catalog_name = _REMOTE_ALGORITHMS.get(args.algorithm)
@@ -547,7 +554,9 @@ def _cmd_run_remote(args) -> int:
     client = ServiceClient(args.socket)
     try:
         reply = client.run(
-            catalog_name, config, engine=args.engine or "fast"
+            catalog_name,
+            config,
+            execution=ExecutionSpec(engine=args.engine, check=args.check),
         )
     except ServiceError as exc:
         print(f"repro run --remote: {exc}", file=sys.stderr)
@@ -567,10 +576,12 @@ def _cmd_run_remote(args) -> int:
 
 def _cmd_run(args) -> int:
     from .clique.algorithm import run_algorithm
+    from .engine import ExecutionSpec
     from .problems import generators as gen
 
     if args.remote:
         return _cmd_run_remote(args)
+    execution = ExecutionSpec(engine=args.engine, check=args.check)
 
     g = gen.random_graph(args.n, args.p, args.seed)
     k = args.k
@@ -607,7 +618,9 @@ def _cmd_run(args) -> int:
         def prog(node):
             return (yield from boruvka_mst(node))
 
-        result = run_algorithm(prog, g, aux=lambda v: {"max_weight": 50})
+        result = run_algorithm(
+            prog, g, aux=lambda v: {"max_weight": 50}, execution=execution
+        )
         mst = result.common_output()
         print(f"graph: {g}")
         print(f"MST edges: {sorted(mst)}")
@@ -621,7 +634,7 @@ def _cmd_run(args) -> int:
             d = yield from bfs_distances(node)
             return d.tolist()
 
-        result = run_algorithm(prog, g, aux=0)
+        result = run_algorithm(prog, g, aux=0, execution=execution)
         print(f"graph: {g}")
         print(f"distances from node 0: {result.common_output()}")
         print(f"rounds: {result.rounds}")
@@ -648,9 +661,7 @@ def _cmd_run(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.algorithm)
 
-    result = run_algorithm(
-        prog, g, bandwidth_multiplier=2, engine=args.engine, check=args.check
-    )
+    result = run_algorithm(prog, g, bandwidth_multiplier=2, execution=execution)
     print(f"graph: {g}")
     print(f"output: {result.common_output()}")
     print(f"rounds: {result.rounds}")
@@ -770,7 +781,7 @@ def _predict_config(args) -> dict:
 
 
 def _cmd_stats(args) -> int:
-    from .engine import ExecutionSpec, RunCache
+    from .engine import ExecutionSpec, RunCache, batch_execution
     from .engine.diff import CATALOG, catalog_factory
     from .engine.pool import _point_key, run_spec
     from .obs import MetricsCollector
@@ -780,11 +791,13 @@ def _cmd_stats(args) -> int:
     collector = MetricsCollector(
         links=args.links > 0, profile=args.profile
     )
-    execution = ExecutionSpec(
-        engine=args.engine,
-        check=args.check,
-        observer=collector,
-        fault_plan=args.fault_plan,
+    execution = batch_execution(
+        ExecutionSpec(
+            engine=args.engine,
+            check=args.check,
+            observer=collector,
+            fault_plan=args.fault_plan,
+        )
     )
     cache = RunCache(args.cache) if args.cache else None
     key = None
@@ -794,15 +807,7 @@ def _cmd_stats(args) -> int:
         # stats lookups (and vice versa) when the configs line up.
         # (--resilient wraps the program, so the catalog key would
         # collide with the unwrapped run.)
-        desc = execution.describe()
-        key = _point_key(
-            cache,
-            catalog_factory,
-            config,
-            desc["engine"],
-            desc["observer"],
-            desc["fault_plan"],
-        )
+        key = _point_key(cache, catalog_factory, config, execution.describe())
         hit = cache.get(key)
         if hit is not None:
             result, _ = hit
@@ -909,7 +914,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .engine import ExecutionSpec
+    from .engine import ExecutionSpec, batch_execution
     from .engine.diff import CATALOG, catalog_factory
     from .engine.pool import run_spec
     from .obs import JSONLSink, RingBufferSink, Tracer
@@ -921,14 +926,10 @@ def _cmd_trace(args) -> int:
     else:
         sink = RingBufferSink(capacity=max(args.limit, 1))
     tracer = Tracer(sink=sink, sample=args.sample)
-    result, _ = run_spec(
-        catalog_factory(config),
-        execution=ExecutionSpec(
-            engine=args.engine,
-            check=args.check,
-            observer=tracer,
-        ),
+    execution = batch_execution(
+        ExecutionSpec(engine=args.engine, check=args.check, observer=tracer)
     )
+    result, _ = run_spec(catalog_factory(config), execution=execution)
     if args.jsonl:
         print(
             f"{args.algorithm}: {result.rounds} rounds; wrote "
@@ -950,7 +951,7 @@ def _cmd_trace(args) -> int:
     ]
     dropped = sink.dropped
     title = (
-        f"trace: {args.algorithm} (n={args.n}, {args.engine} engine, "
+        f"trace: {args.algorithm} (n={args.n}, {execution.engine} engine, "
         f"last {len(rows)} events"
         + (f", {dropped} earlier dropped" if dropped else "")
         + ")"
@@ -961,7 +962,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .analysis.fitting import fit_exponent
-    from .engine import ExecutionSpec, RunCache, run_sweep
+    from .engine import ExecutionSpec, RunCache, batch_execution, run_sweep
     from .engine.diff import CATALOG, catalog_factory
 
     assert args.algorithm in CATALOG  # parser choices mirror the catalog
@@ -976,10 +977,10 @@ def _cmd_sweep(args) -> int:
                 config["p"] = args.p
             configs.append(config)
 
-    execution = ExecutionSpec(
-        engine=args.engine,
-        check=args.check,
-        fault_plan=args.fault_plan,
+    execution = batch_execution(
+        ExecutionSpec(
+            engine=args.engine, check=args.check, fault_plan=args.fault_plan
+        )
     )
     cache = RunCache(args.cache) if args.cache else None
     outcomes = run_sweep(
@@ -1009,7 +1010,7 @@ def _cmd_sweep(args) -> int:
     print(
         format_table(
             rows,
-            title=f"sweep: {args.algorithm} ({args.engine} engine, "
+            title=f"sweep: {args.algorithm} ({execution.engine} engine, "
             f"{len(configs)} grid points)",
         )
     )

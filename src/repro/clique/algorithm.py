@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 from .graph import CliqueGraph
 from .network import CongestedClique, NodeProgram, RunResult
 
 __all__ = ["run_algorithm"]
-
-_UNSET = object()
 
 
 def run_algorithm(
@@ -22,52 +19,19 @@ def run_algorithm(
     bandwidth: int | None = None,
     max_rounds: int | None = None,
     execution: Any = None,
-    engine: Any = None,
-    check: Any = None,
-    transcripts: bool | None = None,
-    observer: Any = None,
-    fault_plan: Any = None,
-    record_transcripts: Any = _UNSET,
 ) -> RunResult:
     """Run ``program`` on ``graph`` in a congested clique of ``graph.n`` nodes.
 
-    This is a thin wrapper over :meth:`CongestedClique.run` — it builds
-    the clique from the graph's size and forwards the *same* keyword-only
-    run options (``execution=``, ``engine=``, ``check=``,
-    ``transcripts=``, ``observer=``, ``fault_plan=``); see that method
-    for their semantics.  Each node ``v``
-    receives ``graph.local_view(v)`` as its input and ``aux``'s per-node
+    This is a thin wrapper over :meth:`CongestedClique.run`: it builds
+    the clique from the graph's size and forwards ``aux`` and
+    ``execution`` (see that method).  Each node ``v`` receives
+    ``graph.local_view(v)`` as its input and ``aux``'s per-node
     resolution as auxiliary input.
-
-    ``record_transcripts=`` is the deprecated spelling of
-    ``transcripts=`` (it warns and keeps working).
     """
-    if record_transcripts is not _UNSET:
-        if transcripts is not None:
-            raise TypeError(
-                "run_algorithm() got both transcripts= and the deprecated "
-                "record_transcripts="
-            )
-        warnings.warn(
-            "record_transcripts= is deprecated; use transcripts=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        transcripts = bool(record_transcripts)
     clique = CongestedClique(
         graph.n,
         bandwidth=bandwidth,
         bandwidth_multiplier=bandwidth_multiplier,
         max_rounds=max_rounds,
     )
-    return clique.run(
-        program,
-        graph,
-        aux=aux,
-        execution=execution,
-        engine=engine,
-        check=check,
-        transcripts=transcripts,
-        observer=observer,
-        fault_plan=fault_plan,
-    )
+    return clique.run(program, graph, aux=aux, execution=execution)

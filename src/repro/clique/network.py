@@ -16,14 +16,13 @@ backend from :mod:`repro.engine`:
 The *time complexity* reported is exactly the number of communication
 rounds, matching the paper's Section 3 cost model.  Local computation is
 unlimited and free, as in the paper.  The default backend is the
-always-validating reference engine; ``run(..., engine="fast")`` selects
-the batched performance backend.
+always-validating reference engine; ``run(..., execution="fast")``
+selects the batched performance backend.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Generator, Mapping, Sequence
 
@@ -325,91 +324,52 @@ class CongestedClique:
         self,
         program: NodeProgram,
         node_input: Any = None,
-        *legacy_aux: Any,
+        *,
         aux: Any = None,
         execution: Any = None,
-        engine: Any = None,
-        check: Any = None,
-        transcripts: bool | None = None,
-        observer: Any = None,
-        fault_plan: Any = None,
     ) -> RunResult:
         """Execute ``program`` on all nodes synchronously.
 
-        This is the canonical run signature — ``run_algorithm`` is a
-        thin wrapper over it with the *same* keyword-only options:
+        This is the canonical run signature; ``run_algorithm`` is a thin
+        wrapper over it.
 
         ``node_input`` and ``aux`` are per-node specs (see
         :func:`_resolve_per_node`); typically ``node_input`` is the input
-        :class:`CliqueGraph`.  Passing ``aux`` positionally is deprecated
-        (it warns and keeps working); use the keyword.
+        :class:`CliqueGraph`.
 
-        ``execution`` bundles every "how does this run execute" setting
-        into one :class:`repro.engine.ExecutionSpec` (or a dict / engine
-        name shorthand); the per-field keywords below keep working and
-        may fill unset spec fields, but a field set both ways must agree
-        (see :func:`repro.engine.resolve_execution`).
+        ``execution`` says how the run executes, and never changes its
+        outputs, rounds or bits: a :class:`repro.engine.ExecutionSpec`,
+        its dict form, or an engine name or
+        :class:`repro.engine.Engine` instance as shorthand for the
+        spec's engine.  Its fields:
 
-        ``engine`` selects the execution backend: ``None`` (the default)
-        or ``"reference"`` for the always-validating, transcript-capable
-        reference engine, ``"fast"`` for the batched performance engine,
-        ``"columnar"`` for the vectorised whole-round array-program
-        engine, or any :class:`repro.engine.Engine` instance (e.g.
-        ``FastEngine(check="off")``).  All backends are observationally
-        equivalent on valid programs.
-
-        ``check`` selects the validation level (``"full"``,
-        ``"bandwidth"``, ``"off"``) for name/``None`` engine specs; a
-        conflicting pre-configured engine instance raises.
-
-        ``transcripts`` overrides the clique's ``record_transcripts``
-        flag for this run when not ``None``.
-
-        ``observer`` attaches a :class:`repro.obs.Observer`: ``None``
-        (the default) collects :class:`repro.obs.RunMetrics` into
-        ``RunResult.metrics``; ``False``/``"off"`` disables observation;
-        any observer instance (e.g. a ``Tracer``) receives the run's
-        event stream.
-
-        ``fault_plan`` injects deterministic, seed-replayable network
-        faults (drops, corruption, duplication, link failures, node
-        crashes) at delivery time: ``None`` (the default) runs the
-        reliable model; otherwise pass a
-        :class:`repro.faults.FaultPlan` or a spec string like
-        ``"drop=0.2,seed=7"``.  Injected faults surface as ``fault``
-        counters in ``RunResult.metrics`` and ``fault`` events in an
-        attached tracer.
+        * ``engine``: ``None`` (the default) or ``"reference"`` for the
+          always-validating, transcript-capable reference engine,
+          ``"fast"`` for the batched performance engine, ``"columnar"``
+          for the vectorised whole-round array-program engine, or any
+          engine instance (e.g. ``FastEngine(check="off")``);
+        * ``check``: the validation level (``"full"``, ``"bandwidth"``,
+          ``"off"``) for an engine named or left unset; a conflicting
+          pre-configured engine instance raises;
+        * ``observer``: ``None`` (the default) collects
+          :class:`repro.obs.RunMetrics` into ``RunResult.metrics``;
+          ``False``/``"off"`` disables observation; any observer
+          instance (e.g. a ``Tracer``) receives the run's event stream;
+        * ``fault_plan``: deterministic, seed-replayable network faults
+          (drops, corruption, duplication, link failures, node crashes)
+          injected at delivery time, as a :class:`repro.faults.FaultPlan`
+          or a spec string like ``"drop=0.2,seed=7"``; injected faults
+          surface as ``fault`` counters in ``RunResult.metrics`` and
+          ``fault`` events in an attached tracer;
+        * ``transcripts``: overrides the clique's ``record_transcripts``
+          flag for this run when not ``None``.
         """
-        if legacy_aux:
-            if len(legacy_aux) > 1:
-                raise TypeError(
-                    f"run() takes at most 3 positional arguments "
-                    f"({2 + len(legacy_aux)} given)"
-                )
-            if aux is not None:
-                raise TypeError(
-                    "run() got aux both positionally and by keyword"
-                )
-            warnings.warn(
-                "passing aux positionally to CongestedClique.run is "
-                "deprecated; use run(program, node_input, aux=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            aux = legacy_aux[0]
         # Imported lazily: repro.engine sits above the clique substrate
         # in the layering, so the substrate must not load it at import
         # time.
         from ..engine import resolve_execution
 
-        resolved = resolve_execution(
-            execution,
-            engine=engine,
-            check=check,
-            observer=observer,
-            fault_plan=fault_plan,
-            transcripts=transcripts,
-        )
+        resolved = resolve_execution(execution)
         inputs = _resolve_per_node(node_input, self.n)
         auxes = _resolve_per_node(aux, self.n)
         return resolved.engine.execute(

@@ -27,8 +27,8 @@ Quickstart::
     from repro.engine import FastEngine, run_sweep
     from repro.engine.diff import catalog_factory
 
-    result = run_algorithm(program, g, engine="fast")
-    result = run_algorithm(program, g, engine=FastEngine(check="off"))
+    result = run_algorithm(program, g, execution="fast")
+    result = run_algorithm(program, g, execution=FastEngine(check="off"))
 
     outcomes = run_sweep(
         catalog_factory,
@@ -79,10 +79,16 @@ from .pool import (
     shutdown_pool,
 )
 from .reference import ReferenceEngine
-from .spec import ExecutionSpec, ResolvedExecution, resolve_execution
+from .spec import (
+    BATCH_ENGINE,
+    ExecutionSpec,
+    batch_execution,
+    resolve_execution,
+)
 
 __all__ = [
     "ArrayContext",
+    "BATCH_ENGINE",
     "CATALOG",
     "CHECK_LEVELS",
     "COLUMNAR_CATALOG",
@@ -97,7 +103,6 @@ __all__ = [
     "NATIVE_RESILIENT",
     "RESILIENT_CATALOG",
     "ReferenceEngine",
-    "ResolvedExecution",
     "RunCache",
     "RunSpec",
     "SweepOutcome",
@@ -105,6 +110,7 @@ __all__ = [
     "aggregate_sweep_metrics",
     "algorithm",
     "array_program",
+    "batch_execution",
     "canonical_check",
     "catalog_factory",
     "compare",

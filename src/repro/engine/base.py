@@ -4,8 +4,9 @@ The simulator separates *semantics* from *execution*: a
 :class:`~repro.clique.network.CongestedClique` owns the model parameters
 (``n``, bandwidth, round limit, model variant) while an :class:`Engine`
 owns the mechanics of advancing the node generators and delivering
-messages.  ``CongestedClique.run(..., engine=...)`` accepts an engine
-name, an :class:`Engine` instance, or ``None`` (the reference backend).
+messages.  ``CongestedClique.run(..., execution=...)`` accepts an engine
+name, an :class:`Engine` instance, or ``None`` (the reference backend),
+or a whole :class:`~repro.engine.spec.ExecutionSpec`.
 
 Every backend must be observationally equivalent to the reference
 backend on valid programs — same ``RunResult.outputs``, same ``rounds``,
@@ -15,7 +16,6 @@ algorithm catalog.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Generator, Sequence
 
@@ -49,24 +49,11 @@ ENGINES: dict[str, type["Engine"]] = {}
 
 
 def canonical_check(spec: Any) -> str | None:
-    """Normalise a ``check=`` argument to the canonical vocabulary.
+    """Validate a ``check=`` argument against :data:`CHECK_LEVELS`.
 
-    ``None`` passes through (meaning "the engine's default").  The old
-    boolean spelling (``True``/``False`` for validation on/off) is
-    mapped to ``"full"``/``"off"`` with a :class:`DeprecationWarning`.
+    ``None`` passes through (meaning "the engine's default").
     """
-    if spec is None:
-        return None
-    if spec is True or spec is False:
-        mapped = "full" if spec else "off"
-        warnings.warn(
-            f"check={spec!r} is deprecated; use check={mapped!r} "
-            f"(one of {CHECK_LEVELS})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return mapped
-    if spec in CHECK_LEVELS:
+    if spec is None or spec in CHECK_LEVELS:
         return spec
     raise CliqueError(f"check must be one of {CHECK_LEVELS}, got {spec!r}")
 

@@ -44,7 +44,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: v3: ``RunMetrics`` gained the ``faults`` field (older pickled frozen
 #: instances would lack the attribute) and keys may carry a fault-plan
 #: description in ``extra``.
-_SCHEMA_VERSION = 3
+#: v4: the fast and columnar engine descriptions lost their
+#: ``record_transcripts`` entry (transcripts come from the execution
+#: spec or the clique, never from the engine).
+_SCHEMA_VERSION = 4
 
 
 def default_cache_dir() -> Path:

@@ -288,7 +288,6 @@ class ArrayContext:
         "inputs",
         "auxes",
         "round",
-        "_check",
         "_bcast",
         "_uni",
         "_bulk",
@@ -306,7 +305,6 @@ class ArrayContext:
         bandwidth: int,
         inputs: Sequence[Any],
         auxes: Sequence[Any],
-        check: str = "bandwidth",
     ) -> None:
         self.n = n
         self.bandwidth = bandwidth
@@ -314,7 +312,6 @@ class ArrayContext:
         self.inputs = tuple(inputs)
         self.auxes = tuple(auxes)
         self.round = 0
-        self._check = check
         self._bcast: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._uni: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._bulk: list[tuple[int, int, int, int]] = []
@@ -487,32 +484,19 @@ class ColumnarEngine(Engine):
         Validation level (``"full"``, ``"bandwidth"`` — the default, as
         on the fast engine — or ``"off"``), applied as array comparisons
         over each round's emission columns.
-    record_transcripts:
-        Force per-node transcript recording (also enabled by the
-        clique's ``record_transcripts``); recording uses the explicit
-        per-message delivery path.
     """
 
     name = "columnar"
 
-    def __init__(
-        self,
-        check: str = "bandwidth",
-        record_transcripts: bool = False,
-    ) -> None:
+    def __init__(self, check: str = "bandwidth") -> None:
         check = canonical_check(check)
         if check not in CHECK_LEVELS:
             raise CliqueError(f"check must be one of {CHECK_LEVELS}, got {check!r}")
         self.check = check
-        self.record_transcripts = record_transcripts
 
     def describe(self) -> dict:
         """Engine configuration (cache key component)."""
-        return {
-            "engine": self.name,
-            "check": self.check,
-            "record_transcripts": self.record_transcripts,
-        }
+        return {"engine": self.name, "check": self.check}
 
     def execute(
         self,
@@ -535,11 +519,7 @@ class ColumnarEngine(Engine):
         array = _array_form(program)
         n = clique.n
         bandwidth = clique.bandwidth
-        record = (
-            transcripts
-            if transcripts is not None
-            else (self.record_transcripts or clique.record_transcripts)
-        )
+        record = transcripts if transcripts is not None else clique.record_transcripts
         obs = resolve_observer(observer)
         plan = resolve_fault_plan(fault_plan)
         injector = FaultInjector(plan, n, obs) if plan is not None else None
@@ -549,7 +529,7 @@ class ColumnarEngine(Engine):
 
         if timer is not None:
             timer.start("spawn")
-        ctx = ArrayContext(n, bandwidth, inputs, auxes, check=self.check)
+        ctx = ArrayContext(n, bandwidth, inputs, auxes)
         gen = array(ctx)
         if not hasattr(gen, "send"):
             raise CliqueError(

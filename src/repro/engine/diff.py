@@ -34,6 +34,7 @@ from ..clique.errors import CliqueError, did_you_mean
 from ..clique.network import RunResult, _outputs_equal
 from .base import Engine
 from .pool import RunSpec, run_spec
+from .spec import ExecutionSpec
 
 __all__ = [
     "CATALOG",
@@ -681,7 +682,8 @@ def _run_row(
             spec.program = resilient(spec.program)
         if engine.name == "columnar" and not isinstance(spec.program, DualProgram):
             continue
-        result, _ = run_spec(spec, engine, fault_plan=plan)
+        execution = ExecutionSpec(engine=engine, fault_plan=plan)
+        result, _ = run_spec(spec, execution=execution)
         cell = Cell(name, label, plan, wrapped, result)
         if base is None:
             base = cell

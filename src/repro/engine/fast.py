@@ -160,10 +160,6 @@ class FastEngine(Engine):
     check:
         Validation level: ``"full"``, ``"bandwidth"`` (default) or
         ``"off"`` (see the module docstring).
-    record_transcripts:
-        Force transcript recording even when the clique does not request
-        it.  Defaults to ``False``; recording is also enabled when the
-        clique was built with ``record_transcripts=True``.
     shuffle_seed:
         If given, deliver each round's messages in a pseudo-random
         order derived from this seed.  Message delivery in the model is
@@ -176,14 +172,12 @@ class FastEngine(Engine):
     def __init__(
         self,
         check: str = "bandwidth",
-        record_transcripts: bool = False,
         shuffle_seed: int | None = None,
     ) -> None:
         check = canonical_check(check)
         if check not in CHECK_LEVELS:
             raise CliqueError(f"check must be one of {CHECK_LEVELS}, got {check!r}")
         self.check = check
-        self.record_transcripts = record_transcripts
         self.shuffle_seed = shuffle_seed
 
     def describe(self) -> dict:
@@ -191,7 +185,6 @@ class FastEngine(Engine):
         return {
             "engine": self.name,
             "check": self.check,
-            "record_transcripts": self.record_transcripts,
             "shuffle_seed": self.shuffle_seed,
         }
 
@@ -216,11 +209,7 @@ class FastEngine(Engine):
         n = clique.n
         check = self.check
         full_check = check == "full"
-        record = (
-            transcripts
-            if transcripts is not None
-            else (self.record_transcripts or clique.record_transcripts)
-        )
+        record = transcripts if transcripts is not None else clique.record_transcripts
         obs = resolve_observer(observer)
         plan = resolve_fault_plan(fault_plan)
         injector = (FaultInjector(plan, n, obs) if plan is not None else None)

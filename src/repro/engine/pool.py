@@ -50,17 +50,15 @@ import queue as queue_mod
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..clique.errors import CliqueError, SweepPointFailed
 from ..clique.graph import CliqueGraph
 from ..clique.network import CongestedClique, NodeProgram, RunResult
-from ..faults import resolve_fault_plan
 from ..obs import Observer, summarise_metrics
-from .base import Engine, resolve_engine
 from .cache import RunCache, content_digest
-from .spec import ExecutionSpec
+from .spec import batch_execution, resolve_execution
 
 __all__ = [
     "RunSpec",
@@ -106,8 +104,6 @@ class RunSpec:
     :class:`~repro.clique.network.RunResult`; its return value lands in
     :attr:`SweepOutcome.value` (use it to compute verdicts/witness checks
     without shipping large intermediates back to the parent).
-    ``fault_plan`` attaches a deterministic fault plan (spec string or
-    :class:`~repro.faults.FaultPlan`) to every execution of this spec.
     """
 
     program: NodeProgram
@@ -119,7 +115,6 @@ class RunSpec:
     max_rounds: int | None = None
     record_transcripts: bool = False
     postprocess: Callable[[RunResult], Any] | None = None
-    fault_plan: Any = None
 
     def resolved_n(self) -> int:
         """The clique size, inferred from the graph input if not given."""
@@ -161,23 +156,10 @@ def derive_seed(base_seed: int, index: int, config: dict) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-def run_spec(
-    spec: RunSpec,
-    engine: "str | Engine | None" = None,
-    *,
-    execution: Any = None,
-    check: Any = None,
-    observer: Any = None,
-    fault_plan: Any = None,
-) -> tuple[RunResult, Any]:
-    """Execute one :class:`RunSpec` on the given engine.
-
-    ``execution`` takes an :class:`~repro.engine.spec.ExecutionSpec`
-    (or dict / engine-name shorthand); the per-field keywords follow
-    :meth:`CongestedClique.run` semantics and may fill unset spec
-    fields.  ``fault_plan=None`` falls back to the spec's own plan.
-    Returns ``(result, postprocess_value)``.
-    """
+def run_spec(spec: RunSpec, *, execution: Any = None) -> tuple[RunResult, Any]:
+    """Execute one :class:`RunSpec` under ``execution`` (see
+    :meth:`CongestedClique.run`; an unset engine is the reference
+    engine).  Returns ``(result, postprocess_value)``."""
     clique = CongestedClique(
         spec.resolved_n(),
         bandwidth=spec.bandwidth,
@@ -186,25 +168,10 @@ def run_spec(
         max_rounds=spec.max_rounds,
     )
     result = clique.run(
-        spec.program,
-        spec.node_input,
-        aux=spec.aux,
-        execution=execution,
-        engine=engine,
-        check=check,
-        observer=observer,
-        fault_plan=fault_plan if fault_plan is not None else spec.fault_plan,
+        spec.program, spec.node_input, aux=spec.aux, execution=execution
     )
     value = spec.postprocess(result) if spec.postprocess is not None else None
     return result, value
-
-
-def _execute_point(
-    task: tuple[Callable[[dict], RunSpec], dict, Any, Any, Any],
-) -> tuple[RunResult, Any]:
-    """Worker entry point: build the spec from the config and run it."""
-    factory, config, engine, observer, fault_plan = task
-    return run_spec(factory(config), engine, observer=observer, fault_plan=fault_plan)
 
 
 def _safe_execute_point(task: tuple) -> tuple[str, Any]:
@@ -214,12 +181,12 @@ def _safe_execute_point(task: tuple) -> tuple[str, Any]:
     so a bad grid point cannot take down a pool worker (or the whole
     ``pool.map``) with it.
     """
-    factory, config, engine, observer, fault_plan, index, retries, backoff = (task)
+    factory, config, execution, index, retries, backoff = task
     attempt = 0
     while True:
         attempt += 1
         try:
-            return "ok", _execute_point((factory, config, engine, observer, fault_plan))
+            return "ok", run_spec(factory(config), execution=execution)
         except Exception as exc:
             if attempt > retries:
                 return "error", SweepPointFailed(
@@ -241,22 +208,19 @@ def _factory_name(factory: Callable) -> str:
 
 
 def _point_key(
-    cache: RunCache,
-    factory: Callable,
-    config: dict,
-    engine_desc: dict,
-    observer_desc: dict,
-    fault_desc: "dict | None" = None,
+    cache: RunCache, factory: Callable, config: dict, execution: dict
 ) -> str:
-    """Cache key of one grid point (config determines the inputs)."""
+    """Cache key of one grid point: the config determines the inputs,
+    ``execution`` is the :meth:`~repro.engine.spec.ExecutionSpec.describe`
+    dict."""
     return cache.key_for(
         program=_factory_name(factory),
         n=config.get("n"),
         bandwidth=config.get("bandwidth", config.get("bandwidth_multiplier")),
         input_digest=content_digest(config),
-        engine=engine_desc,
-        observer=observer_desc,
-        extra=fault_desc,
+        engine=execution["engine"],
+        observer=execution["observer"],
+        extra=execution["fault_plan"],
     )
 
 
@@ -620,12 +584,9 @@ def run_sweep(
     configs: Iterable[dict],
     *,
     workers: int | None = None,
-    engine: "str | Engine | None" = "fast",
     execution: Any = None,
     cache: RunCache | None = None,
     base_seed: int = 0,
-    observer: Any = None,
-    fault_plan: Any = None,
     timeout: float | None = None,
     retries: int = 0,
     retry_backoff: float = 0.1,
@@ -646,16 +607,18 @@ def run_sweep(
         values ``<= 1`` run serially in-process (except with
         ``timeout``, where the deadline kill needs a separate worker
         process).
-    engine:
-        Engine name or instance used for every point (default: fast).
     execution:
         An :class:`~repro.engine.spec.ExecutionSpec` (or dict /
-        engine-name shorthand) bundling engine, check level, observer
-        and fault plan.  The per-field keywords may fill unset spec
-        fields; a field set both ways must agree.  The sweep default
-        engine (``"fast"``) applies only when neither the spec nor the
-        ``engine`` keyword names one.  ``transcripts`` is rejected here
-        — per-run transcript recording belongs on
+        engine-name shorthand) applied to every point.  An unset engine
+        is :data:`~repro.engine.spec.BATCH_ENGINE`.  The observer must
+        be a *spec* (``None``/``True``/``"metrics"`` collect
+        :class:`repro.obs.RunMetrics` into each outcome's
+        ``result.metrics``, aggregated by
+        :func:`aggregate_sweep_metrics`; ``False``/``"off"`` disables
+        them): a single stateful observer instance cannot be shared
+        across worker processes.  The fault plan enters the cache key,
+        so faulty and fault-free sweeps never mix.  ``transcripts`` is
+        rejected here; per-run transcript recording belongs on
         :attr:`RunSpec.record_transcripts`.
     cache:
         Optional :class:`~repro.engine.cache.RunCache`; hits skip
@@ -663,18 +626,6 @@ def run_sweep(
         points are never cached.
     base_seed:
         Root of the deterministic per-task seed derivation.
-    observer:
-        Observer *spec* applied per run: ``None``/``True``/``"metrics"``
-        (collect :class:`repro.obs.RunMetrics` into each outcome's
-        ``result.metrics``; aggregate with
-        :func:`aggregate_sweep_metrics`) or ``False``/``"off"``.
-        Observer *instances* are rejected — a single stateful observer
-        cannot be shared across worker processes; every run gets a
-        fresh collector built from the spec instead.
-    fault_plan:
-        Deterministic fault plan (spec string like ``"drop=0.1,seed=7"``
-        or a :class:`~repro.faults.FaultPlan`) applied to every point;
-        enters the cache key so faulty and fault-free sweeps never mix.
     timeout:
         Per-point wall-clock deadline in seconds.  Each attempt runs on
         a pool worker that is killed and replaced at the deadline
@@ -693,25 +644,13 @@ def run_sweep(
 
     Results are returned in grid order regardless of scheduling.
     """
-    exec_spec = ExecutionSpec.coerce(execution)
-    if exec_spec.engine is not None and engine == "fast":
-        engine = None  # the sweep default yields to an explicit spec
-    exec_spec = exec_spec.merged(
-        engine=engine, observer=observer, fault_plan=fault_plan
-    )
-    if exec_spec.transcripts is not None:
+    spec = resolve_execution(batch_execution(execution))
+    if spec.transcripts is not None:
         raise CliqueError(
             "run_sweep does not take transcripts on the ExecutionSpec; "
             "set RunSpec.record_transcripts in the factory instead"
         )
-    if exec_spec.engine is None:
-        exec_spec = replace(exec_spec, engine="fast")
-    engine = exec_spec.engine
-    if exec_spec.check is not None:
-        engine = resolve_engine(engine, check=exec_spec.check)
-    observer = exec_spec.observer
-    fault_plan = exec_spec.fault_plan
-    if isinstance(observer, Observer):
+    if isinstance(spec.observer, Observer):
         raise CliqueError(
             "run_sweep needs an observer spec (None, True, False, "
             "'metrics', 'off'), not an Observer instance: sweep points "
@@ -725,14 +664,7 @@ def run_sweep(
         raise CliqueError(f"timeout must be positive, not {timeout}")
     if retry_backoff < 0:
         raise CliqueError(f"retry_backoff must be >= 0, not {retry_backoff}")
-    plan = resolve_fault_plan(fault_plan)
-    # One spec, one key: the cache-key components come from the merged
-    # spec's canonical description, which matches what the legacy
-    # keyword path always produced — warmed caches stay valid.
-    key_desc = exec_spec.describe()
-    engine_desc = key_desc["engine"]
-    observer_desc = key_desc["observer"]
-    fault_desc = key_desc["fault_plan"]
+    key_desc = spec.describe()
     points: list[dict] = []
     for index, config in enumerate(configs):
         config = dict(config)
@@ -743,16 +675,7 @@ def run_sweep(
     pending: list[tuple[int, dict]] = []
     for index, config in enumerate(points):
         if cache is not None:
-            hit = cache.get(
-                _point_key(
-                    cache,
-                    program_factory,
-                    config,
-                    engine_desc,
-                    observer_desc,
-                    fault_desc,
-                )
-            )
+            hit = cache.get(_point_key(cache, program_factory, config, key_desc))
             if hit is not None:
                 result, value = hit
                 outcomes[index] = SweepOutcome(
@@ -763,19 +686,10 @@ def run_sweep(
 
     if workers is None:
         workers = min(len(pending), available_cpus())
-    tasks = [
-        (
-            program_factory,
-            config,
-            engine,
-            observer,
-            plan,
-            index,
-            retries,
-            retry_backoff,
-        )
-        for index, config in pending
-    ]
+    def task(index: int, config: dict, attempt_retries: int) -> tuple:
+        return (program_factory, config, spec, index, attempt_retries, retry_backoff)
+
+    tasks = [task(index, config, retries) for index, config in pending]
     statuses: list[tuple[str, Any]]
     context = _fork_context()
     if context is None:  # pragma: no cover - non-POSIX platforms
@@ -800,19 +714,7 @@ def run_sweep(
         jobs: list[_PoolJob] = []
         try:
             for slot, (index, config) in enumerate(pending):
-                blob = pickle.dumps(
-                    (
-                        program_factory,
-                        config,
-                        engine,
-                        observer,
-                        plan,
-                        index,
-                        child_retries,
-                        retry_backoff,
-                    ),
-                    protocol=5,
-                )
+                blob = pickle.dumps(task(index, config, child_retries), protocol=5)
                 jobs.append(
                     _PoolJob(slot=slot, index=index, config=config, blob=blob)
                 )
@@ -842,14 +744,7 @@ def run_sweep(
             outcomes[index] = SweepOutcome(config=config, result=result, value=value)
             if cache is not None:
                 cache.put(
-                    _point_key(
-                        cache,
-                        program_factory,
-                        config,
-                        engine_desc,
-                        observer_desc,
-                        fault_desc,
-                    ),
+                    _point_key(cache, program_factory, config, key_desc),
                     (result, value),
                 )
         else:

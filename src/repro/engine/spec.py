@@ -1,31 +1,28 @@
-"""The unified execution specification.
+"""How a run executes: :class:`ExecutionSpec`, the one spelling of it.
 
-Historically every entry point grew its own engine plumbing:
-``CongestedClique.run`` took ``engine=``/``check=``/``observer=``/
-``fault_plan=`` keywords, ``run_sweep`` took the same names with
-slightly different semantics, the ``repro serve`` request schema carried
-flat ``engine``/``observer``/``fault_plan`` keys, and the bench workload
-registry mapped its own engine strings.  :class:`ExecutionSpec` is the
-one value object that captures *how* a run executes — backend, check
-level, observer, fault plan, transcript recording — and
-:func:`resolve_execution` is the single place it is resolved (the
-successor of the bare :func:`repro.engine.base.resolve_engine`).
+A run is defined by its model alone (``n`` nodes, ``B``-bit links,
+synchronous rounds; see :class:`~repro.clique.network.CongestedClique`).
+*How* the simulator executes it (backend, check level, observer, fault
+plan, transcript recording) is one value, an :class:`ExecutionSpec`,
+and every entry point takes it as ``execution=``:
 
-All four entry points accept an ``execution=`` argument:
+* ``CongestedClique.run`` / ``run_algorithm`` / ``run_spec`` /
+  ``run_sweep``;
+* ``ServiceClient.run`` / ``ServiceClient.sweep``, which serialise it
+  with :meth:`ExecutionSpec.to_dict`; the daemon rebuilds it with
+  :meth:`ExecutionSpec.from_dict`;
+* bench workloads, whose params carry an ``"execution"`` dict.
 
-* ``CongestedClique.run(program, g, execution=ExecutionSpec(engine="columnar"))``
-* ``run_spec(spec, execution=...)`` / ``run_sweep(..., execution=...)``
-* ``ServiceClient.run(..., execution=...)`` — serialised with
-  :meth:`ExecutionSpec.to_dict` into the JSON protocol and rebuilt
-  server-side with :meth:`ExecutionSpec.from_dict`
-* bench workload params carry an ``"execution"`` dict
+``execution=`` accepts a spec, its dict form, an engine name or an
+:class:`~repro.engine.base.Engine` instance (:meth:`ExecutionSpec.coerce`).
+:func:`resolve_execution` resolves its engine and fault plan, and
+:meth:`ExecutionSpec.describe` renders the run-cache key material.
 
-Legacy per-field keywords keep working; a field given both ways must
-agree or the resolver raises, so a spec can never be silently
-overridden.  :meth:`ExecutionSpec.describe` renders the canonical
-cache-key material (engine / observer / fault-plan descriptions) that
-:class:`~repro.engine.cache.RunCache` keys are built from — one spec,
-one key, no matter which entry point produced it.
+An unset engine means the reference engine for single runs (resolved in
+:func:`~repro.engine.base.resolve_engine`).  Batch entry points (sweeps,
+the daemon, ``repro sweep/stats/trace``) fill it with
+:data:`BATCH_ENGINE` through :func:`batch_execution` instead.  The
+choice of engine never changes outputs, rounds or bits.
 """
 
 from __future__ import annotations
@@ -36,10 +33,18 @@ from typing import Any
 from ..clique.errors import CliqueError
 from .base import Engine, canonical_check, resolve_engine
 
-__all__ = ["ExecutionSpec", "ResolvedExecution", "resolve_execution"]
+__all__ = [
+    "BATCH_ENGINE",
+    "ExecutionSpec",
+    "batch_execution",
+    "resolve_execution",
+]
 
-
-_UNSET = object()
+#: The engine batch entry points run on when the execution names none.
+#: Single runs keep the reference engine instead: ``fast`` refuses
+#: broadcast-only and CONGEST cliques and checks only bandwidth by
+#: default, while the reference engine runs every model check.
+BATCH_ENGINE = "fast"
 
 
 @dataclass(frozen=True)
@@ -47,9 +52,10 @@ class ExecutionSpec:
     """How a run executes: backend + check + observer + fault plan.
 
     Every field defaults to ``None`` meaning "unset" (the entry point's
-    default applies): ``engine=None`` resolves to the reference backend,
-    ``observer=None`` to the default metrics collector, ``check=None``
-    to the engine's own default level.
+    default applies): ``engine=None`` resolves to the reference backend
+    (to :data:`BATCH_ENGINE` on batch entry points), ``observer=None``
+    to the default metrics collector, ``check=None`` to the engine's own
+    default level.
 
     ``engine`` is a registry name or an :class:`~repro.engine.base.Engine`
     instance; ``observer`` an observer *spec* (``True``/``False``/
@@ -149,13 +155,7 @@ class ExecutionSpec:
         return out
 
     def describe(self) -> dict:
-        """Canonical JSON description — the run-cache key material.
-
-        The three components match what :func:`run_sweep` has always fed
-        into :meth:`RunCache.key_for` (engine description, observer
-        description, fault-plan description), so ExecutionSpec-keyed
-        lookups hit entries warmed through any legacy path.
-        """
+        """Canonical JSON description: the run-cache key material."""
         from ..faults import resolve_fault_plan
         from ..obs import describe_observer
 
@@ -169,30 +169,18 @@ class ExecutionSpec:
 
     # -- merging ---------------------------------------------------------
 
-    def merged(
-        self,
-        *,
-        engine: Any = None,
-        check: Any = None,
-        observer: Any = None,
-        fault_plan: Any = None,
-        transcripts: bool | None = None,
-    ) -> "ExecutionSpec":
-        """Overlay legacy per-field keywords onto this spec.
+    def merged(self, **settings: Any) -> "ExecutionSpec":
+        """Fill unset fields from ``settings``.
 
         A field set in exactly one place wins; set in both places it
-        must agree (``==``) or a :class:`CliqueError` is raised — an
-        explicit keyword can fill a gap in the spec but never silently
-        override it.
+        must agree (``==``) or a :class:`CliqueError` is raised, so a
+        setting can fill a gap in the spec but never silently override
+        it.
         """
         updates: dict = {}
-        for name, value in (
-            ("engine", engine),
-            ("check", canonical_check(check)),
-            ("observer", observer),
-            ("fault_plan", fault_plan),
-            ("transcripts", transcripts),
-        ):
+        for name, value in settings.items():
+            if name == "check":
+                value = canonical_check(value)
             if value is None:
                 continue
             current = getattr(self, name)
@@ -201,8 +189,7 @@ class ExecutionSpec:
             elif _differs(current, value):
                 raise CliqueError(
                     f"conflicting execution settings: {name}={current!r} "
-                    f"from the ExecutionSpec vs {name}={value!r} from the "
-                    f"keyword argument"
+                    f"from the ExecutionSpec vs {name}={value!r}"
                 )
         return replace(self, **updates) if updates else self
 
@@ -214,50 +201,29 @@ def _differs(a: Any, b: Any) -> bool:
         return a is not b
 
 
-@dataclass
-class ResolvedExecution:
-    """An :class:`ExecutionSpec` after resolution.
-
-    ``engine`` is a ready :class:`~repro.engine.base.Engine` instance;
-    the remaining fields stay in spec form (engines resolve observers
-    and fault plans themselves, per run), and ``spec`` is the merged
-    normalised spec for cache keys and reporting.
-    """
-
-    engine: Engine
-    observer: Any
-    fault_plan: Any
-    transcripts: bool | None
-    spec: ExecutionSpec
+def batch_execution(execution: Any = None) -> ExecutionSpec:
+    """Coerce ``execution`` and fill an unset engine with
+    :data:`BATCH_ENGINE` (the default of sweeps, the daemon and
+    ``repro sweep/stats/trace``)."""
+    spec = ExecutionSpec.coerce(execution)
+    if spec.engine is None:
+        spec = replace(spec, engine=BATCH_ENGINE)
+    return spec
 
 
-def resolve_execution(
-    execution: Any = None,
-    *,
-    engine: Any = None,
-    check: Any = None,
-    observer: Any = None,
-    fault_plan: Any = None,
-    transcripts: bool | None = None,
-) -> ResolvedExecution:
+def resolve_execution(execution: Any = None) -> ExecutionSpec:
     """The one resolution point for "how does this run execute".
 
-    Coerces ``execution`` (spec, dict, engine name/instance or ``None``),
-    overlays the legacy keywords (conflicts raise), resolves the engine
-    through the registry and returns the bundle every entry point hands
-    to ``Engine.execute``.
+    Coerces ``execution`` (spec, dict, engine name/instance or ``None``)
+    and returns the spec with its engine resolved through the registry
+    to an :class:`~repro.engine.base.Engine` instance (an unset engine
+    is the reference engine) and its fault plan parsed.
     """
-    spec = ExecutionSpec.coerce(execution).merged(
-        engine=engine,
-        check=check,
-        observer=observer,
-        fault_plan=fault_plan,
-        transcripts=transcripts,
-    )
-    return ResolvedExecution(
+    from ..faults import resolve_fault_plan
+
+    spec = ExecutionSpec.coerce(execution)
+    return replace(
+        spec,
         engine=resolve_engine(spec.engine, check=spec.check),
-        observer=spec.observer,
-        fault_plan=spec.fault_plan,
-        transcripts=spec.transcripts,
-        spec=spec,
+        fault_plan=resolve_fault_plan(spec.fault_plan),
     )

@@ -15,9 +15,10 @@ Three layers, each usable on its own:
   program with ack/retransmit windows so it tolerates drops, at honest
   simulated round and bit cost.
 
-``run(..., fault_plan=...)`` (and ``run_algorithm`` / ``run_spec`` /
-``run_sweep`` / ``repro sweep --fault-plan``) accept a plan instance or
-a spec string like ``"drop=0.2,seed=7"``.
+The ``fault_plan`` field of an ``execution=``
+:class:`~repro.engine.spec.ExecutionSpec` (``run``, ``run_algorithm``,
+``run_spec``, ``run_sweep``; ``repro sweep --fault-plan``) accepts a
+plan instance or a spec string like ``"drop=0.2,seed=7"``.
 
 Layering: this package sits between the clique substrate and the
 engines — it imports :mod:`repro.clique` only, and the engines import

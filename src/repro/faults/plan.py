@@ -76,6 +76,7 @@ injected fault through the :class:`repro.obs.Observer` protocol.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -99,6 +100,8 @@ _RATE_FIELDS = (
     "link_failure_rate",
     "crash_rate",
 )
+
+_INT_FIELDS = ("seed", "crash_restart_rounds", "byzantine_f", "byzantine_limit")
 
 _SPEC_ALIASES = {
     "drop": "drop_rate",
@@ -154,10 +157,30 @@ class FaultPlan:
     byzantine_limit: int = 1
 
     def __post_init__(self) -> None:
+        # Types first: a plan often arrives as JSON (the daemon, the
+        # execution spec's dict form), and a bool or string that slipped
+        # through would compare oddly or run under a cache key of its own.
+        # Values are normalised to plain float/int for the same reason.
         for name in (*_RATE_FIELDS, "byzantine_rate"):
             rate = getattr(self, name)
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+                raise CliqueError(
+                    f"FaultPlan.{name} must be a real number, got {rate!r}"
+                )
             if not 0.0 <= rate <= 1.0:
                 raise CliqueError(f"FaultPlan.{name} must be in [0, 1], got {rate!r}")
+            object.__setattr__(self, name, float(rate))
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "crash_restart_rounds":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise CliqueError(f"FaultPlan.{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.byzantine, str):
+            raise CliqueError(
+                f"FaultPlan.byzantine must be a string, got {self.byzantine!r}"
+            )
         if self.crash_restart_rounds is not None and self.crash_restart_rounds < 1:
             raise CliqueError(
                 f"crash_restart_rounds must be >= 1 (or None for permanent "
@@ -226,8 +249,7 @@ class FaultPlan:
                     f"key=value with key one of {known}{hint}"
                 )
             try:
-                if field in ("seed", "crash_restart_rounds", "byzantine_f",
-                             "byzantine_limit"):
+                if field in _INT_FIELDS:
                     kwargs[field] = int(value)
                 elif field == "byzantine":
                     kwargs[field] = value.strip()

@@ -16,11 +16,11 @@ Two capability flags keep the fast engine's hot path honest:
   (:meth:`Observer.on_phases`); engines only touch the wall clock when
   an attached observer asks.
 
-``run(..., observer=...)`` accepts ``None`` (the default: a fresh
-:class:`~repro.obs.metrics.MetricsCollector`, so every run carries
-metrics), ``False``/``"off"`` (no observation at all), ``"metrics"`` /
-``True`` (explicitly the default collector), or any :class:`Observer`
-instance.  :func:`resolve_observer` implements that mapping and
+The ``observer`` field of a run's ``execution=`` spec accepts ``None``
+(the default: a fresh :class:`~repro.obs.metrics.MetricsCollector`, so
+every run carries metrics), ``False``/``"off"`` (no observation at
+all), ``"metrics"`` / ``True`` (explicitly the default collector), or
+any :class:`Observer` instance.  :func:`resolve_observer` implements that mapping and
 :func:`describe_observer` renders it into cache-key material.
 """
 

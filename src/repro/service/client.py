@@ -96,13 +96,11 @@ class ServiceClient:
 
         Accepts an :class:`~repro.engine.spec.ExecutionSpec`, a dict in
         its ``to_dict`` form, an engine name, or ``None``.  Engine and
-        observer *instances* are rejected by ``to_dict`` — the protocol
+        observer *instances* are rejected by ``to_dict``: the protocol
         carries specs only.
         """
         if execution is None:
             return None
-        if isinstance(execution, dict):
-            execution = dict(execution)
         from ..engine.spec import ExecutionSpec
 
         return ExecutionSpec.coerce(execution).to_dict()
@@ -113,9 +111,6 @@ class ServiceClient:
         config: "dict | None" = None,
         *,
         execution: Any = None,
-        engine: "str | None" = None,
-        observer: Any = None,
-        fault_plan: "str | None" = None,
         cache: bool = True,
     ) -> dict:
         """Execute one catalog algorithm on the daemon.
@@ -123,26 +118,18 @@ class ServiceClient:
         ``config`` carries the grid-point parameters (``n``, ``seed``,
         ``p``, ``k``, ...); ``execution`` is an
         :class:`~repro.engine.spec.ExecutionSpec` (or its dict form, or
-        an engine name) bundling engine/check/observer/fault-plan; the
-        flat ``engine``/``observer``/``fault_plan`` keywords may fill
-        unset spec fields (a field set both ways must agree
-        server-side).  All are specs (JSON-able), never instances.  The
-        daemon defaults to the ``fast`` engine when no field names one.
-        Returns the reply dict with ``rounds``/bit
-        totals/``common_output`` and ``cached``.
+        an engine name) whose fields are specs, never instances.  The
+        daemon fills an unset engine with
+        :data:`~repro.engine.spec.BATCH_ENGINE`.  Returns the reply dict
+        with ``rounds``/bit totals/``common_output`` and ``cached``.
         """
         payload = {
             "op": "run",
             "algorithm": algorithm,
             "config": config or {},
-            "engine": engine,
-            "observer": observer,
-            "fault_plan": fault_plan,
+            "execution": self._execution_payload(execution),
             "cache": cache,
         }
-        spec = self._execution_payload(execution)
-        if spec is not None:
-            payload["execution"] = spec
         return self.request(payload)
 
     def sweep(
@@ -151,10 +138,7 @@ class ServiceClient:
         configs: "list[dict]",
         *,
         execution: Any = None,
-        engine: "str | None" = None,
         workers: "int | None" = None,
-        observer: Any = None,
-        fault_plan: "str | None" = None,
         base_seed: int = 0,
         cache: bool = True,
     ) -> dict:
@@ -166,16 +150,11 @@ class ServiceClient:
             "op": "sweep",
             "algorithm": algorithm,
             "configs": configs,
-            "engine": engine,
+            "execution": self._execution_payload(execution),
             "workers": workers,
-            "observer": observer,
-            "fault_plan": fault_plan,
             "base_seed": base_seed,
             "cache": cache,
         }
-        spec = self._execution_payload(execution)
-        if spec is not None:
-            payload["execution"] = spec
         return self.request(payload)
 
     def sleep(self, seconds: float) -> dict:

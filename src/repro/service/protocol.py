@@ -11,6 +11,15 @@ A failed reply has ``"error"`` (``"busy"`` for backpressure rejections,
 ``"error"`` otherwise) and a human-readable ``"message"``;
 :func:`raise_for_reply` maps these onto :class:`ServiceBusy` /
 :class:`ServiceError`.
+
+Work requests name a catalog algorithm.  ``run`` carries a ``"config"``
+object (``n``, ``seed``, ...) and ``sweep`` a ``"configs"`` list, plus
+``"workers"`` and ``"base_seed"``; both take ``"cache"`` (default true)
+and an optional ``"execution"`` object, the
+:meth:`~repro.engine.spec.ExecutionSpec.to_dict` form (``engine``,
+``check``, ``observer``, ``fault_plan``).  An unset engine is
+:data:`~repro.engine.spec.BATCH_ENGINE`.  Execution settings sent as
+flat request keys are refused with an error naming ``"execution"``.
 """
 
 from __future__ import annotations

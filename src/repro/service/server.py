@@ -37,8 +37,6 @@ import threading
 import time
 from typing import Any
 
-from dataclasses import replace
-
 from ..clique.errors import CliqueError
 from ..engine.cache import RunCache
 from ..engine.diff import CATALOG, catalog_factory
@@ -50,7 +48,7 @@ from ..engine.pool import (
     run_sweep,
     shutdown_pool,
 )
-from ..engine.spec import ExecutionSpec
+from ..engine.spec import ExecutionSpec, batch_execution
 from .protocol import (
     ServiceError,
     default_socket_path,
@@ -66,6 +64,10 @@ MAX_SLEEP_SECONDS = 5.0
 
 #: Upper bound on per-request sweep worker processes.
 MAX_SWEEP_WORKERS = 8
+
+#: Execution settings that belong inside the request's ``"execution"``
+#: object; a request carrying them flat is refused.
+_FLAT_EXECUTION_KEYS = ("check", "engine", "fault_plan", "observer", "transcripts")
 
 
 def _json_safe(obj: Any) -> Any:
@@ -369,14 +371,15 @@ class ReproServer:
         return config
 
     def _request_execution(self, request: dict) -> ExecutionSpec:
-        """Resolve the request's execution settings into one spec.
-
-        A request may carry an ``"execution"`` object (the
-        :meth:`ExecutionSpec.to_dict` form) and/or the flat legacy
-        ``engine``/``observer``/``fault_plan`` keys; the merge rules of
-        :meth:`ExecutionSpec.merged` apply, so a field set both ways
-        must agree.  The service default engine is ``fast``.
-        """
+        """The request's ``"execution"`` object (the
+        :meth:`ExecutionSpec.to_dict` form) as a spec; an unset engine
+        is :data:`~repro.engine.spec.BATCH_ENGINE`."""
+        flat = [key for key in _FLAT_EXECUTION_KEYS if key in request]
+        if flat:
+            raise ServiceError(
+                f"request keys {flat} are not part of the protocol; put "
+                f"them in the 'execution' object"
+            )
         raw = request.get("execution")
         if raw is not None and not isinstance(raw, dict):
             raise ServiceError(
@@ -384,11 +387,7 @@ class ReproServer:
                 f"to_dict form), got {type(raw).__name__}"
             )
         try:
-            spec = ExecutionSpec.coerce(raw).merged(
-                engine=request.get("engine"),
-                observer=request.get("observer"),
-                fault_plan=request.get("fault_plan"),
-            )
+            spec = batch_execution(raw)
         except CliqueError as exc:
             raise ServiceError(str(exc)) from None
         if spec.transcripts is not None:
@@ -397,8 +396,6 @@ class ReproServer:
                 "protocol (transcripts do not serialise); drop the "
                 "'transcripts' field"
             )
-        if spec.engine is None:
-            spec = replace(spec, engine="fast")
         return spec
 
     def _handle_run(self, request: dict) -> dict:
@@ -410,15 +407,7 @@ class ReproServer:
         cached = False
         result = value = None
         if use_cache:
-            desc = spec.describe()
-            key = _point_key(
-                self.cache,
-                catalog_factory,
-                config,
-                desc["engine"],
-                desc["observer"],
-                desc["fault_plan"],
-            )
+            key = _point_key(self.cache, catalog_factory, config, spec.describe())
             hit = self.cache.get(key)
             if hit is not None:
                 result, value = hit

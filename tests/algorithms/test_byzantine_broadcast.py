@@ -6,7 +6,7 @@ import pytest
 from repro.clique.algorithm import run_algorithm
 from repro.clique.errors import CliqueError
 from repro.clique.graph import CliqueGraph
-from repro.engine import NATIVE_RESILIENT, run_matrix
+from repro.engine import NATIVE_RESILIENT, ExecutionSpec, run_matrix
 from repro.engine.diff import catalog_factory
 from repro.engine.pool import run_spec
 from repro.faults import BYZANTINE_BEHAVIOURS, FaultPlan
@@ -18,7 +18,8 @@ VALUE = 0xB5
 def _run(name, engine, *, n, f, plan=None, check=None, **point):
     config = {"algorithm": name, "n": n, "f": f, **point}
     result, _ = run_spec(
-        catalog_factory(config), engine, fault_plan=plan, check=check
+        catalog_factory(config),
+        execution=ExecutionSpec(engine=engine, fault_plan=plan, check=check),
     )
     return result
 

@@ -38,11 +38,14 @@ class TestRegistry:
 
     def test_suite_spans_both_engines(self):
         engines = {
-            w.params.get("engine")
+            w.params["execution"]["engine"]
             for w in SUITE.values()
-            if "engine" in w.params
+            if "execution" in w.params
         }
         assert "reference" in engines and "fast" in engines
+        # One spelling: no workload carries a flat engine or fault plan.
+        for w in SUITE.values():
+            assert "engine" not in w.params and "fault_plan" not in w.params
 
     def test_get_workloads_preserves_selection_order(self):
         names = ["codec/bool-row", "fanout/fast"]
@@ -66,7 +69,7 @@ class TestRegistry:
         workload = SUITE["fanout/fast"]
         full = workload.resolved_params(quick=False)
         quick = workload.resolved_params(quick=True)
-        assert quick["engine"] == full["engine"]
+        assert quick["execution"] == full["execution"]
         assert quick["n"] < full["n"]
 
 

@@ -18,6 +18,7 @@ from repro.engine import (
     NATIVE_RESILIENT,
     ColumnarEngine,
     DualProgram,
+    ExecutionSpec,
     array_program,
     resolve_engine,
     run_matrix,
@@ -72,7 +73,8 @@ class TestDiffGate:
         keys = [part.split("=")[0] for part in spec.split(",")]
         expected = {reported[key] for key in keys if key in reported}
         result, _ = run_spec(
-            catalog_factory({"algorithm": name}), "columnar", fault_plan=spec
+            catalog_factory({"algorithm": name}),
+            execution=ExecutionSpec(engine="columnar", fault_plan=spec),
         )
         assert expected <= set(result.metrics.faults), result.metrics.faults
 
@@ -98,8 +100,8 @@ class TestDiffGate:
 class TestColumnarExecution:
     def test_fanout_matches_fast_engine(self):
         cfg = {"algorithm": "fanout", "n": 32, "rounds": 4, "seed": 2}
-        fast, _ = run_spec(catalog_factory(dict(cfg)), "fast")
-        col, _ = run_spec(catalog_factory(dict(cfg)), "columnar")
+        fast, _ = run_spec(catalog_factory(dict(cfg)), execution="fast")
+        col, _ = run_spec(catalog_factory(dict(cfg)), execution="columnar")
         assert col.outputs == fast.outputs
         assert col.rounds == fast.rounds
         assert col.total_message_bits == fast.total_message_bits
@@ -111,14 +113,14 @@ class TestColumnarExecution:
 
         clique = CongestedClique(4)
         with pytest.raises(CliqueError, match="array"):
-            clique.run(prog, engine="columnar")
+            clique.run(prog, execution="columnar")
 
     def test_dual_program_runs_on_generator_engines(self):
         cfg = {"algorithm": "fanout", "n": 8, "seed": 0}
         spec = catalog_factory(dict(cfg))
         assert isinstance(spec.program, DualProgram)
-        ref, _ = run_spec(catalog_factory(dict(cfg)), "reference")
-        fast, _ = run_spec(catalog_factory(dict(cfg)), "fast")
+        ref, _ = run_spec(catalog_factory(dict(cfg)), execution="reference")
+        fast, _ = run_spec(catalog_factory(dict(cfg)), execution="fast")
         assert ref.outputs == fast.outputs
 
     def test_round_limit_is_enforced(self):
@@ -126,7 +128,12 @@ class TestColumnarExecution:
         spec = catalog_factory(dict(cfg))
         clique = CongestedClique(6, bandwidth_multiplier=2, max_rounds=2)
         with pytest.raises(RoundLimitExceeded):
-            clique.run(spec.program, spec.node_input, aux=spec.aux, engine="columnar")
+            clique.run(
+                spec.program,
+                spec.node_input,
+                aux=spec.aux,
+                execution="columnar",
+            )
 
     def test_resolve_by_name_and_check(self):
         engine = resolve_engine("columnar", check="off")
@@ -140,7 +147,6 @@ class TestColumnarExecution:
         assert ColumnarEngine(check="off").describe() == {
             "engine": "columnar",
             "check": "off",
-            "record_transcripts": False,
         }
 
     def test_fanout_work_twins_agree(self):
@@ -154,8 +160,8 @@ class TestColumnarExecution:
             "passes": 2,
             "seed": 4,
         }
-        fast, _ = run_spec(catalog_factory(dict(cfg)), "fast")
-        col, _ = run_spec(catalog_factory(dict(cfg)), "columnar")
+        fast, _ = run_spec(catalog_factory(dict(cfg)), execution="fast")
+        col, _ = run_spec(catalog_factory(dict(cfg)), execution="columnar")
         assert col.outputs == fast.outputs
         assert col.rounds == fast.rounds == 3
         assert col.total_message_bits == fast.total_message_bits
@@ -166,7 +172,9 @@ class TestColumnarExecution:
         n = 9
         inputs = [3 * v + 1 for v in range(n)]
         result = CongestedClique(n, max_rounds=10).run(
-            _bulk_echo, inputs, engine=ColumnarEngine(check="bandwidth")
+            _bulk_echo,
+            inputs,
+            execution=ColumnarEngine(check="bandwidth"),
         )
         assert result.outputs[0] == sum(inputs)
         assert result.rounds == 1
@@ -212,18 +220,19 @@ class TestCheckLevels:
     def test_full_check_rejects_duplicate_slots(self):
         clique = CongestedClique(3)
         with pytest.raises(DuplicateMessage):
-            clique.run(_duplicate_sender, engine=ColumnarEngine(check="full"))
+            clique.run(_duplicate_sender, execution=ColumnarEngine(check="full"))
 
     def test_lax_checks_keep_the_last_duplicate(self):
         result = CongestedClique(3).run(
-            _duplicate_sender, engine=ColumnarEngine(check="bandwidth")
+            _duplicate_sender,
+            execution=ColumnarEngine(check="bandwidth"),
         )
         assert result.rounds == 1
 
     def test_full_check_rejects_self_addressing(self):
         clique = CongestedClique(3)
         with pytest.raises(InvalidAddress):
-            clique.run(_self_sender, engine=ColumnarEngine(check="full"))
+            clique.run(_self_sender, execution=ColumnarEngine(check="full"))
 
     def test_bandwidth_is_enforced_at_every_level(self):
         @array_program
@@ -240,6 +249,4 @@ class TestCheckLevels:
 
         for check in ("full", "bandwidth"):
             with pytest.raises(BandwidthExceeded):
-                CongestedClique(4).run(
-                    oversend, engine=ColumnarEngine(check=check)
-                )
+                CongestedClique(4).run(oversend, execution=ColumnarEngine(check=check))

@@ -11,7 +11,13 @@ import pytest
 from repro.clique import CliqueGraph, run_algorithm
 from repro.clique.bits import BitString
 from repro.clique.network import CongestedClique
-from repro.engine import ColumnarEngine, FastEngine, adapt_generator, array_program
+from repro.engine import (
+    ColumnarEngine,
+    ExecutionSpec,
+    FastEngine,
+    adapt_generator,
+    array_program,
+)
 from repro.obs import MetricsCollector
 
 N = 9
@@ -53,9 +59,11 @@ def _inboxes(spec: str, check: str, collide: bool, per_message: bool):
     log: list = []
     result = CongestedClique(N, bandwidth=8).run(
         _probe(log, collide),
-        engine=ColumnarEngine(check=check),
-        observer=MetricsCollector(links=per_message),
-        fault_plan=spec,
+        execution=ExecutionSpec(
+            engine=ColumnarEngine(check=check),
+            observer=MetricsCollector(links=per_message),
+            fault_plan=spec,
+        ),
     )
     return log, result
 
@@ -105,10 +113,12 @@ def test_per_message_core_matches_reference(spec, engine):
         return run_algorithm(
             prog,
             g,
-            engine=eng,
-            fault_plan=spec,
-            transcripts=True,
-            observer=MetricsCollector(links=True),
+            execution=ExecutionSpec(
+                engine=eng,
+                fault_plan=spec,
+                transcripts=True,
+                observer=MetricsCollector(links=True),
+            ),
         )
 
     ref, other = run(talker, "reference"), run(program, engine)

@@ -88,9 +88,9 @@ class TestCatalogAgreement:
     def test_fast_fault_delta_drift_is_a_mismatch(self, monkeypatch):
         # A fast engine that books one fault into a round's delta but
         # leaves every total alone must fail the gate.
-        def drifted(spec, engine=None, **kwargs):
-            result, value = run_spec(spec, engine, **kwargs)
-            if engine.name == "fast":
+        def drifted(spec, *, execution):
+            result, value = run_spec(spec, execution=execution)
+            if execution.engine.name == "fast":
                 m = result.metrics
                 first = dataclasses.replace(m.per_round[0], faults=1)
                 m = dataclasses.replace(m, per_round=(first, *m.per_round[1:]))
@@ -110,9 +110,9 @@ class TestMatrixRunsEachCellOnce:
     def test_one_run_per_distinct_cell(self, monkeypatch, plans):
         calls = []
 
-        def counting(spec, engine=None, **kwargs):
-            calls.append(engine)
-            return run_spec(spec, engine, **kwargs)
+        def counting(spec, *, execution):
+            calls.append(execution.engine)
+            return run_spec(spec, execution=execution)
 
         monkeypatch.setattr(diff, "run_spec", counting)
         cells = run_matrix(
@@ -183,9 +183,10 @@ class TestShuffleInvariance:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_sorting_invariant_under_delivery_permutation(self, seed):
         config = {"algorithm": "sorting", "n": 6, "seed": 4}
-        baseline, _ = run_spec(catalog_factory(dict(config)), "fast")
+        baseline, _ = run_spec(catalog_factory(dict(config)), execution="fast")
         shuffled, _ = run_spec(
-            catalog_factory(dict(config)), FastEngine(shuffle_seed=seed)
+            catalog_factory(dict(config)),
+            execution=FastEngine(shuffle_seed=seed),
         )
         assert shuffled.rounds == baseline.rounds
         assert sorted(shuffled.outputs) == sorted(baseline.outputs)
@@ -197,9 +198,10 @@ class TestShuffleInvariance:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_bfs_invariant_under_delivery_permutation(self, seed):
         config = {"algorithm": "bfs", "n": 8, "seed": 2}
-        baseline, _ = run_spec(catalog_factory(dict(config)), "reference")
+        baseline, _ = run_spec(catalog_factory(dict(config)), execution="reference")
         shuffled, _ = run_spec(
-            catalog_factory(dict(config)), FastEngine(shuffle_seed=seed)
+            catalog_factory(dict(config)),
+            execution=FastEngine(shuffle_seed=seed),
         )
         assert shuffled.rounds == baseline.rounds
         for v in baseline.outputs:

@@ -1,21 +1,31 @@
-"""ExecutionSpec: coercion, merging, serialisation, cache-key parity,
-and the engine registry it resolves through."""
+"""ExecutionSpec: coercion, merging, serialisation, the batch default,
+cache-key parity across entry points, and the engine registry it
+resolves through."""
+
+import json
 
 import pytest
 
+from repro.cli import main
+from repro.clique import run_algorithm
 from repro.clique.errors import CliqueError
+from repro.clique.network import CongestedClique
 from repro.engine import (
+    BATCH_ENGINE,
     ExecutionSpec,
     FastEngine,
     RunCache,
+    batch_execution,
     engine_names,
     resolve_execution,
+    run_spec,
     run_sweep,
 )
 from repro.engine.base import ENGINES, Engine, register_engine, resolve_engine
 from repro.engine.diff import catalog_factory
 from repro.faults import FaultPlan
 from repro.obs import describe_observer
+from repro.service import ReproServer
 from repro.service.client import ServiceClient
 
 
@@ -138,6 +148,8 @@ class TestSpec:
         assert message.endswith("did you mean 'drop_rate'?")
 
     def test_describe_matches_legacy_components(self):
+        # The three cache-key components are the engine's, the
+        # observer's and the fault plan's own descriptions.
         spec = ExecutionSpec(engine="fast", check="off", observer="metrics")
         desc = spec.describe()
         assert desc["engine"] == resolve_engine("fast", check="off").describe()
@@ -146,31 +158,65 @@ class TestSpec:
 
     def test_resolve_execution_bundles_everything(self):
         resolved = resolve_execution(
-            "columnar", check="off", fault_plan="drop=0.1,seed=1"
+            ExecutionSpec(engine="columnar", check="off", fault_plan="drop=0.1,seed=1")
         )
         assert resolved.engine.name == "columnar"
         assert resolved.engine.check == "off"
-        assert resolved.fault_plan == "drop=0.1,seed=1"
-        assert resolved.spec.engine == "columnar"
+        assert resolved.fault_plan == FaultPlan(drop_rate=0.1, seed=1)
+        # Resolution keeps the cache key: same description before and after.
+        assert resolved.describe() == ExecutionSpec(
+            engine="columnar", check="off", fault_plan="drop=0.1,seed=1"
+        ).describe()
 
     def test_resolve_execution_conflict_raises(self):
-        with pytest.raises(CliqueError, match="conflicting execution"):
+        # The spec is the only input: a keyword beside it is refused
+        # outright instead of being merged.
+        assert resolve_execution().engine.name == "reference"
+        with pytest.raises(TypeError):
             resolve_execution(ExecutionSpec(check="full"), check="off")
+
+    def test_batch_default_fills_only_an_unset_engine(self):
+        assert BATCH_ENGINE == "fast"
+        assert batch_execution(None) == ExecutionSpec(engine=BATCH_ENGINE)
+        spec = batch_execution({"check": "off", "observer": False})
+        assert spec == ExecutionSpec(engine="fast", check="off", observer=False)
+        named = ExecutionSpec(engine="reference")
+        assert batch_execution(named) is named
+        engine = FastEngine(check="off")
+        assert batch_execution(engine).engine is engine
 
 
 class TestCacheKeyRoundTrip:
-    """One spec, one key: a cache warmed through the legacy keyword path
-    must serve ExecutionSpec-addressed lookups, and vice versa."""
+    """One spec, one key: every entry point that reads the run cache
+    builds the same key for the same point and execution."""
 
     CONFIGS = [{"algorithm": "fanout", "n": 8, "seed": 0}]
 
+    def test_sweep_warmed_point_hits_stats_and_the_daemon(self, tmp_path, capsys):
+        cache = RunCache(tmp_path / "cache")
+        first = run_sweep(catalog_factory, self.CONFIGS, workers=1, cache=cache)
+        assert not first[0].from_cache
+        assert first[0].result.metrics.engine == "fast"
+        argv = ["stats", "fanout", "--n", "8", "--cache", str(cache.root)]
+        assert main(argv) == 0
+        assert "cache: 1 hit(s), 0 miss(es)" in capsys.readouterr().out
+        sock = str(tmp_path / "d.sock")
+        with ReproServer(sock, workers=1, cache_root=cache.root):
+            client = ServiceClient(sock)
+            client.wait_until_ready()
+            reply = client.run("fanout", {"n": 8, "seed": 0})
+        assert reply["cached"] is True
+        assert reply["rounds"] == first[0].result.rounds
+
     def test_legacy_kwargs_then_spec_hits(self, tmp_path):
+        # The engine-instance shorthand that replaced the ``engine=``
+        # keyword must key like the spec it stands for.
         cache = RunCache(tmp_path)
         first = run_sweep(
             catalog_factory,
             self.CONFIGS,
             workers=1,
-            engine=FastEngine(check="bandwidth"),
+            execution=FastEngine(check="bandwidth"),
             cache=cache,
         )
         assert not first[0].from_cache
@@ -197,7 +243,7 @@ class TestCacheKeyRoundTrip:
             catalog_factory,
             self.CONFIGS,
             workers=1,
-            engine=FastEngine(check="bandwidth"),
+            execution=FastEngine(check="bandwidth"),
             cache=cache,
         )
         assert again[0].from_cache
@@ -221,7 +267,8 @@ class TestCacheKeyRoundTrip:
         assert not other[0].from_cache
 
     def test_sweep_spec_conflict_raises(self):
-        with pytest.raises(CliqueError, match="conflicting execution"):
+        # No keyword can sit beside the spec any more.
+        with pytest.raises(TypeError):
             run_sweep(
                 catalog_factory,
                 self.CONFIGS,
@@ -238,6 +285,71 @@ class TestCacheKeyRoundTrip:
                 workers=1,
                 execution=ExecutionSpec(transcripts=True),
             )
+
+
+class TestDefaultEngine:
+    """Every entry point runs on the engine it has always run on: the
+    reference engine for single runs, the batch engine for batches."""
+
+    CONFIG = {"algorithm": "bfs", "n": 8, "seed": 0}
+
+    def test_single_runs_default_to_reference(self, monkeypatch, capsys):
+        spec = catalog_factory(dict(self.CONFIG))
+        clique = CongestedClique(spec.resolved_n())
+        runs = [
+            run_spec(spec)[0],
+            clique.run(spec.program, spec.node_input, aux=spec.aux),
+            run_algorithm(spec.program, spec.node_input, aux=spec.aux),
+        ]
+        assert [r.metrics.engine for r in runs] == ["reference"] * 3
+        import repro.clique.algorithm as algorithm_module
+
+        seen = []
+        real = algorithm_module.run_algorithm
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seen.append(result.metrics.engine)
+            return result
+
+        monkeypatch.setattr(algorithm_module, "run_algorithm", spy)
+        assert main(["run", "triangle", "--n", "8"]) == 0
+        assert seen == ["reference"]
+
+    def test_batch_runs_default_to_the_batch_engine(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        import repro.engine
+
+        outcomes = run_sweep(catalog_factory, [self.CONFIG], workers=1)
+        assert outcomes[0].result.metrics.engine == BATCH_ENGINE
+        # repro sweep: the outcomes it tabulates.
+        seen = []
+        real = repro.engine.run_sweep
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seen.extend(o.result.metrics.engine for o in result)
+            return result
+
+        monkeypatch.setattr(repro.engine, "run_sweep", spy)
+        assert main(["sweep", "bfs", "--ns", "8", "--seeds", "1"]) == 0
+        assert seen == [BATCH_ENGINE]
+        # repro stats: the metrics' own engine name is in the title.
+        assert main(["stats", "bfs", "--n", "8"]) == 0
+        assert f"{BATCH_ENGINE} engine)" in capsys.readouterr().out
+        # repro trace: the run_start event names the engine that ran.
+        path = tmp_path / "trace.jsonl"
+        assert main(["trace", "bfs", "--n", "8", "--jsonl", str(path)]) == 0
+        first = json.loads(path.read_text().splitlines()[0])
+        assert first["detail"]["engine"] == BATCH_ENGINE
+        # The daemon.
+        sock = str(tmp_path / "d.sock")
+        with ReproServer(sock, workers=1, cache_root=tmp_path / "cache"):
+            client = ServiceClient(sock)
+            client.wait_until_ready()
+            reply = client.run("bfs", {"n": 8, "seed": 0})
+        assert reply["metrics"]["engine"] == BATCH_ENGINE
 
 
 class TestServiceClientJSON:

@@ -15,6 +15,7 @@ from repro.clique.graph import CliqueGraph
 from repro.clique.network import CongestedClique
 from repro.engine import (
     ENGINES,
+    ExecutionSpec,
     FastEngine,
     ReferenceEngine,
     resolve_engine,
@@ -46,7 +47,7 @@ class TestCheckLevels:
                 node.send(1, BitString(0, 1))
 
         with pytest.raises(DuplicateMessage):
-            clique.run(one_round(phase), engine=FastEngine(check="full"))
+            clique.run(one_round(phase), execution=FastEngine(check="full"))
 
     def test_full_catches_bad_address(self):
         clique = CongestedClique(4)
@@ -56,7 +57,7 @@ class TestCheckLevels:
                 node.send(7, BitString(1, 1))
 
         with pytest.raises(InvalidAddress):
-            clique.run(one_round(phase), engine=FastEngine(check="full"))
+            clique.run(one_round(phase), execution=FastEngine(check="full"))
 
     def test_full_catches_self_address(self):
         clique = CongestedClique(4)
@@ -65,7 +66,7 @@ class TestCheckLevels:
             node.send(node.id, BitString(1, 1))
 
         with pytest.raises(InvalidAddress):
-            clique.run(one_round(phase), engine=FastEngine(check="full"))
+            clique.run(one_round(phase), execution=FastEngine(check="full"))
 
     def test_full_catches_empty_payload(self):
         clique = CongestedClique(4)
@@ -75,7 +76,7 @@ class TestCheckLevels:
                 node.send(1, BitString(0, 0))
 
         with pytest.raises(ProtocolViolation):
-            clique.run(one_round(phase), engine=FastEngine(check="full"))
+            clique.run(one_round(phase), execution=FastEngine(check="full"))
 
     @pytest.mark.parametrize("check", ["full", "bandwidth"])
     def test_bandwidth_enforced(self, check):
@@ -87,7 +88,7 @@ class TestCheckLevels:
                 node.send(1, big)
 
         with pytest.raises(BandwidthExceeded):
-            clique.run(one_round(phase), engine=FastEngine(check=check))
+            clique.run(one_round(phase), execution=FastEngine(check=check))
 
     @pytest.mark.parametrize("check", ["full", "bandwidth"])
     def test_broadcast_bandwidth_enforced(self, check):
@@ -98,7 +99,7 @@ class TestCheckLevels:
             node.send_to_all(big)
 
         with pytest.raises(BandwidthExceeded):
-            clique.run(one_round(phase), engine=FastEngine(check=check))
+            clique.run(one_round(phase), execution=FastEngine(check=check))
 
     def test_bandwidth_level_skips_duplicate_check(self):
         clique = CongestedClique(4)
@@ -109,7 +110,7 @@ class TestCheckLevels:
                 node.send(1, BitString(0, 1))
 
         # Permissive by design: last write wins, no exception.
-        result = clique.run(one_round(phase), engine=FastEngine(check="bandwidth"))
+        result = clique.run(one_round(phase), execution=FastEngine(check="bandwidth"))
         assert result.rounds == 1
 
     def test_off_trusts_the_program(self):
@@ -120,7 +121,7 @@ class TestCheckLevels:
             if node.id == 0:
                 node.send(1, big)
 
-        result = clique.run(one_round(phase), engine=FastEngine(check="off"))
+        result = clique.run(one_round(phase), execution=FastEngine(check="off"))
         assert result.total_message_bits == 64
 
 
@@ -134,9 +135,9 @@ class TestModelVariants:
             return None
 
         with pytest.raises(CliqueError, match="plain congested clique"):
-            clique.run(prog, engine="fast")
+            clique.run(prog, execution="fast")
         # ... but the reference engine runs it fine.
-        assert clique.run(prog, engine="reference").rounds == 1
+        assert clique.run(prog, execution="reference").rounds == 1
 
     def test_congest_topology_rejected(self):
         path = CliqueGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -147,7 +148,7 @@ class TestModelVariants:
             return None
 
         with pytest.raises(CliqueError, match="plain congested clique"):
-            clique.run(prog, engine="fast")
+            clique.run(prog, execution="fast")
 
 
 class TestTranscriptsAndAccounting:
@@ -159,34 +160,40 @@ class TestTranscriptsAndAccounting:
         return sorted(node.inbox)
 
     def test_transcripts_off_by_default(self):
-        result = CongestedClique(4).run(self.prog, engine="fast")
+        result = CongestedClique(4).run(self.prog, execution="fast")
         assert result.transcripts is None
 
     def test_clique_request_turns_transcripts_on(self):
         result = CongestedClique(4, record_transcripts=True).run(
-            self.prog, engine="fast"
+            self.prog,
+            execution="fast",
         )
         assert result.transcripts is not None
         assert len(result.transcripts) == 4
         assert all(len(t.rounds) == result.rounds for t in result.transcripts)
 
     def test_engine_flag_turns_transcripts_on(self):
+        # Transcripts come from the execution spec (or the clique),
+        # not from an engine constructor knob.
         result = CongestedClique(4).run(
-            self.prog, engine=FastEngine(record_transcripts=True)
+            self.prog,
+            execution=ExecutionSpec(engine="fast", transcripts=True),
         )
         assert result.transcripts is not None
+        with pytest.raises(TypeError):
+            FastEngine(record_transcripts=True)
 
     def test_transcripts_match_reference(self):
         clique = CongestedClique(5, record_transcripts=True)
-        ref = clique.run(self.prog, engine="reference")
-        fast = clique.run(self.prog, engine="fast")
+        ref = clique.run(self.prog, execution="reference")
+        fast = clique.run(self.prog, execution="fast")
         for tr, tf in zip(ref.transcripts, fast.transcripts):
             assert tr == tf
 
     def test_accounting_matches_reference(self):
         clique = CongestedClique(6)
-        ref = clique.run(self.prog, engine="reference")
-        fast = clique.run(self.prog, engine="fast")
+        ref = clique.run(self.prog, execution="reference")
+        fast = clique.run(self.prog, execution="fast")
         assert fast.rounds == ref.rounds
         assert fast.total_message_bits == ref.total_message_bits
         assert fast.bulk_bits == ref.bulk_bits
@@ -200,7 +207,7 @@ class TestTranscriptsAndAccounting:
             yield
             return "done"
 
-        result = CongestedClique(1).run(prog, engine="fast")
+        result = CongestedClique(1).run(prog, execution="fast")
         assert result.outputs == {0: "done"}
         assert result.total_message_bits == 0
 

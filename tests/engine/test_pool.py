@@ -10,6 +10,7 @@ import pytest
 from repro.clique.bits import BitString
 from repro.clique.errors import CliqueError, SweepPointFailed
 from repro.engine import (
+    ExecutionSpec,
     RunCache,
     RunSpec,
     aggregate_sweep_metrics,
@@ -86,7 +87,7 @@ class TestRunSpec:
             RunSpec(program=my_prog, node_input=[1, 2]).resolved_n()
 
     def test_run_spec_returns_postprocess_value(self):
-        result, value = run_spec(echo_factory({"n": 4, "seed": 0}), "fast")
+        result, value = run_spec(echo_factory({"n": 4, "seed": 0}), execution="fast")
         assert result.rounds == 1
         assert value == result.total_message_bits
 
@@ -138,8 +139,8 @@ class TestWorkers:
         assert all(o.result.rounds == 1 for o in outcomes)
 
     def test_engine_choice_applies(self):
-        ref = run_sweep(echo_factory, self.CONFIGS, workers=1, engine="reference")
-        fast = run_sweep(echo_factory, self.CONFIGS, workers=1, engine="fast")
+        ref = run_sweep(echo_factory, self.CONFIGS, workers=1, execution="reference")
+        fast = run_sweep(echo_factory, self.CONFIGS, workers=1, execution="fast")
         for a, b in zip(ref, fast):
             assert a.result.outputs == b.result.outputs
             assert a.result.total_message_bits == b.result.total_message_bits
@@ -171,8 +172,8 @@ class TestCacheIntegration:
     def test_engine_config_partitions_the_cache(self, tmp_path):
         cache = RunCache(tmp_path)
         configs = [{"n": 4, "seed": 0}]
-        run_sweep(echo_factory, configs, workers=1, cache=cache, engine="fast")
-        run_sweep(echo_factory, configs, workers=1, cache=cache, engine="reference")
+        run_sweep(echo_factory, configs, workers=1, cache=cache, execution="fast")
+        run_sweep(echo_factory, configs, workers=1, cache=cache, execution="reference")
         assert len(cache) == 2  # one entry per engine config
 
     def test_config_change_misses(self, tmp_path):
@@ -192,7 +193,7 @@ class TestCacheIntegration:
             configs,
             workers=1,
             cache=cache,
-            fault_plan="drop=0.5,seed=1",
+            execution=ExecutionSpec(fault_plan="drop=0.5,seed=1"),
         )
         assert not outcomes[0].from_cache
         assert len(cache) == 2  # one entry per fault-plan config
@@ -275,7 +276,12 @@ class TestFailureContainment:
         assert "2 attempt(s)" in str(outcomes[0].error)
 
     def test_aggregate_reports_failures_without_raising(self):
-        outcomes = run_sweep(chaos_factory, self.CONFIGS, workers=1, observer=True)
+        outcomes = run_sweep(
+            chaos_factory,
+            self.CONFIGS,
+            workers=1,
+            execution=ExecutionSpec(observer=True),
+        )
         summary = aggregate_sweep_metrics(outcomes)
         assert summary["runs"] == 2
         assert summary["failed_points"] == 1
@@ -286,7 +292,7 @@ class TestFailureContainment:
             chaos_factory,
             [{"mode": "ok", "seed": 0}],
             workers=1,
-            observer=False,
+            execution=ExecutionSpec(observer=False),
         )
         assert aggregate_sweep_metrics(outcomes) == {"runs": 0}
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.clique.bits import BitString
 from repro.clique.errors import CliqueError
 from repro.clique.network import _outputs_equal
+from repro.engine import ExecutionSpec
 from repro.engine.diff import catalog_factory
 from repro.engine.pool import run_spec
 from repro.faults import BYZANTINE_BEHAVIOURS, FaultInjector, FaultPlan
@@ -196,12 +197,18 @@ def test_byzantine_decisions_replay_identically_across_engines(
     )
     config = {"algorithm": "fanout", "n": 7, "seed": 1}
     runs = [
-        run_spec(catalog_factory(dict(config)), engine, fault_plan=plan)[0]
+        run_spec(
+            catalog_factory(dict(config)),
+            execution=ExecutionSpec(engine=engine, fault_plan=plan),
+        )[0]
         for engine in ("reference", "fast", "columnar")
     ]
     # Replay on the reference engine: same plan, same decisions.
     runs.append(
-        run_spec(catalog_factory(dict(config)), "reference", fault_plan=plan)[0]
+        run_spec(
+            catalog_factory(dict(config)),
+            execution=ExecutionSpec(engine="reference", fault_plan=plan),
+        )[0]
     )
     base = runs[0]
     # Note: not every sampled plan fires (forge alone with f=1 is a

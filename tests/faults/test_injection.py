@@ -6,7 +6,7 @@ import pytest
 
 from repro.clique import CliqueGraph, run_algorithm
 from repro.clique.bits import BitString
-from repro.engine import adapt_generator
+from repro.engine import ExecutionSpec, adapt_generator
 
 ROUNDS = 4
 ENGINES = ("reference", "fast")
@@ -43,8 +43,12 @@ def _graph(n=9):
 class TestDrops:
     def test_drops_lose_messages_but_charge_the_sender(self, engine):
         g = _graph()
-        clean = run_algorithm(chatter, g, engine=engine)
-        faulty = run_algorithm(chatter, g, engine=engine, fault_plan="drop=0.4,seed=1")
+        clean = run_algorithm(chatter, g, execution=engine)
+        faulty = run_algorithm(
+            chatter,
+            g,
+            execution=ExecutionSpec(engine=engine, fault_plan="drop=0.4,seed=1"),
+        )
         # The sender pays for what it queued, delivered or not.
         assert faulty.total_message_bits == clean.total_message_bits
         assert faulty.sent_bits == clean.sent_bits
@@ -57,9 +61,10 @@ class TestDrops:
 
     def test_replay_is_identical(self, engine):
         g = _graph()
-        kwargs = dict(engine=engine, fault_plan="drop=0.3,corrupt=0.1,seed=5")
-        first = run_algorithm(chatter, g, **kwargs)
-        second = run_algorithm(chatter, g, **kwargs)
+        plan = "drop=0.3,corrupt=0.1,seed=5"
+        execution = ExecutionSpec(engine=engine, fault_plan=plan)
+        first = run_algorithm(chatter, g, execution=execution)
+        second = run_algorithm(chatter, g, execution=execution)
         assert first.outputs == second.outputs
         assert first.received_bits == second.received_bits
         assert first.metrics.faults == second.metrics.faults
@@ -68,8 +73,10 @@ class TestDrops:
         result = run_algorithm(
             bulk_chatter,
             _graph(4),
-            engine=engine,
-            fault_plan="drop=1.0,corrupt=1.0,seed=2",
+            execution=ExecutionSpec(
+                engine=engine,
+                fault_plan="drop=1.0,corrupt=1.0,seed=2",
+            ),
         )
         assert result.outputs[1] == {0: 0b10110}
         assert result.bulk_bits == 5
@@ -101,8 +108,16 @@ class TestCrossEngineParity:
     def test_engines_agree_on_outputs_and_fault_counts(self, spec, engine):
         g = _graph()
         program = adapt_generator(chatter) if engine == "columnar" else chatter
-        ref = run_algorithm(chatter, g, engine="reference", fault_plan=spec)
-        other = run_algorithm(program, g, engine=engine, fault_plan=spec)
+        ref = run_algorithm(
+            chatter,
+            g,
+            execution=ExecutionSpec(engine="reference", fault_plan=spec),
+        )
+        other = run_algorithm(
+            program,
+            g,
+            execution=ExecutionSpec(engine=engine, fault_plan=spec),
+        )
         assert ref.outputs == other.outputs
         assert ref.sent_bits == other.sent_bits
         assert ref.received_bits == other.received_bits
@@ -114,9 +129,11 @@ class TestCrossEngineParity:
 class TestFaultKinds:
     def test_corruption_preserves_length_and_counts(self, engine):
         g = _graph()
-        clean = run_algorithm(chatter, g, engine=engine)
+        clean = run_algorithm(chatter, g, execution=engine)
         faulty = run_algorithm(
-            chatter, g, engine=engine, fault_plan="corrupt=0.5,seed=3"
+            chatter,
+            g,
+            execution=ExecutionSpec(engine=engine, fault_plan="corrupt=0.5,seed=3"),
         )
         # Corruption flips bits in place: all the accounting matches.
         assert faulty.total_message_bits == clean.total_message_bits
@@ -128,8 +145,12 @@ class TestFaultKinds:
 
     def test_duplicates_arrive_one_round_late(self, engine):
         g = _graph()
-        clean = run_algorithm(chatter, g, engine=engine)
-        faulty = run_algorithm(chatter, g, engine=engine, fault_plan="dup=0.5,seed=4")
+        clean = run_algorithm(chatter, g, execution=engine)
+        faulty = run_algorithm(
+            chatter,
+            g,
+            execution=ExecutionSpec(engine=engine, fault_plan="dup=0.5,seed=4"),
+        )
         assert faulty.metrics.faults["duplicate"] > 0
         # Duplicates only add received traffic, never sent traffic.
         assert faulty.sent_bits == clean.sent_bits
@@ -137,7 +158,9 @@ class TestFaultKinds:
 
     def test_dead_links_silence_both_directions(self, engine):
         result = run_algorithm(
-            chatter, _graph(), engine=engine, fault_plan="link=1.0,seed=0"
+            chatter,
+            _graph(),
+            execution=ExecutionSpec(engine=engine, fault_plan="link=1.0,seed=0"),
         )
         # Every message was queued (and charged) but none arrived.
         assert sum(result.sent_bits) > 0
@@ -150,8 +173,10 @@ class TestFaultKinds:
         result = run_algorithm(
             chatter,
             _graph(),
-            engine=engine,
-            fault_plan="crash=0.2,restart=2,seed=7",
+            execution=ExecutionSpec(
+                engine=engine,
+                fault_plan="crash=0.2,restart=2,seed=7",
+            ),
         )
         assert result.metrics.faults["crash"] > 0
         # Crashes are fail-silent: the programs all still return.
@@ -166,9 +191,11 @@ class TestObservability:
         run_algorithm(
             chatter,
             _graph(),
-            engine="reference",
-            observer=Tracer(sink=sink),
-            fault_plan="drop=0.4,seed=1",
+            execution=ExecutionSpec(
+                engine="reference",
+                observer=Tracer(sink=sink),
+                fault_plan="drop=0.4,seed=1",
+            ),
         )
         faults = [e for e in sink.events() if e.kind == "fault"]
         assert faults
@@ -179,8 +206,7 @@ class TestObservability:
         result = run_algorithm(
             chatter,
             _graph(),
-            engine="fast",
-            fault_plan="drop=0.4,seed=1",
+            execution=ExecutionSpec(engine="fast", fault_plan="drop=0.4,seed=1"),
         )
         per_round = sum(r.faults for r in result.metrics.per_round)
         assert per_round == result.metrics.total_faults > 0
@@ -189,8 +215,12 @@ class TestObservability:
         from repro.obs import summarise_metrics
 
         g = _graph()
-        faulty = run_algorithm(chatter, g, engine="fast", fault_plan="drop=0.4,seed=1")
-        clean = run_algorithm(chatter, g, engine="fast")
+        faulty = run_algorithm(
+            chatter,
+            g,
+            execution=ExecutionSpec(engine="fast", fault_plan="drop=0.4,seed=1"),
+        )
+        clean = run_algorithm(chatter, g, execution="fast")
         summary = summarise_metrics([faulty.metrics, clean.metrics])
         assert summary["total_faults"] == faulty.metrics.total_faults
         # Fault-free summaries keep their historical shape.

@@ -1,9 +1,11 @@
 """Unit tests for the deterministic fault plan (the pure hash oracle)."""
 
+import numpy as np
 import pytest
 
 from repro.clique.bits import BitString
 from repro.clique.errors import CliqueError
+from repro.engine import ExecutionSpec
 from repro.faults import FaultPlan, resolve_fault_plan
 
 
@@ -18,6 +20,32 @@ class TestValidation:
         with pytest.raises(CliqueError, match="crash_restart_rounds"):
             FaultPlan(crash_restart_rounds=0)
         assert FaultPlan(crash_restart_rounds=1).crash_restart_rounds == 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"drop_rate": "x"}, "drop_rate must be a real number"),
+            ({"drop_rate": True}, "drop_rate must be a real number"),
+            ({"byzantine_rate": None}, "byzantine_rate must be a real number"),
+            ({"seed": "a"}, "seed must be an int"),
+            ({"seed": 1.5}, "seed must be an int"),
+            ({"seed": True}, "seed must be an int"),
+            ({"byzantine_f": 1.0}, "byzantine_f must be an int"),
+            ({"byzantine": 1}, "byzantine must be a string"),
+        ],
+    )
+    def test_field_types_are_checked(self, fields, message):
+        with pytest.raises(CliqueError, match=message):
+            FaultPlan(**fields)
+        # The JSON route (the daemon, the execution spec's dict form)
+        # fails the same way, never with a bare TypeError.
+        with pytest.raises(CliqueError, match=message):
+            ExecutionSpec.from_dict({"fault_plan": fields})
+
+    def test_equal_plans_share_one_description(self):
+        as_int = FaultPlan(drop_rate=1, seed=3)
+        assert as_int.describe() == FaultPlan(drop_rate=1.0, seed=3).describe()
+        assert FaultPlan(seed=np.int64(3)) == FaultPlan(seed=3)
 
     def test_zero_rate_detection(self):
         assert FaultPlan().is_zero

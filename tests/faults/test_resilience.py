@@ -11,7 +11,7 @@ from repro.clique.errors import (
     InvalidAddress,
     ProtocolViolation,
 )
-from repro.engine import NATIVE_RESILIENT, RESILIENT_CATALOG, run_matrix
+from repro.engine import NATIVE_RESILIENT, RESILIENT_CATALOG, ExecutionSpec, run_matrix
 from repro.engine.diff import catalog_factory
 from repro.engine.pool import run_spec
 from repro.faults import HEADER_BITS, attempt_offsets, resilient
@@ -101,7 +101,7 @@ class TestMasking:
             resilient(exchange, strict=True),
             g,
             bandwidth_multiplier=2,
-            engine=engine,
+            execution=engine,
         )
         assert wrapped.outputs == plain.outputs
 
@@ -113,8 +113,7 @@ class TestMasking:
             resilient(exchange, max_attempts=6),
             g,
             bandwidth_multiplier=2,
-            engine=engine,
-            fault_plan="drop=0.3,seed=2",
+            execution=ExecutionSpec(engine=engine, fault_plan="drop=0.3,seed=2"),
         )
         # Same logical outcome as a fault-free unwrapped run...
         assert wrapped.outputs == plain.outputs
@@ -135,8 +134,10 @@ class TestMasking:
             resilient(exchange, max_attempts=8),
             g,
             bandwidth_multiplier=2,
-            engine=engine,
-            fault_plan="crash=0.04,restart=3,seed=5",
+            execution=ExecutionSpec(
+                engine=engine,
+                fault_plan="crash=0.04,restart=3,seed=5",
+            ),
         )
         assert wrapped.outputs == plain.outputs
         assert wrapped.metrics.faults["crash"] > 0
@@ -150,7 +151,8 @@ class TestMasking:
     def test_masking_is_deterministic(self):
         g = _graph(8)
         kwargs = dict(
-            bandwidth_multiplier=2, engine="fast", fault_plan="drop=0.3,seed=2"
+            bandwidth_multiplier=2,
+            execution=ExecutionSpec(engine="fast", fault_plan="drop=0.3,seed=2"),
         )
         a = run_algorithm(resilient(exchange), g, **kwargs)
         b = run_algorithm(resilient(exchange), g, **kwargs)
@@ -164,7 +166,7 @@ class TestMasking:
                 resilient(exchange, max_attempts=2, strict=True),
                 _graph(8),
                 bandwidth_multiplier=2,
-                fault_plan="link=1.0,seed=0",
+                execution=ExecutionSpec(fault_plan="link=1.0,seed=0"),
             )
         assert excinfo.value.kind == "unacked"
 
@@ -207,9 +209,9 @@ class TestCatalogDifferential:
 
         import repro.engine.diff as diff
 
-        def lossy(spec, engine=None, **kwargs):
-            result, value = run_spec(spec, engine, **kwargs)
-            if kwargs.get("fault_plan") is not None:
+        def lossy(spec, *, execution):
+            result, value = run_spec(spec, execution=execution)
+            if execution.fault_plan is not None:
                 outputs = {**result.outputs, 0: "lost"}
                 result = dataclasses.replace(result, outputs=outputs)
             return result, value
@@ -227,7 +229,10 @@ class TestCatalogDifferential:
         spec = catalog_factory({"algorithm": "kds", "n": 9, "seed": 3})
         spec.program = resilient(spec.program)
         with pytest.raises(ProtocolViolation, match="bulk"):
-            run_spec(spec, "reference", fault_plan="drop=0.1")
+            run_spec(
+                spec,
+                execution=ExecutionSpec(engine="reference", fault_plan="drop=0.1"),
+            )
         # So kds sits out the faulty legs of the matrix.
         cells = run_matrix(["kds"], {"n": 9, "seed": 3}, fault_plan="drop=0.1")
         assert cells == []

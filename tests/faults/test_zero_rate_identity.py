@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clique.network import _outputs_equal
+from repro.engine import ExecutionSpec
 from repro.engine.diff import catalog_factory
 from repro.engine.pool import run_spec
 from repro.faults import FaultPlan
@@ -46,8 +47,11 @@ def test_zero_rate_plan_is_the_identity(name, n, seed, plan_seed, engine):
     config = {"algorithm": name, "n": n, "seed": seed}
     plan = FaultPlan(seed=plan_seed)
     assert plan.is_zero
-    bare, _ = run_spec(catalog_factory(dict(config)), engine)
-    planned, _ = run_spec(catalog_factory(dict(config)), engine, fault_plan=plan)
+    bare, _ = run_spec(catalog_factory(dict(config)), execution=engine)
+    planned, _ = run_spec(
+        catalog_factory(dict(config)),
+        execution=ExecutionSpec(engine=engine, fault_plan=plan),
+    )
     assert_observationally_identical(bare, planned)
     assert planned.metrics.faults == {}
 
@@ -55,8 +59,9 @@ def test_zero_rate_plan_is_the_identity(name, n, seed, plan_seed, engine):
 def test_zero_rate_spec_string_is_the_identity_too():
     config = {"algorithm": "bfs", "n": 9, "seed": 1}
     for engine in ("reference", "fast"):
-        bare, _ = run_spec(catalog_factory(dict(config)), engine)
+        bare, _ = run_spec(catalog_factory(dict(config)), execution=engine)
         planned, _ = run_spec(
-            catalog_factory(dict(config)), engine, fault_plan="seed=5"
+            catalog_factory(dict(config)),
+            execution=ExecutionSpec(engine=engine, fault_plan="seed=5"),
         )
         assert_observationally_identical(bare, planned)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.clique.bits import BitString
 from repro.clique.network import CongestedClique
-from repro.engine import run_spec
+from repro.engine import ExecutionSpec, run_spec
 from repro.engine.diff import catalog_factory
 from repro.obs import MetricsCollector, RunMetrics, summarise_metrics
 
@@ -28,7 +28,7 @@ class TestTranscriptAgreement:
     def test_metrics_match_transcript_totals(self, name):
         spec = catalog_factory({"algorithm": name, "n": 9, "seed": 1})
         spec.record_transcripts = True
-        result, _ = run_spec(spec, engine="reference")
+        result, _ = run_spec(spec, execution="reference")
         m, ts = result.metrics, result.transcripts
         assert m is not None and ts is not None
         for v, t in enumerate(ts):
@@ -42,8 +42,8 @@ class TestTranscriptAgreement:
     @pytest.mark.parametrize("name", ALGORITHMS)
     def test_engines_agree_on_totals(self, name):
         config = {"algorithm": name, "n": 9, "seed": 1}
-        ref, _ = run_spec(catalog_factory(config), engine="reference")
-        fast, _ = run_spec(catalog_factory(config), engine="fast")
+        ref, _ = run_spec(catalog_factory(config), execution="reference")
+        fast, _ = run_spec(catalog_factory(config), execution="fast")
         a, b = ref.metrics, fast.metrics
         assert a.rounds == b.rounds
         # The reference engine sees broadcasts as n-1 queued unicasts,
@@ -62,7 +62,7 @@ class TestConsistency:
     def test_per_round_sums_to_run_totals(self):
         result, _ = run_spec(
             catalog_factory({"algorithm": "bfs", "n": 9, "seed": 0}),
-            engine="fast",
+            execution="fast",
         )
         m = result.metrics
         assert len(m.per_round) == m.rounds
@@ -74,7 +74,7 @@ class TestConsistency:
     def test_matches_run_result_accounting(self):
         result, _ = run_spec(
             catalog_factory({"algorithm": "broadcast", "n": 8, "seed": 0}),
-            engine="fast",
+            execution="fast",
         )
         m = result.metrics
         assert m.message_bits == result.total_message_bits
@@ -120,7 +120,10 @@ class TestConsistency:
 class TestLinksAndProfile:
     def test_link_matrix_and_busiest_links(self):
         obs = MetricsCollector(links=True)
-        result = CongestedClique(4).run(ring_prog, observer=obs)
+        result = CongestedClique(4).run(
+            ring_prog,
+            execution=ExecutionSpec(observer=obs),
+        )
         m = result.metrics
         assert m.link_bits == {(v, (v + 1) % 4): 1 for v in range(4)}
         assert m.busiest_links(2) == [(0, 1, 1), (1, 2, 1)]
@@ -132,7 +135,10 @@ class TestLinksAndProfile:
 
     def test_profile_collects_phase_totals(self):
         obs = MetricsCollector(profile=True)
-        result = CongestedClique(4).run(ring_prog, engine="reference", observer=obs)
+        result = CongestedClique(4).run(
+            ring_prog,
+            execution=ExecutionSpec(engine="reference", observer=obs),
+        )
         phases = result.metrics.phases
         assert phases is not None
         assert {"spawn", "validate", "deliver", "advance"} <= set(phases)
@@ -142,7 +148,10 @@ class TestLinksAndProfile:
 class TestSerialisation:
     def test_round_trip_through_json(self):
         obs = MetricsCollector(links=True, profile=True)
-        result = CongestedClique(5).run(ring_prog, engine="reference", observer=obs)
+        result = CongestedClique(5).run(
+            ring_prog,
+            execution=ExecutionSpec(engine="reference", observer=obs),
+        )
         m = result.metrics
         back = RunMetrics.from_dict(json.loads(json.dumps(m.to_dict())))
         assert back == m
@@ -156,8 +165,8 @@ class TestSerialisation:
 class TestCollectorLifecycle:
     def test_collector_resets_between_runs(self):
         obs = MetricsCollector()
-        r1 = CongestedClique(4).run(ring_prog, observer=obs)
-        r2 = CongestedClique(6).run(ring_prog, observer=obs)
+        r1 = CongestedClique(4).run(ring_prog, execution=ExecutionSpec(observer=obs))
+        r2 = CongestedClique(6).run(ring_prog, execution=ExecutionSpec(observer=obs))
         assert r1.metrics.n == 4
         assert r2.metrics.n == 6
         assert r1.metrics is not r2.metrics

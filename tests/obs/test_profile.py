@@ -5,6 +5,7 @@ import pytest
 from repro.clique.bits import BitString
 from repro.clique.network import CongestedClique
 from repro.obs import PhaseTimer, Profiler
+from repro.engine import ExecutionSpec
 
 
 def prog(node):
@@ -34,7 +35,10 @@ class TestPhaseTimer:
 class TestProfiler:
     def test_collects_rounds_and_totals(self, engine):
         profiler = Profiler()
-        result = CongestedClique(4).run(prog, engine=engine, observer=profiler)
+        result = CongestedClique(4).run(
+            prog,
+            execution=ExecutionSpec(engine=engine, observer=profiler),
+        )
         # Round 0 is the pre-round spawn phase; then one entry per round.
         assert [r for r, _ in profiler.rounds] == list(range(result.rounds + 1))
         assert "spawn" in profiler.rounds[0][1]
@@ -45,7 +49,10 @@ class TestProfiler:
 
     def test_phase_rows_ordered_by_cost(self, engine):
         profiler = Profiler()
-        CongestedClique(4).run(prog, engine=engine, observer=profiler)
+        CongestedClique(4).run(
+            prog,
+            execution=ExecutionSpec(engine=engine, observer=profiler),
+        )
         rows = profiler.phase_rows()
         seconds = [r["seconds"] for r in rows]
         assert seconds == sorted(seconds, reverse=True)
@@ -53,7 +60,13 @@ class TestProfiler:
 
     def test_resets_between_runs(self, engine):
         profiler = Profiler()
-        CongestedClique(4).run(prog, engine=engine, observer=profiler)
+        CongestedClique(4).run(
+            prog,
+            execution=ExecutionSpec(engine=engine, observer=profiler),
+        )
         first = list(profiler.rounds)
-        CongestedClique(4).run(prog, engine=engine, observer=profiler)
+        CongestedClique(4).run(
+            prog,
+            execution=ExecutionSpec(engine=engine, observer=profiler),
+        )
         assert len(profiler.rounds) == len(first)

@@ -1,5 +1,6 @@
-"""The unified run API: observer/check/transcripts keywords, the
-deprecation shims, engine resolution conflicts, and sweep integration."""
+"""The unified run API: the execution spec's observer/check/transcripts
+fields, the removed keyword spellings, engine resolution conflicts, and
+sweep integration."""
 
 import pytest
 
@@ -7,13 +8,17 @@ from repro.clique import run_algorithm
 from repro.clique.bits import BitString
 from repro.clique.errors import CliqueError
 from repro.clique.network import CongestedClique, RunResult
+from repro.bench import all_to_all_chatter
 from repro.engine import (
+    ColumnarEngine,
+    ExecutionSpec,
     FastEngine,
     ReferenceEngine,
     RunSpec,
     aggregate_sweep_metrics,
     canonical_check,
     resolve_engine,
+    run_spec,
     run_sweep,
 )
 from repro.obs import (
@@ -25,6 +30,7 @@ from repro.obs import (
     resolve_observer,
 )
 from repro.problems import generators as gen
+from repro.service import ServiceClient
 
 
 def ring_prog(node):
@@ -64,8 +70,10 @@ class TestObserverSpecs:
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_run_metrics_on_by_default_off_on_request(self, engine):
-        on = CongestedClique(4).run(ring_prog, engine=engine)
-        off = CongestedClique(4).run(ring_prog, engine=engine, observer=False)
+        on = CongestedClique(4).run(ring_prog, execution=engine)
+        off = CongestedClique(4).run(
+            ring_prog, execution=ExecutionSpec(engine=engine, observer=False)
+        )
         assert on.metrics is not None
         assert on.metrics.engine == engine
         assert off.metrics is None
@@ -75,7 +83,9 @@ class TestObserverSpecs:
         tracer, profiler, collector = Tracer(), Profiler(), MetricsCollector()
         composite = CompositeObserver(tracer, profiler, collector)
         assert composite.wants_messages and composite.wants_timing
-        result = CongestedClique(4).run(ring_prog, observer=composite)
+        result = CongestedClique(4).run(
+            ring_prog, execution=ExecutionSpec(observer=composite)
+        )
         assert result.metrics is not None  # from the collector part
         assert profiler.totals
         assert len(tracer.sink.events()) > 0
@@ -87,11 +97,12 @@ class TestCheckVocabulary:
             assert canonical_check(level) == level
         assert canonical_check(None) is None
 
-    def test_legacy_booleans_warn(self):
-        with pytest.warns(DeprecationWarning):
-            assert canonical_check(True) == "full"
-        with pytest.warns(DeprecationWarning):
-            assert canonical_check(False) == "off"
+    def test_booleans_are_rejected(self):
+        for flag in (True, False):
+            with pytest.raises(CliqueError, match="check must be one of"):
+                canonical_check(flag)
+            with pytest.raises(CliqueError, match="check must be one of"):
+                CongestedClique(4).run(ring_prog, execution={"check": flag})
 
     def test_unknown_level_rejected(self):
         with pytest.raises(CliqueError):
@@ -99,7 +110,7 @@ class TestCheckVocabulary:
 
     def test_run_accepts_check(self):
         result = CongestedClique(4).run(
-            ring_prog, engine="reference", check="bandwidth"
+            ring_prog, execution=ExecutionSpec(engine="reference", check="bandwidth")
         )
         assert result.rounds == 1
 
@@ -129,15 +140,43 @@ class TestEngineResolution:
 
 
 class TestDeprecatedForms:
-    def test_positional_aux_warns_but_works(self):
-        def prog(node):
-            return node.aux
-            yield
+    """The old spellings of "how to run" are gone: each is a TypeError."""
 
-        clique = CongestedClique(3)
-        with pytest.warns(DeprecationWarning):
-            result = clique.run(prog, None, 7)
-        assert result.outputs == {v: 7 for v in range(3)}
+    @pytest.mark.parametrize(
+        "keyword",
+        [
+            "engine",
+            "check",
+            "observer",
+            "fault_plan",
+            "transcripts",
+            "record_transcripts",
+        ],
+    )
+    def test_flat_execution_keywords_are_removed(self, keyword):
+        g = gen.random_graph(6, 0.4, 0)
+        spec = RunSpec(program=ring_prog, n=4)
+        calls = [
+            lambda **kw: CongestedClique(4).run(ring_prog, **kw),
+            lambda **kw: run_algorithm(ring_prog, g, **kw),
+            lambda **kw: run_spec(spec, **kw),
+            lambda **kw: run_sweep(ring_factory, [{"n": 4}], workers=1, **kw),
+            lambda **kw: all_to_all_chatter(4, 1, **kw),
+            lambda **kw: ServiceClient("unused.sock").run("bfs", {}, **kw),
+            lambda **kw: ServiceClient("unused.sock").sweep("bfs", [{}], **kw),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call(**{keyword: None})
+
+    def test_removed_engine_spellings(self):
+        with pytest.raises(TypeError):
+            run_spec(RunSpec(program=ring_prog, n=4), "fast")
+        with pytest.raises(TypeError):
+            RunSpec(program=ring_prog, n=4, fault_plan="drop=0.1")
+        for engine in (FastEngine, ColumnarEngine):
+            with pytest.raises(TypeError):
+                engine(record_transcripts=True)
 
     def test_positional_and_keyword_aux_conflict(self):
         def prog(node):
@@ -146,17 +185,8 @@ class TestDeprecatedForms:
 
         with pytest.raises(TypeError):
             CongestedClique(3).run(prog, None, 7, aux=7)
-
-    def test_record_transcripts_keyword_warns(self):
-        g = gen.random_graph(6, 0.4, 0)
-
-        def prog(node):
-            return node.id
-            yield
-
-        with pytest.warns(DeprecationWarning):
-            result = run_algorithm(prog, g, record_transcripts=True)
-        assert result.transcripts is not None
+        with pytest.raises(TypeError):
+            CongestedClique(3).run(prog, None, 7)
 
     def test_record_transcripts_conflicts_with_transcripts(self):
         g = gen.random_graph(6, 0.4, 0)
@@ -170,10 +200,13 @@ class TestDeprecatedForms:
 
     def test_transcripts_keyword_overrides_clique_default(self):
         clique = CongestedClique(4, record_transcripts=True)
-        off = clique.run(ring_prog, transcripts=False)
+        off = clique.run(ring_prog, execution=ExecutionSpec(transcripts=False))
         on = clique.run(ring_prog)
         assert off.transcripts is None
         assert on.transcripts is not None
+        g = gen.random_graph(6, 0.4, 0)
+        via = run_algorithm(ring_prog, g, execution={"transcripts": True})
+        assert via.transcripts is not None
 
 
 class TestRunResultStability:
@@ -192,7 +225,7 @@ class TestSweepIntegration:
                 ring_factory,
                 [{"n": 4}],
                 workers=1,
-                observer=MetricsCollector(),
+                execution=ExecutionSpec(observer=MetricsCollector()),
             )
 
     def test_metrics_flow_through_sweep(self):
@@ -205,6 +238,8 @@ class TestSweepIntegration:
         )
 
     def test_observer_off_in_sweep(self):
-        outcomes = run_sweep(ring_factory, [{"n": 4}], workers=1, observer=False)
+        outcomes = run_sweep(
+            ring_factory, [{"n": 4}], workers=1, execution={"observer": False}
+        )
         assert outcomes[0].result.metrics is None
         assert aggregate_sweep_metrics(outcomes) == {"runs": 0}

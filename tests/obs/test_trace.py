@@ -8,6 +8,7 @@ from repro.clique.bits import BitString
 from repro.clique.errors import CliqueError
 from repro.clique.network import CongestedClique
 from repro.obs import JSONLSink, RingBufferSink, TraceEvent, Tracer
+from repro.engine import ExecutionSpec
 
 
 def chatter(rounds=2):
@@ -23,7 +24,10 @@ def chatter(rounds=2):
 class TestTracer:
     def test_event_stream_shape(self):
         sink = RingBufferSink()
-        result = CongestedClique(3).run(chatter(2), observer=Tracer(sink))
+        result = CongestedClique(3).run(
+            chatter(2),
+            execution=ExecutionSpec(observer=Tracer(sink)),
+        )
         events = sink.events()
         assert events[0].kind == "run_start"
         assert events[0].detail["n"] == 3
@@ -37,7 +41,10 @@ class TestTracer:
 
     def test_deliver_events_carry_endpoints(self):
         sink = RingBufferSink()
-        CongestedClique(3).run(chatter(1), observer=Tracer(sink))
+        CongestedClique(3).run(
+            chatter(1),
+            execution=ExecutionSpec(observer=Tracer(sink)),
+        )
         delivers = [e for e in sink.events() if e.kind == "deliver"]
         assert {(e.src, e.dst) for e in delivers} == {
             (s, d) for s in range(3) for d in range(3) if s != d
@@ -47,7 +54,10 @@ class TestTracer:
 
     def test_sampling_keeps_boundaries(self):
         sink = RingBufferSink()
-        CongestedClique(3).run(chatter(2), observer=Tracer(sink, sample=4))
+        CongestedClique(3).run(
+            chatter(2),
+            execution=ExecutionSpec(observer=Tracer(sink, sample=4)),
+        )
         kinds = [e.kind for e in sink.events()]
         # Every 4th of 12 messages -> 3 kept; boundaries never sampled.
         assert kinds.count("deliver") == 3
@@ -82,7 +92,10 @@ class TestRingBufferSink:
 class TestJSONLSink:
     def test_writes_parseable_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        CongestedClique(3).run(chatter(1), observer=Tracer(JSONLSink(path)))
+        CongestedClique(3).run(
+            chatter(1),
+            execution=ExecutionSpec(observer=Tracer(JSONLSink(path))),
+        )
         lines = path.read_text().strip().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["kind"] == "run_start"

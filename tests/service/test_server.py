@@ -84,14 +84,14 @@ class TestRequests:
     def test_run_on_columnar_engine(self, client):
         config = {"n": 16, "rounds": 2, "seed": 1}
         fast = client.run("fanout", config)
-        columnar = client.run("fanout", config, engine="columnar")
+        columnar = client.run("fanout", config, execution="columnar")
         assert columnar["cached"] is False  # engine is part of the key
         assert columnar["rounds"] == fast["rounds"]
         assert columnar["common_output"] == fast["common_output"]
 
     def test_unknown_engine_is_an_error_and_the_daemon_keeps_serving(self, client):
         with pytest.raises(ServiceError, match="unknown engine 'sharded'"):
-            client.run("bfs", {"n": 8, "seed": 0}, engine="sharded")
+            client.run("bfs", {"n": 8, "seed": 0}, execution="sharded")
         assert client.run("bfs", {"n": 8, "seed": 0})["rounds"] >= 1
         assert client.status()["counters"]["errors"] == 1
 
@@ -104,8 +104,13 @@ class TestRequests:
                 r"unknown FaultPlan field\(s\) \['dorp'\].*did you mean "
                 r"'drop_rate'",
             ),
+            (
+                {"fault_plan": {"drop_rate": "x"}},
+                r"FaultPlan.drop_rate must be a real number",
+            ),
+            ({"fault_plan": {"seed": 1.5}}, r"FaultPlan.seed must be an int"),
         ],
-        ids=["removed-shards", "fault-plan-typo"],
+        ids=["removed-shards", "fault-plan-typo", "rate-type", "seed-type"],
     )
     def test_bad_execution_is_an_error_and_the_daemon_keeps_serving(
         self, client, execution, message
@@ -129,7 +134,11 @@ class TestRequests:
     def test_run_respects_fault_plan(self, client):
         clean = client.run("bfs", {"n": 9, "seed": 0})
         # A zero-rate plan changes the cache key but not the outcome.
-        faulty = client.run("bfs", {"n": 9, "seed": 0}, fault_plan="drop=0.0,seed=1")
+        faulty = client.run(
+            "bfs",
+            {"n": 9, "seed": 0},
+            execution={"fault_plan": "drop=0.0,seed=1"},
+        )
         assert faulty["cached"] is False
         assert faulty["rounds"] == clean["rounds"]
 
@@ -153,13 +162,35 @@ class TestRequests:
         assert same["cached"] is True
 
     def test_run_execution_conflict_is_an_error(self, client):
-        with pytest.raises(ServiceError, match="conflicting execution"):
-            client.run(
-                "fanout",
-                {"n": 8, "seed": 0},
-                execution={"engine": "columnar"},
-                engine="fast",
-            )
+        # A flat key beside the execution object is a second spelling of
+        # the same setting: refused, never merged.
+        request = {
+            "op": "run",
+            "algorithm": "fanout",
+            "config": {"n": 8, "seed": 0},
+            "execution": {"engine": "columnar"},
+            "engine": "fast",
+        }
+        with pytest.raises(ServiceError, match=r"\['engine'\].*'execution'"):
+            client.request(request)
+
+    @pytest.mark.parametrize("key", ["engine", "observer", "fault_plan"])
+    def test_flat_execution_keys_are_an_error_and_the_daemon_keeps_serving(
+        self, client, key
+    ):
+        value = {"engine": "fast", "observer": False, "fault_plan": "drop=0.1"}
+        request = {
+            "op": "run",
+            "algorithm": "fanout",
+            "config": {"n": 8, "rounds": 2, "seed": 0},
+            key: value[key],
+        }
+        with pytest.raises(ServiceError, match="'execution' object"):
+            client.request(request)
+        reply = client.run("fanout", {"n": 8, "rounds": 2, "seed": 0})
+        assert reply["rounds"] == 2
+        assert reply["metrics"]["engine"] == "fast"
+        assert client.status()["counters"]["errors"] == 1
 
     def test_sweep_and_cache_interop(self, client):
         configs = [{"n": n, "seed": 0} for n in (6, 8)]

@@ -31,13 +31,15 @@ class TestParser:
         assert sorted(action.choices) == sorted(CATALOG)
 
     def test_sweep_defaults(self):
+        # The engine stays unset: the batch default is filled in one
+        # place (repro.engine.spec.batch_execution), not by argparse.
         args = build_parser().parse_args(["sweep", "bfs"])
-        assert args.engine == "fast" and args.check == "bandwidth"
+        assert args.engine is None and args.check == "bandwidth"
         assert args.cache is None and args.workers is None
 
     def test_stats_defaults(self):
         args = build_parser().parse_args(["stats", "broadcast"])
-        assert args.n == 16 and args.engine == "fast"
+        assert args.n == 16 and args.engine is None
         assert args.links == 0 and not args.profile
 
     def test_trace_defaults(self):
