@@ -13,7 +13,7 @@ import gc
 import numpy as np
 
 from repro.algorithms.common import decode_bool_row, encode_bool_row
-from repro.bench import all_to_all_chatter, measure
+from repro.bench import all_to_all_chatter, compare_bench, measure, run_suite
 from repro.clique.bits import BitString
 from repro.clique.network import CongestedClique
 from repro.clique.routing import route
@@ -149,6 +149,21 @@ def test_metrics_overhead_on_fanout():
         f"ratios {[f'{r:.3f}' for r in block_ratios]}, cleanest block "
         f"off {off_best * 1e3:.2f}ms, on {on_best * 1e3:.2f}ms"
     )
+
+
+def test_bench_suite_repeated_runs_agree_within_stated_tolerance():
+    """The bench suite's acceptance criterion: same machine, same tree
+    -> the deterministic payloads are identical and the medians agree
+    within a generous wall-clock tolerance.  A wall-clock comparison, so
+    it lives here beside the other timing gates rather than in tier-1."""
+    names = ["codec/bool-row", "catalog/kds"]
+    first = run_suite(names, quick=True, repeats=3)
+    second = run_suite(names, quick=True, repeats=3)
+    for name in names:
+        assert first.results[name].info == second.results[name].info
+        assert first.results[name].params == second.results[name].params
+    verdict = compare_bench(first, second, tolerance=3.0)
+    assert verdict.ok, verdict.summary()
 
 
 def test_bool_row_codec_throughput(benchmark):

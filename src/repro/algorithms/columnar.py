@@ -12,12 +12,19 @@ totals.
 
 The collectives come in two accumulator flavours chosen by payload
 width: payloads of at most 64 bits stay in ``(n, n)`` ``uint64``
-matrices updated by whole-column shifts (the vectorised fast path),
-wider payloads accumulate per-pair Python big ints (chunks themselves
-always fit ``uint64`` because they are at most ``B`` bits — the ports
-require ``B <= 64``).  Entry packing reuses the bulk bit-codec kernels
+matrices updated by whole-column shifts (the vectorised fast path);
+wider payloads accumulate one Python big int per *source*, since a
+broadcast round hands every destination the same column, and fall
+back to per-pair big ints only from the first round delivered
+message by message (faults, transcripts).  Chunks themselves always
+fit ``uint64`` because they are at most ``B`` bits — the ports require
+``B <= 64``.  Entry packing reuses the bulk bit-codec kernels
 (:func:`repro.clique.bits.encode_uint_array` and friends) exactly like
-the generator forms, so the wire bits are identical by construction.
+the generator forms, so the wire bits are identical by construction;
+the ports make one codec call per block and slice or concatenate the
+payload ints by shifts.  Relay routing keeps a queue only for links
+that carry traffic, so its state grows with the flows, not with
+``n**2``.
 """
 
 from __future__ import annotations
@@ -30,12 +37,13 @@ from typing import Generator
 import numpy as np
 
 from ..clique.bits import BitReader, BitString, BitWriter, uint_width
-from ..clique.errors import CliqueError, ProtocolViolation
+from ..clique.errors import CliqueError, EncodingError, ProtocolViolation
 from ..clique.primitives import chunks_needed
 from ..clique.routing import (
     _LEN_WIDTH,
     _STATUS_PERIOD,
     ROUTE_SCHEMES,
+    _relay_bad_peer,
     _relay_of,
     _relay_position,
     relay_min_bandwidth,
@@ -69,6 +77,15 @@ def _require_narrow_links(ctx) -> None:
             f"per-link budget of at most 64 bits, got B={ctx.bandwidth}; "
             f"run this configuration on another engine"
         )
+
+
+def _enqueue(queues: dict, active: set, key: int, item) -> None:
+    """Append ``item`` to the lazily created queue ``queues[key]``."""
+    q = queues.get(key)
+    if q is None:
+        q = queues[key] = deque()
+    q.append(item)
+    active.add(key)
 
 
 def _chunk_layout(k: int, b: int) -> list[int]:
@@ -105,7 +122,13 @@ def array_all_broadcast(
     if small:
         acc = np.zeros((n, n), dtype=_U64)
     else:
-        acc_py = [[0] * n for _ in range(n)]
+        # A broadcast-path round hands every destination the same
+        # column, so it folds into one big int per source (``col`` with
+        # ``col_w`` bits); per-pair rows exist only once an explicit
+        # round arrives, and ``col`` then holds what came after it.
+        rows: list[list[int]] | None = None
+        col = [0] * n
+        col_w = [0] * n
     got = np.zeros((n, n), dtype=_I64)
     sent = 0
     for w in widths:
@@ -123,27 +146,26 @@ def array_all_broadcast(
             if small:
                 acc[:, bs] = (acc[:, bs] << _U64(w)) | bv
             else:
-                bsl, bvl = bs.tolist(), bv.tolist()
-                for dst in range(n):
-                    row = acc_py[dst]
-                    for j, s in enumerate(bsl):
-                        row[s] = (row[s] << w) | bvl[j]
+                for s, v in zip(bs.tolist(), bv.tolist()):
+                    col[s] = (col[s] << w) | v
+                    col_w[s] += w
             got[:, bs] += w
         else:
             # Explicit path: broadcasts arrive expanded per recipient;
             # the own chunk never transits and is appended locally.
             src, dst, val, wid = ctx.inbox_messages
+            if not small:
+                rows = _fold_columns(rows, col, col_w)
             if src.size:
                 if small:
                     acc[dst, src] = (
                         acc[dst, src] << wid.astype(_U64)
                     ) | val
                 else:
-                    for i in range(src.size):
-                        d, s = int(dst[i]), int(src[i])
-                        acc_py[d][s] = (acc_py[d][s] << int(wid[i])) | int(
-                            val[i]
-                        )
+                    for d, s, v, vw in zip(
+                        dst.tolist(), src.tolist(), val.tolist(), wid.tolist()
+                    ):
+                        rows[d][s] = (rows[d][s] << vw) | v
                 np.add.at(got, (dst, src), wid)
             diag = np.arange(n)
             if small:
@@ -152,7 +174,7 @@ def array_all_broadcast(
                 )
             else:
                 for v in range(n):
-                    acc_py[v][v] = (acc_py[v][v] << w) | chunk[v]
+                    rows[v][v] = (rows[v][v] << w) | chunk[v]
             got[diag, diag] += w
     bad = got != k
     if bad.any():
@@ -162,8 +184,26 @@ def array_all_broadcast(
             f"bits from node {int(src)}, expected {k}"
         )
     if small:
-        return [[int(x) for x in row] for row in acc]
-    return acc_py
+        return acc.tolist()
+    return _fold_columns(rows, col, col_w)
+
+
+def _fold_columns(
+    rows: list[list[int]] | None, col: list[int], col_w: list[int]
+) -> list[list[int]]:
+    """Append each source's pending column bits (``col[s]``, ``col_w[s]``
+    bits) to every destination's row, then reset the columns."""
+    n = len(col)
+    if rows is None:
+        rows = [list(col) for _ in range(n)]
+    else:
+        for s in range(n):
+            if col_w[s]:
+                for row in rows:
+                    row[s] = (row[s] << col_w[s]) | col[s]
+    col[:] = [0] * n
+    col_w[:] = [0] * n
+    return rows
 
 
 def array_all_gather_uint(
@@ -245,13 +285,12 @@ def array_route(
         if src.size:
             acc_len[dst, src] = (acc_len[dst, src] << wid.astype(_U64)) | val
             np.add.at(got_len, (dst, src), wid)
-    in_lengths: list[dict[int, int]] = [
-        {
-            int(s): int(acc_len[dst, s])
-            for s in np.nonzero(got_len[dst])[0]
-        }
-        for dst in range(n)
-    ]
+    in_lengths: list[dict[int, int]] = [{} for _ in range(n)]
+    in_dst, in_src = np.nonzero(got_len)
+    for d, s, length in zip(
+        in_dst.tolist(), in_src.tolist(), acc_len[in_dst, in_src].tolist()
+    ):
+        in_lengths[d][s] = length
 
     out_col = np.asarray(
         [sum(nb for _v, nb in live[s].values()) for s in range(n)], dtype=_I64
@@ -394,12 +433,13 @@ def _array_route_relay(
     peer_mask = (1 << node_w) - 1
     chunk_mask = (1 << payload_w) - 1
 
-    spread = [
-        {w: deque() for w in range(n) if w != me} for me in range(n)
-    ]
-    forward = [
-        {d: deque() for d in range(n) if d != me} for me in range(n)
-    ]
+    # Link queues are keyed by ``me * n + peer`` and exist only while the
+    # link carries traffic; ``active`` holds the keys of nonempty queues
+    # and ``queued[me]`` counts the items queued at ``me``.
+    spread: dict[int, deque] = {}
+    forward: dict[int, deque] = {}
+    active: set[int] = set()
+    queued = [0] * n
     expect = [
         {s: math.ceil(length / payload_w) for s, length in in_lengths[me].items()}
         for me in range(n)
@@ -419,14 +459,11 @@ def _array_route_relay(
                 tv, tw = chunks[-1]
                 chunks[-1] = (tv << (payload_w - tw), payload_w)
             for i, (cv, _cw) in enumerate(chunks):
-                spread[me][_relay_of(me, d, i, n)].append((d, cv))
+                _enqueue(spread, active, me * n + _relay_of(me, d, i, n), (d, cv))
+            queued[me] += len(chunks)
 
     def satisfied(me: int) -> bool:
-        return (
-            remaining[me] == 0
-            and all(not q for q in spread[me].values())
-            and all(not q for q in forward[me].values())
-        )
+        return remaining[me] == 0 and queued[me] == 0
 
     def accept(me: int, src: int, relay: int, chunk_val: int) -> None:
         if src not in store[me]:
@@ -478,42 +515,40 @@ def _array_route_relay(
                 )
             continue
 
-        esrc, edst, evals = [], [], []
-        for me in range(n):
-            for peer in range(n):
-                if peer == me:
-                    continue
-                if forward[me][peer]:
-                    src0, cv = forward[me][peer].popleft()
-                    raw = (((1 << node_w) | src0) << payload_w) | cv
-                elif spread[me][peer]:
-                    dstf, cv = spread[me][peer].popleft()
-                    raw = (dstf << payload_w) | cv
-                else:
-                    continue
-                esrc.append(me)
-                edst.append(peer)
-                evals.append(raw)
-        if esrc:
-            ctx.send(
-                np.asarray(esrc, dtype=_I64),
-                np.asarray(edst, dtype=_I64),
-                np.asarray(evals, dtype=_U64),
-                msg_w,
-            )
+        # Data round: one message per active link, forward traffic first.
+        # Sorted link keys are the (me, peer) order of the generator twin's
+        # per-node loops, so inbox and FIFO orders match it.
+        links = sorted(active)
+        evals = []
+        for key in links:
+            fq = forward.get(key)
+            if fq:
+                src0, cv = fq.popleft()
+                evals.append((((1 << node_w) | src0) << payload_w) | cv)
+            else:
+                dstf, cv = spread[key].popleft()
+                evals.append((dstf << payload_w) | cv)
+            if not fq and not spread.get(key):
+                active.discard(key)
+            queued[key // n] -= 1
+        if links:
+            keys = np.asarray(links, dtype=_I64)
+            ctx.send(keys // n, keys % n, np.asarray(evals, dtype=_U64), msg_w)
         yield
         data_round += 1
         src, dst, val, _wid = ctx.inbox_messages
-        for i in range(src.size):
-            me, sender, raw = int(dst[i]), int(src[i]), int(val[i])
+        for me, sender, raw in zip(dst.tolist(), src.tolist(), val.tolist()):
             tag = raw >> (msg_w - 1)
             peer_id = (raw >> payload_w) & peer_mask
             chunk_val = raw & chunk_mask
             if tag == 0:
                 if peer_id == me:
                     accept(me, sender, me, chunk_val)
+                elif peer_id >= n:
+                    raise _relay_bad_peer(me, peer_id, sender)
                 else:
-                    forward[me][peer_id].append((sender, chunk_val))
+                    _enqueue(forward, active, me * n + peer_id, (sender, chunk_val))
+                    queued[me] += 1
             else:
                 accept(me, peer_id, sender, chunk_val)
 
@@ -786,12 +821,37 @@ def routing_array(ctx) -> Generator[None, None, list[tuple]]:
     ]
 
 
+def _take_bits(value: int, nbits: int, pos: int, width: int) -> int:
+    """Bits ``[pos, pos + width)`` (MSB first) of a ``nbits``-bit payload,
+    raising the overrun error of :meth:`BitReader.read_bits`."""
+    if pos + width > nbits:
+        raise EncodingError(
+            f"read of {width} bits at offset {pos} overruns {nbits}-bit message"
+        )
+    return (value >> (nbits - pos - width)) & ((1 << width) - 1)
+
+
+def _decode_concat(
+    semiring: Semiring, chunks: list[int], counts: list[int], width: int
+) -> np.ndarray:
+    """Decode ``chunks`` (``counts[i]`` entries of ``width`` bits in
+    ``chunks[i]``) with one codec call over their concatenation."""
+    merged = 0
+    for chunk, count in zip(chunks, counts):
+        merged = (merged << (count * width)) | chunk
+    total = sum(counts)
+    return semiring.decode_entries(BitString(merged, total * width), total, width)
+
+
 def matmul_array(ctx) -> Generator[None, None, list[np.ndarray]]:
     """Columnar cube-partitioned matrix multiplication.
 
     Mirrors :func:`repro.algorithms.matmul.distributed_matmul` with the
     RING semiring: node ``v``'s input is ``(A[v], B[v])`` and its output
     ``C[v]``.  ``ctx.auxes[v]`` carries ``{"max_entry", "scheme"}``.
+    Entry packing makes one codec call per row block (phase 1), per
+    partial block (phase 3) and per node and matrix on the receive side,
+    slicing and concatenating the payload ints by shifts.
     """
     from .common import group_partition, int_ceil_root
     from .matmul import RING
@@ -813,75 +873,101 @@ def matmul_array(ctx) -> Generator[None, None, list[np.ndarray]]:
     def triple_of(t: int) -> tuple[int, int, int]:
         return (t // (g * g), (t // g) % g, t % g)
 
-    # ---- Phase 1: distribute input blocks to the cube nodes.
+    # ---- Phase 1: distribute input blocks to the cube nodes.  Node ``v``
+    # serves the cube nodes ``(block(v), *, *)`` with its A row blocks and
+    # ``(*, block(v), *)`` with its B row blocks; each block is encoded
+    # once, when the ascending-``t`` loop first needs it, so an entry that
+    # does not fit ``in_w`` fails in the same block as in the generator twin.
     flows: dict[int, dict[int, tuple[int, int]]] = {}
     for me in range(n):
         a_row = np.asarray(ctx.inputs[me][0], dtype=np.int64)
         b_row = np.asarray(ctx.inputs[me][1], dtype=np.int64)
-        my_block = block_of(me)
+        m = block_of(me)
+        targets = {m * g * g + r for r in range(g * g)}
+        targets.update(a * g * g + m * g + c for a in range(g) for c in range(g))
+        enc_a: dict[int, BitString] = {}
+        enc_b: dict[int, BitString] = {}
         mine: dict[int, tuple[int, int]] = {}
-        for t in range(g**3):
+        for t in sorted(targets):
             a, bb, c = triple_of(t)
-            w = BitWriter()
-            if a == my_block:
-                w.write_bits(semiring.encode_entries(a_row[blocks[bb]], in_w))
-            if bb == my_block:
-                w.write_bits(semiring.encode_entries(b_row[blocks[c]], in_w))
-            payload = w.finish()
-            if len(payload) > 0:
-                mine[t] = (payload.value, len(payload))
+            value = nbits = 0
+            if a == m:
+                if bb not in enc_a:
+                    enc_a[bb] = semiring.encode_entries(a_row[blocks[bb]], in_w)
+                value, nbits = enc_a[bb].value, len(enc_a[bb])
+            if bb == m:
+                if c not in enc_b:
+                    enc_b[c] = semiring.encode_entries(b_row[blocks[c]], in_w)
+                value = (value << len(enc_b[c])) | enc_b[c].value
+                nbits += len(enc_b[c])
+            if nbits > 0:
+                mine[t] = (value, nbits)
         flows[me] = mine
     received = yield from array_route(ctx, flows, scheme=scheme)
 
     # ---- Phase 2: local block multiply at cube nodes.
     partials: dict[int, np.ndarray] = {}
-    for me in range(n):
-        if me >= g**3:
-            continue
+    for me in range(min(n, g**3)):
         a, bb, c = triple_of(me)
         Ba, Bb, Bc = blocks[a], blocks[bb], blocks[c]
-        a_block = np.full(
-            (len(Ba), len(Bb)), semiring.identity, dtype=np.int64
-        )
-        b_block = np.full(
-            (len(Bb), len(Bc)), semiring.identity, dtype=np.int64
-        )
+        a_w, b_w = len(Bb) * in_w, len(Bc) * in_w
+        a_rows, a_chunks, b_rows, b_chunks = [], [], [], []
         for src, (value, nbits) in received[me].items():
-            r = BitReader(BitString(value, nbits))
             src_block = block_of(src)
+            pos = 0
             if src_block == a:
-                chunk = r.read_bits(len(Bb) * in_w)
-                a_block[Ba.index(src)] = semiring.decode_entries(
-                    chunk, len(Bb), in_w
-                )
+                a_rows.append(Ba.index(src))
+                a_chunks.append(_take_bits(value, nbits, 0, a_w))
+                pos = a_w
             if src_block == bb:
-                chunk = r.read_bits(len(Bc) * in_w)
-                b_block[Bb.index(src)] = semiring.decode_entries(
-                    chunk, len(Bc), in_w
-                )
+                b_rows.append(Bb.index(src))
+                b_chunks.append(_take_bits(value, nbits, pos, b_w))
+        a_block = np.full((len(Ba), len(Bb)), semiring.identity, dtype=np.int64)
+        b_block = np.full((len(Bb), len(Bc)), semiring.identity, dtype=np.int64)
+        if a_rows:
+            a_block[a_rows] = _decode_concat(
+                semiring, a_chunks, [len(Bb)] * len(a_rows), in_w
+            ).reshape(len(a_rows), len(Bb))
+        if b_rows:
+            b_block[b_rows] = _decode_concat(
+                semiring, b_chunks, [len(Bc)] * len(b_rows), in_w
+            ).reshape(len(b_rows), len(Bc))
         partials[me] = semiring.local_matmul(a_block, b_block)
 
-    # ---- Phase 3: aggregate partial rows at the row owners.
+    # ---- Phase 3: aggregate partial rows at the row owners.  One
+    # encode per partial block; row ``idx`` is a shift-and-mask slice.
     flows3: dict[int, dict[int, tuple[int, int]]] = {}
     for me, partial in partials.items():
-        a, bb, c = triple_of(me)
-        mine = {}
-        for idx, i in enumerate(blocks[a]):
-            payload = semiring.encode_entries(partial[idx], acc_w)
-            mine[i] = (payload.value, len(payload))
-        flows3[me] = mine
+        Ba = blocks[triple_of(me)[0]]
+        row_bits = partial.shape[1] * acc_w
+        whole = semiring.encode_entries(partial, acc_w).value
+        mask = (1 << row_bits) - 1
+        flows3[me] = {
+            i: ((whole >> ((len(Ba) - 1 - idx) * row_bits)) & mask, row_bits)
+            for idx, i in enumerate(Ba)
+        }
     received3 = yield from array_route(ctx, flows3, scheme=scheme)
 
+    # One decode per node over every received partial row, then the
+    # semiring sum in arrival order (blocks are contiguous column spans).
+    spans = [slice(blk[0], blk[-1] + 1) for blk in blocks]
     out: list[np.ndarray] = []
     for me in range(n):
         c_row = np.full(n, semiring.identity, dtype=np.int64)
+        cs, chunks, counts = [], [], []
         for t, (value, nbits) in received3[me].items():
-            a, bb, c = triple_of(t)
-            Bc = blocks[c]
-            vals = semiring.decode_entries(
-                BitString(value, nbits), len(Bc), acc_w
-            )
-            c_row[Bc] = semiring.combine(c_row[Bc], vals)
+            c = t % g
+            cs.append(c)
+            counts.append(len(blocks[c]))
+            chunks.append(_take_bits(value, nbits, 0, counts[-1] * acc_w))
+        if chunks:
+            flat = _decode_concat(semiring, chunks, counts, acc_w)
+            off = 0
+            for c, count in zip(cs, counts):
+                span = spans[c]
+                vals = flat[off : off + count]
+                c_row[span] = semiring.combine(c_row[span], vals)
+                off += count
         out.append(c_row)
     return out
 
@@ -892,7 +978,7 @@ def sorting_array(ctx) -> Generator[None, None, list[list[int]]]:
     Node ``v``'s input is its key list; ``ctx.auxes[v]`` carries
     ``{"key_width", "scheme"}``.
     """
-    from ..clique.bits import encode_uint_array
+    from ..clique.bits import decode_uint_array, encode_uint_array
 
     n = ctx.n
     aux = dict(ctx.auxes[0])
@@ -924,11 +1010,14 @@ def sorting_array(ctx) -> Generator[None, None, list[list[int]]]:
         ctx, payloads, n * key_width
     )
 
-    def unpack_samples(value: int) -> list[int]:
-        mask = (1 << key_width) - 1
-        return [
-            (value >> ((n - 1 - i) * key_width)) & mask for i in range(n)
-        ]
+    def splitters_of(row: tuple[int, ...]) -> list[int]:
+        samples = []
+        for value in row:
+            samples += decode_uint_array(
+                BitString(value, n * key_width), n, key_width
+            )
+        samples.sort()
+        return [samples[(j + 1) * n - 1] for j in range(n - 1)]
 
     def pack_keys(keys: list[int]) -> tuple[int, int]:
         w = BitWriter()
@@ -944,12 +1033,15 @@ def sorting_array(ctx) -> Generator[None, None, list[list[int]]]:
         return r.read_uints(count, key_width)
 
     # Step 3: route keys to their splitter bucket.
+    # Every node that received the same sample rows (all of them, on a
+    # fault-free run) derives the same splitters: compute them once.
+    splitters_by_rows: dict[tuple[int, ...], list[int]] = {}
     flows: dict[int, dict[int, tuple[int, int]]] = {}
     for me in range(n):
-        all_samples = sorted(
-            s for row in sample_rows[me] for s in unpack_samples(row)
-        )
-        splitters = [all_samples[(j + 1) * n - 1] for j in range(n - 1)]
+        row = tuple(sample_rows[me])
+        splitters = splitters_by_rows.get(row)
+        if splitters is None:
+            splitters = splitters_by_rows[row] = splitters_of(row)
         buckets: dict[int, list[int]] = {j: [] for j in range(n)}
         for k in locals_[me]:
             buckets[bisect.bisect_left(splitters, k)].append(k)

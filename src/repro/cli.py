@@ -30,6 +30,7 @@ daemon's cache.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -1225,7 +1226,7 @@ def _cmd_demo(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return {
+    command = {
         "figure1": _cmd_figure1,
         "miniature": _cmd_miniature,
         "counting": _cmd_counting,
@@ -1237,7 +1238,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench": _cmd_bench,
         "serve": _cmd_serve,
         "demo": _cmd_demo,
-    }[args.command](args)
+    }[args.command]
+    try:
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro sweep ... | head``).
+        # Point the descriptor at /dev/null so the interpreter's exit
+        # flush of what is still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -328,6 +328,8 @@ def _route_relay(
                         seen_from_relay, expect_chunks,
                     )
                     remaining -= 1
+                elif peer_id >= n:
+                    raise _relay_bad_peer(me, peer_id, sender)
                 else:
                     forward[peer_id].append((sender, chunk))
             else:
@@ -364,6 +366,16 @@ def _relay_of(s: int, d: int, i: int, n: int) -> int:
     """
     q = ((d - s - 1) % n + i) % (n - 1)
     return (s + 1 + q) % n
+
+
+def _relay_bad_peer(me: int, peer: int, sender: int) -> ProtocolViolation:
+    """The error for a spread header naming a destination outside the
+    clique (the ``node_w``-bit peer field can encode ids up to
+    ``2**node_w - 1 >= n``)."""
+    return ProtocolViolation(
+        f"route(relay): node {me} got a chunk from {sender} for "
+        f"nonexistent node {peer}"
+    )
 
 
 def _relay_position(s: int, d: int, w: int, n: int) -> int:

@@ -7,7 +7,6 @@ import pytest
 from repro.bench import (
     SCHEMA_VERSION,
     BenchReport,
-    compare_bench,
     default_output_path,
     environment_fingerprint,
     git_sha,
@@ -123,15 +122,13 @@ class TestArtifactRoundTrip:
 
 
 class TestDeterminism:
-    def test_repeated_runs_agree_within_stated_tolerance(self):
-        """The acceptance criterion: same machine, same tree -> the
-        deterministic payloads are identical and the medians agree
-        within a generous wall-clock tolerance."""
+    def test_repeated_runs_agree_on_deterministic_payloads(self):
+        """Same machine, same tree -> the deterministic payloads are
+        identical.  (The wall-clock half of this criterion is timed in
+        ``benchmarks/test_engine_throughput.py``, outside tier-1.)"""
         names = ["codec/bool-row", "catalog/kds"]
         first = run_suite(names, quick=True, repeats=3)
         second = run_suite(names, quick=True, repeats=3)
         for name in names:
             assert first.results[name].info == second.results[name].info
             assert first.results[name].params == second.results[name].params
-        verdict = compare_bench(first, second, tolerance=3.0)
-        assert verdict.ok, verdict.summary()

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import io
+import os
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -108,6 +112,26 @@ class TestCommands:
         assert main(["predict", "sortign"]) == 2
         err = capsys.readouterr().err
         assert "did you mean 'sorting'" in err
+
+    def test_closed_stdout_exits_without_traceback(self, tmp_path, monkeypatch):
+        # ``repro predict ... | head``: the reader is gone before the
+        # first write.  main() returns instead of raising, with the
+        # descriptor pointed at the null device for the exit flush.
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["predict", "broadcast", "--n", "1000"]) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
 
     def test_predict_without_algorithm_or_validate(self, capsys):
         assert main(["predict"]) == 2
