@@ -44,8 +44,10 @@ from ..clique.routing import (
     _STATUS_PERIOD,
     ROUTE_SCHEMES,
     _relay_bad_peer,
+    _relay_bad_width,
     _relay_of,
     _relay_position,
+    _unannounced_chunk,
     relay_min_bandwidth,
 )
 from ..engine.columnar import array_program
@@ -340,6 +342,20 @@ def _array_route_direct(
                 (c.value, len(c)) for c in BitString(value, nbits).split(b)
             ]
     acc: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def finish(nodes) -> None:
+        for dst in nodes:
+            for s, expected in in_lengths[dst].items():
+                if expected <= 0:
+                    continue
+                value, bits = acc.get((dst, s), (0, 0))
+                if bits < expected:
+                    raise ProtocolViolation(
+                        f"route: node {dst} received {bits} of "
+                        f"{expected} bits from node {s}"
+                    )
+                result[dst][s] = (value >> (bits - expected), expected)
+
     for r in range(total_rounds):
         esrc, edst, evals, ewids = [], [], [], []
         for (s, d), chunks in chunked.items():
@@ -360,22 +376,18 @@ def _array_route_direct(
         src, dst, val, wid = ctx.inbox_messages
         for i in range(src.size):
             key = (int(dst[i]), int(src[i]))
+            if in_lengths[key[0]].get(key[1], 0) <= 0:
+                if r == total_rounds - 1:
+                    # The generator twin's lower nodes finish (and may
+                    # fail) before this node reads its last inbox.
+                    finish(range(key[0]))
+                raise _unannounced_chunk(*key)
             value, bits = acc.get(key, (0, 0))
             acc[key] = (
                 (value << int(wid[i])) | int(val[i]),
                 bits + int(wid[i]),
             )
-    for dst in range(n):
-        for s, expected in in_lengths[dst].items():
-            if expected <= 0:
-                continue
-            value, bits = acc.get((dst, s), (0, 0))
-            if bits < expected:
-                raise ProtocolViolation(
-                    f"route: node {dst} received {bits} of "
-                    f"{expected} bits from node {s}"
-                )
-            result[dst][s] = (value >> (bits - expected), expected)
+    finish(range(n))
 
 
 def _array_route_lenzen(
@@ -536,8 +548,14 @@ def _array_route_relay(
             ctx.send(keys // n, keys % n, np.asarray(evals, dtype=_U64), msg_w)
         yield
         data_round += 1
-        src, dst, val, _wid = ctx.inbox_messages
-        for me, sender, raw in zip(dst.tolist(), src.tolist(), val.tolist()):
+        src, dst, val, wid = ctx.inbox_messages
+        # The generator twin fails at the first frame of the wrong width,
+        # after reading every message before it.
+        bad = np.flatnonzero(wid != msg_w)
+        stop = int(bad[0]) if bad.size else src.size
+        for me, sender, raw in zip(
+            dst[:stop].tolist(), src[:stop].tolist(), val[:stop].tolist()
+        ):
             tag = raw >> (msg_w - 1)
             peer_id = (raw >> payload_w) & peer_mask
             chunk_val = raw & chunk_mask
@@ -551,6 +569,10 @@ def _array_route_relay(
                     queued[me] += 1
             else:
                 accept(me, peer_id, sender, chunk_val)
+        if bad.size:
+            raise _relay_bad_width(
+                int(dst[stop]), int(src[stop]), int(wid[stop]), msg_w
+            )
 
     for me in range(n):
         for s, chunks in store[me].items():

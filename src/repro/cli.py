@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=batch_engine_help,
     )
     p_sweep.add_argument(
-        "--check", choices=_LazyChoices(_check_choices), default="bandwidth",
-        help="validation level",
+        "--check", choices=_LazyChoices(_check_choices), default=None,
+        help="validation level (default: the engine's own)",
     )
     p_sweep.add_argument(
         "--cache", default=None, metavar="DIR",
@@ -208,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help=(
-            "per-point wall-clock deadline; hung points are killed and "
-            "marked failed (runs points serially in watched children)"
+            "per-attempt wall-clock deadline; a pool worker holding a "
+            "point past it is killed and replaced, and the attempt counts "
+            "as failed (points run one at a time per pool worker)"
         ),
     )
     p_sweep.add_argument(

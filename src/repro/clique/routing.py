@@ -150,6 +150,8 @@ def _route_direct(
                 node.send(d, chunks[r])
         yield
         for s, msg in node.inbox.items():
+            if s not in incoming:
+                raise _unannounced_chunk(node.id, s)
             incoming[s].append(msg)
 
     return _finish_incoming(node, incoming, in_lengths)
@@ -234,6 +236,7 @@ def _route_relay(
             f"relay routing needs bandwidth >= {relay_min_bandwidth(n)} bits "
             f"(got {b}); run with bandwidth_multiplier >= 2"
         )
+    msg_w = 1 + node_w + payload_w
     me = node.id
 
     # Sender state: per-relay FIFO of (dst, chunk) spread messages.
@@ -299,25 +302,22 @@ def _route_relay(
             if forward[peer]:
                 src, chunk = forward[peer].popleft()
                 msg = BitString(
-                    (((1 << node_w) | src) << payload_w) | chunk.value,
-                    1 + node_w + payload_w,
+                    (((1 << node_w) | src) << payload_w) | chunk.value, msg_w
                 )
                 node.send(peer, msg)
             elif spread[peer]:
                 dst, chunk = spread[peer].popleft()
-                msg = BitString(
-                    (dst << payload_w) | chunk.value,
-                    1 + node_w + payload_w,
-                )
+                msg = BitString((dst << payload_w) | chunk.value, msg_w)
                 node.send(peer, msg)
         yield
         data_round += 1
         for sender, msg in node.inbox.items():
+            if len(msg) != msg_w:
+                raise _relay_bad_width(me, sender, len(msg), msg_w)
             raw = msg.value
-            chunk_w = len(msg) - 1 - node_w
-            tag = raw >> (len(msg) - 1)
-            peer_id = (raw >> chunk_w) & ((1 << node_w) - 1)
-            chunk = BitString(raw & ((1 << chunk_w) - 1), chunk_w)
+            tag = raw >> (msg_w - 1)
+            peer_id = (raw >> payload_w) & ((1 << node_w) - 1)
+            chunk = BitString(raw & ((1 << payload_w) - 1), payload_w)
             if tag == 0:
                 # We are the relay; ``peer_id`` is the final destination.
                 if peer_id == me:
@@ -366,6 +366,21 @@ def _relay_of(s: int, d: int, i: int, n: int) -> int:
     """
     q = ((d - s - 1) % n + i) % (n - 1)
     return (s + 1 + q) % n
+
+
+def _unannounced_chunk(me: int, sender: int) -> ProtocolViolation:
+    """The error for a direct-scheme chunk from a node with no flow to ``me``."""
+    return ProtocolViolation(
+        f"route: node {me} got a chunk from {sender}, which announced no flow to it"
+    )
+
+
+def _relay_bad_width(me: int, sender: int, width: int, msg_w: int) -> ProtocolViolation:
+    """The error for a relay data-round message that is not a frame."""
+    return ProtocolViolation(
+        f"route(relay): node {me} got a {width}-bit message from {sender}; "
+        f"relay frames are {msg_w} bits"
+    )
 
 
 def _relay_bad_peer(me: int, peer: int, sender: int) -> ProtocolViolation:

@@ -18,9 +18,12 @@ The benchmark suite (:mod:`repro.bench`) times sweeps through this same
 entry point — the ``sweep/*`` workloads call :func:`run_sweep` directly
 so the ratchet measures the code path experiments actually use.
 
-Resilience: a sweep survives individual bad grid points.  A point that
-raises is retried up to ``retries`` times with exponential backoff, then
-marked ``failed=True`` on its :class:`SweepOutcome` (carrying a
+Resilience: a sweep survives individual bad grid points.  This process
+owns every point's attempts, wherever they run (:func:`_attempt`): an
+exception, a deadline kill, a worker death or a task a worker cannot
+load is charged by one policy (:func:`_charge`) — retried up to
+``retries`` times with exponential backoff, then marked ``failed=True``
+on its :class:`SweepOutcome` (carrying a
 :class:`~repro.clique.errors.SweepPointFailed`) while the rest of the
 grid completes — or, with ``on_error="raise"``, aborts the sweep.  With
 ``timeout=`` the parent watches every in-flight point and kills (then
@@ -32,11 +35,12 @@ Parallel sweeps run on a process-wide *persistent pool*
 :func:`run_sweep` calls, so interpreter start-up and imports are paid
 once per process rather than once per sweep.  Tasks cross the boundary
 as explicit pickle-protocol-5 blobs and, without a timeout, ship in
-chunks to amortise queue traffic.  ``fork`` is required so factories
-defined in scripts and test modules resolve; on platforms without
-``fork``, or when ``workers <= 1``, the sweep runs serially in-process
-with identical results.  :func:`shutdown_pool` stops the warm workers
-(they restart lazily on the next sweep).
+chunks to amortise queue traffic.  Concurrent sweeps (threads of one
+process, e.g. the daemon's) take turns on the pool.  ``fork`` is
+required so factories defined in scripts and test modules resolve; on
+platforms without ``fork``, or when ``workers <= 1``, the sweep runs
+serially in-process with identical results.  :func:`shutdown_pool`
+stops the warm workers (they restart lazily on the next sweep).
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import json
 import os
 import pickle
 import queue as queue_mod
+import threading
 import time
 import warnings
 from collections import deque
@@ -174,28 +179,52 @@ def run_spec(spec: RunSpec, *, execution: Any = None) -> tuple[RunResult, Any]:
     return result, value
 
 
-def _safe_execute_point(task: tuple) -> tuple[str, Any]:
-    """Run one point with in-process retries; never raises.
+def _attempt(
+    factory: Callable[[dict], RunSpec], config: dict, execution: Any
+) -> tuple[str, Any]:
+    """Run one attempt of one grid point, in whichever process holds it.
 
-    Returns ``("ok", (result, value))`` or ``("error", SweepPointFailed)``
-    so a bad grid point cannot take down a pool worker (or the whole
-    ``pool.map``) with it.
+    Returns ``("ok", (result, value))`` or ``("error", reason)`` and
+    never raises, so a bad point cannot take down a pool worker.  Whether
+    a failed attempt is retried is the parent's decision (:func:`_charge`).
     """
-    factory, config, execution, index, retries, backoff = task
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return "ok", run_spec(factory(config), execution=execution)
-        except Exception as exc:
-            if attempt > retries:
-                return "error", SweepPointFailed(
-                    f"sweep point {index} (config {config!r}) failed after "
-                    f"{attempt} attempt(s): {type(exc).__name__}: {exc}",
-                    index=index,
-                    config=config,
-                )
-            time.sleep(min(backoff * (1 << (attempt - 1)), _BACKOFF_CAP))
+    try:
+        return "ok", run_spec(factory(config), execution=execution)
+    except Exception as exc:
+        return "error", f"{type(exc).__name__}: {exc}"
+
+
+@dataclass
+class _PointJob:
+    """Parent-side record of one pending grid point and its attempts."""
+
+    slot: int  # position among the pending points (result ordering)
+    index: int  # grid index (error messages)
+    config: dict
+    attempts: int = 0
+    eligible_at: float = 0.0  # monotonic time the next attempt may start
+
+
+def _charge(
+    job: _PointJob, reason: str, retries: int, backoff: float
+) -> SweepPointFailed | None:
+    """Charge ``job`` one failed attempt: the sweep's one retry policy.
+
+    Returns ``None`` when the point is retried (not before the capped
+    exponential backoff in ``job.eligible_at``), else its final error.
+    """
+    job.attempts += 1
+    if job.attempts <= retries:
+        job.eligible_at = time.monotonic() + min(
+            backoff * (1 << (job.attempts - 1)), _BACKOFF_CAP
+        )
+        return None
+    return SweepPointFailed(
+        f"sweep point {job.index} (config {job.config!r}) failed after "
+        f"{job.attempts} attempt(s): {reason}",
+        index=job.index,
+        config=job.config,
+    )
 
 
 def _factory_name(factory: Callable) -> str:
@@ -234,39 +263,34 @@ def _fork_context():
         return None
 
 
-def _pool_worker_main(task_q: Any, result_q: Any) -> None:  # pragma: no cover
+def _pool_worker_main(task_q, result_q, running) -> None:  # pragma: no cover
     # Child-process entry point (covered indirectly: runs post-fork).
     # Items are chunks: lists of (task_id, pickled-task) pairs; ``None``
-    # is the shutdown sentinel.  Results stream back one per task so the
-    # parent can rebalance and watch deadlines mid-chunk.
+    # is the shutdown sentinel.  Each task is one attempt; results
+    # stream back one per task so the parent can rebalance and watch
+    # deadlines mid-chunk.  ``running`` (shared memory) names the task in
+    # progress, so the parent can charge a hard death to the right point.
     while True:
         item = task_q.get()
         if item is None:
             return
         for task_id, blob in item:
+            running.value = task_id
             try:
                 task = pickle.loads(blob)
-            except BaseException as exc:
-                # Stale fork: the factory's module is not importable in
-                # this worker (e.g. it was defined after the pool warmed
-                # up).  The parent respawns a fresh worker and retries.
+            except Exception as exc:
                 result_q.put((task_id, "load-error", f"{type(exc).__name__}: {exc}"))
                 continue
-            status, payload = _safe_execute_point(task)
-            try:
-                out = pickle.dumps((status, payload), protocol=5)
-            except Exception as exc:
-                out = pickle.dumps(
-                    (
-                        "error",
-                        SweepPointFailed(
-                            f"sweep point result could not be pickled: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    ),
-                    protocol=5,
-                )
-            result_q.put((task_id, "done", out))
+            status, payload = _attempt(*task)
+            if status == "ok":
+                # Pickled here, not by the queue's feeder thread, so an
+                # unpicklable result is reported instead of lost.
+                try:
+                    payload = pickle.dumps(payload, protocol=5)
+                except Exception as exc:
+                    status = "error"
+                    payload = f"result could not be pickled: {exc!r}"
+            result_q.put((task_id, status, payload))
 
 
 class _PoolWorker:
@@ -277,16 +301,19 @@ class _PoolWorker:
     never a neighbour's pending results.
     """
 
-    __slots__ = ("proc", "task_q", "result_q", "outstanding")
+    __slots__ = ("proc", "task_q", "result_q", "running", "born", "outstanding")
 
     def __init__(self, context: Any) -> None:
         self.task_q = context.Queue()
         self.result_q = context.Queue()
-        #: task_id -> deadline (monotonic seconds) or None.
+        #: Id of the task the worker last started (shared memory).
+        self.running = context.RawValue("q", -1)
+        self.born = time.monotonic()  # a load error before a run: stale fork
+        #: task_id -> deadline (monotonic seconds) or None, in dispatch order.
         self.outstanding: dict[int, float | None] = {}
         self.proc = context.Process(
             target=_pool_worker_main,
-            args=(self.task_q, self.result_q),
+            args=(self.task_q, self.result_q, self.running),
             daemon=True,
         )
         self.proc.start()
@@ -306,219 +333,146 @@ class _PoolWorker:
             self.kill()
 
 
-@dataclass
-class _PoolJob:
-    """Parent-side state of one grid point travelling through the pool."""
-
-    slot: int  # position in the pending list (result ordering)
-    index: int  # grid index (error messages)
-    config: dict
-    blob: bytes
-    attempt: int = 0
-    load_errors: int = 0
-    eligible_at: float = 0.0
-
-
 class PersistentPool:
     """A reusable pool of warm ``fork`` worker processes.
 
     Workers outlive a single :func:`run_sweep` call: interpreter
     start-up and imports are paid once, then every sweep dispatches
-    pickled ``(factory, config)`` tasks (pickle protocol 5) to whatever
-    subset of workers it needs.  Without a timeout, tasks ship in
-    chunks and each worker retries failures in-process; with a timeout,
-    tasks go one at a time so the parent can kill a worker at its
-    deadline and respawn a fresh one for the retry.
+    pickled ``(factory, config, execution)`` tasks (pickle protocol 5)
+    to whatever subset of workers it needs.  Each task is one attempt.
+    Without a timeout, tasks ship in chunks; with one, they go one at a
+    time so the parent can kill a worker at its deadline.  Callers in
+    different threads take turns, as they share the result queues.
     """
 
     def __init__(self, context: Any) -> None:
         self._context = context
         self._workers: list[_PoolWorker] = []
         self._task_counter = 0
+        self._lock = threading.Lock()
 
-    @property
-    def size(self) -> int:
-        return len(self._workers)
-
-    def ensure(self, size: int) -> None:
+    def _grow(self, size: int) -> None:
         """Grow (never shrink) the pool to at least ``size`` live workers."""
         self._workers = [w for w in self._workers if w.proc.is_alive()]
         while len(self._workers) < size:
             self._workers.append(_PoolWorker(self._context))
 
     def shutdown(self) -> None:
-        for worker in self._workers:
-            worker.retire()
-        for worker in self._workers:
-            worker.proc.join(timeout=1.0)
-            if worker.proc.is_alive():
-                worker.kill()
-        self._workers = []
-
-    def _replace(self, position: int, *, kill: bool) -> None:
-        worker = self._workers[position]
-        if kill:
-            worker.kill()
-        else:
-            worker.retire()
-        self._workers[position] = _PoolWorker(self._context)
+        with self._lock:
+            for worker in self._workers:
+                worker.retire()
+            for worker in self._workers:
+                worker.proc.join(timeout=1.0)
+                if worker.proc.is_alive():
+                    worker.kill()
+            self._workers = []
 
     def run(
         self,
-        jobs: "list[_PoolJob]",
+        jobs: "list[_PointJob]",
+        blobs: "list[bytes]",
         *,
         max_workers: int,
         timeout: float | None,
         retries: int,
         backoff: float,
     ) -> list[tuple[str, Any]]:
-        """Run every job; returns ``(status, payload)`` pairs by slot.
+        """Run every job (``blobs[job.slot]`` is its pickled task) to its
+        final status; returns ``(status, payload)`` pairs by slot.
 
-        Without ``timeout``, child-side retries have already been baked
-        into the task blobs, so any ``"error"`` coming back is final.
-        With ``timeout``, the children run single attempts and the
-        retry/backoff/deadline loop lives here (each attempt needs a
-        fresh deadline, and a kill needs a fresh worker).
+        Every failed attempt is charged through :func:`_charge`, except
+        a load error on a worker forked before this call: a stale fork
+        (the factory's module appeared later) is replaced and the task
+        goes to the fresh worker uncharged.
         """
-        self.ensure(max_workers)
-        ready: deque[_PoolJob] = deque(jobs)
-        waiting: list[_PoolJob] = []
+        with self._lock:
+            return self._run(jobs, blobs, max_workers, timeout, retries, backoff)
+
+    def _run(self, jobs, blobs, max_workers, timeout, retries, backoff):
+        began = time.monotonic()
+        self._grow(max_workers)
+        ready: deque[_PointJob] = deque(jobs)
+        waiting: list[_PointJob] = []
         results: dict[int, tuple[str, Any]] = {}
-        in_flight: dict[int, _PoolJob] = {}
+        in_flight: dict[int, _PointJob] = {}
         chunk = 1
         if timeout is None:
             chunk = max(1, min(16, -(-len(jobs) // (max_workers * 4))))
 
-        def finish(job: _PoolJob, status: str, payload: Any) -> None:
-            results[job.slot] = (status, payload)
-
-        def retry_or_fail(job: _PoolJob, kind: str, detail: Any) -> None:
-            job.attempt += 1
-            if timeout is not None and job.attempt <= retries:
-                job.eligible_at = time.monotonic() + min(
-                    backoff * (1 << (job.attempt - 1)), _BACKOFF_CAP
-                )
+        def fail(task_id: int, reason: str) -> None:
+            job = in_flight.pop(task_id, None)
+            if job is None:  # pragma: no cover - task of an aborted run
+                return
+            error = _charge(job, reason, retries, backoff)
+            if error is None:
                 waiting.append(job)
-                return
-            if kind == "timeout":
-                finish(
-                    job,
-                    "error",
-                    SweepPointFailed(
-                        f"sweep point {job.index} (config {job.config!r}) "
-                        f"exceeded the {timeout:g}s timeout on all "
-                        f"{job.attempt} attempt(s) and was killed",
-                        index=job.index,
-                        config=job.config,
-                    ),
-                )
-            else:  # kind == "died"
-                finish(
-                    job,
-                    "error",
-                    SweepPointFailed(
-                        f"sweep point {job.index} (config {job.config!r}) "
-                        f"worker died without a result (exit code "
-                        f"{detail}) on attempt {job.attempt}",
-                        index=job.index,
-                        config=job.config,
-                    ),
-                )
-
-        def handle_done(job: _PoolJob, blob: bytes) -> None:
-            status, payload = pickle.loads(blob)
-            if status == "ok" or timeout is None:
-                # Chunk mode: the child already ran the retry loop and
-                # wrapped the final error; nothing to add here.
-                finish(job, status, payload)
-                return
-            job.attempt += 1
-            if job.attempt <= retries:
-                job.eligible_at = time.monotonic() + min(
-                    backoff * (1 << (job.attempt - 1)), _BACKOFF_CAP
-                )
-                waiting.append(job)
-                return
-            if job.attempt > 1:
-                finish(
-                    job,
-                    "error",
-                    SweepPointFailed(
-                        f"{payload} [{job.attempt} guarded attempt(s) total]",
-                        index=job.index,
-                        config=job.config,
-                    ),
-                )
             else:
-                finish(job, "error", payload)
+                results[job.slot] = ("error", error)
+
+        def evict(position: int) -> None:
+            # Kill and replace a worker; its unfinished tasks go back
+            # to the front of the queue, uncharged.
+            worker = self._workers[position]
+            for task_id in reversed(worker.outstanding):
+                job = in_flight.pop(task_id, None)
+                if job is not None:
+                    ready.appendleft(job)
+            worker.kill()
+            self._workers[position] = _PoolWorker(self._context)
 
         while len(results) < len(jobs):
             now = time.monotonic()
             progressed = False
             if waiting:
-                still: list[_PoolJob] = []
-                for job in waiting:
-                    if job.eligible_at <= now:
-                        ready.append(job)
-                    else:
-                        still.append(job)
-                waiting[:] = still
+                ready.extend(job for job in waiting if job.eligible_at <= now)
+                waiting[:] = [job for job in waiting if job.eligible_at > now]
             for position in range(min(max_workers, len(self._workers))):
                 worker = self._workers[position]
-                # Drain whatever this worker has finished.
+                # Sampled before the drain: everything a dead worker
+                # sent is then already in its pipe.
+                alive = not worker.outstanding or worker.proc.is_alive()
+                replace = False
                 try:
                     while True:
-                        task_id, kind, payload = worker.result_q.get_nowait()
+                        task_id, status, payload = worker.result_q.get_nowait()
                         worker.outstanding.pop(task_id, None)
-                        job = in_flight.pop(task_id, None)
                         progressed = True
-                        if job is None:  # pragma: no cover - stale result
-                            continue
-                        if kind == "done":
-                            handle_done(job, payload)
-                        else:  # "load-error": stale fork, respawn + retry
-                            job.load_errors += 1
-                            if job.load_errors > 2:
-                                finish(
-                                    job,
-                                    "error",
-                                    SweepPointFailed(
-                                        f"sweep point {job.index} (config "
-                                        f"{job.config!r}) could not be "
-                                        f"loaded in a pool worker: {payload}",
-                                        index=job.index,
-                                        config=job.config,
-                                    ),
-                                )
-                            else:
-                                ready.appendleft(job)
-                            self._replace(position, kill=False)
-                            worker = self._workers[position]
+                        if status == "ok":
+                            job = in_flight.pop(task_id, None)
+                            if job is not None:
+                                results[job.slot] = ("ok", pickle.loads(payload))
+                        elif status == "error":
+                            fail(task_id, payload)
+                        elif worker.born < began and task_id in in_flight:
+                            ready.appendleft(in_flight.pop(task_id))
+                            replace = True
+                        else:
+                            reason = f"could not be loaded in a pool worker: {payload}"
+                            fail(task_id, reason)
                 except queue_mod.Empty:
                     pass
-                if worker.outstanding:
-                    if not worker.proc.is_alive():
-                        # Hard death (e.g. segfault): every task still
-                        # assigned to this worker is charged one attempt.
-                        exitcode = worker.proc.exitcode
-                        for task_id in list(worker.outstanding):
-                            job = in_flight.pop(task_id, None)
-                            if job is not None:
-                                retry_or_fail(job, "died", exitcode)
-                        worker.outstanding.clear()
-                        self._replace(position, kill=True)
-                        progressed = True
-                    elif timeout is not None:
-                        task_id, deadline = next(iter(worker.outstanding.items()))
-                        if deadline is not None and now >= deadline:
-                            job = in_flight.pop(task_id, None)
-                            worker.outstanding.clear()
-                            self._replace(position, kill=True)
-                            if job is not None:
-                                retry_or_fail(job, "timeout", None)
-                            progressed = True
-                    continue
-                if not ready:
+                if worker.outstanding and not alive:
+                    # Hard death (e.g. a segfault): the task it was
+                    # running is charged, the rest of its chunk is not.
+                    running = worker.running.value
+                    if running not in worker.outstanding:
+                        running = next(iter(worker.outstanding))
+                    del worker.outstanding[running]
+                    code = worker.proc.exitcode
+                    fail(running, f"worker died without a result (exit code {code})")
+                    replace = True
+                elif worker.outstanding and timeout is not None:
+                    task_id, deadline = next(iter(worker.outstanding.items()))
+                    if deadline is not None and now >= deadline:
+                        del worker.outstanding[task_id]
+                        reason = f"exceeded the {timeout:g}s timeout and was killed"
+                        fail(task_id, reason)
+                        replace = True
+                if replace:
+                    evict(position)
+                    worker = self._workers[position]
+                    progressed = True
+                if worker.outstanding or not ready:
                     continue
                 # Idle worker + ready jobs: dispatch the next chunk.
                 batch: list[tuple[int, bytes]] = []
@@ -529,7 +483,7 @@ class PersistentPool:
                     self._task_counter += 1
                     in_flight[task_id] = job
                     worker.outstanding[task_id] = deadline
-                    batch.append((task_id, job.blob))
+                    batch.append((task_id, blobs[job.slot]))
                 worker.task_q.put(batch)
                 progressed = True
             if not progressed:
@@ -538,22 +492,25 @@ class PersistentPool:
 
 
 _WARM_POOL: "PersistentPool | None" = None
+_WARM_LOCK = threading.Lock()
 
 
 def _warm_pool(context: Any) -> PersistentPool:
     """The process-wide warm pool, created on first use."""
     global _WARM_POOL
-    if _WARM_POOL is None:
-        _WARM_POOL = PersistentPool(context)
-    return _WARM_POOL
+    with _WARM_LOCK:
+        if _WARM_POOL is None:
+            _WARM_POOL = PersistentPool(context)
+        return _WARM_POOL
 
 
 def shutdown_pool() -> None:
     """Stop the warm sweep worker pool (it restarts lazily on next use)."""
     global _WARM_POOL
-    if _WARM_POOL is not None:
-        _WARM_POOL.shutdown()
-        _WARM_POOL = None
+    with _WARM_LOCK:
+        pool, _WARM_POOL = _WARM_POOL, None
+    if pool is not None:
+        pool.shutdown()
 
 
 # Registered at import time, not at first pool use: a sweep that crashes
@@ -574,7 +531,7 @@ def pool_stats() -> dict:
         return {"warm": False, "workers": 0, "alive": 0}
     return {
         "warm": True,
-        "workers": pool.size,
+        "workers": len(pool._workers),
         "alive": sum(1 for w in pool._workers if w.proc.is_alive()),
     }
 
@@ -606,7 +563,8 @@ def run_sweep(
         Process count; ``None`` picks ``min(len(grid), cpu_count)``;
         values ``<= 1`` run serially in-process (except with
         ``timeout``, where the deadline kill needs a separate worker
-        process).
+        process).  Either way this process owns every point's attempts
+        and applies the retry policy below to each.
     execution:
         An :class:`~repro.engine.spec.ExecutionSpec` (or dict /
         engine-name shorthand) applied to every point.  An unset engine
@@ -627,13 +585,15 @@ def run_sweep(
     base_seed:
         Root of the deterministic per-task seed derivation.
     timeout:
-        Per-point wall-clock deadline in seconds.  Each attempt runs on
-        a pool worker that is killed and replaced at the deadline
+        Per-attempt wall-clock deadline in seconds.  Each attempt runs
+        on a pool worker that is killed and replaced at the deadline
         (requires the ``fork`` start method; without it the guard
         degrades to unguarded execution with a warning).
     retries:
-        How many times a failing point is retried (crash or timeout)
-        before being marked failed; total attempts = ``retries + 1``.
+        How many times a failing point (exception, deadline kill, worker
+        death, unloadable task) is retried before being marked failed
+        with ``sweep point {i} (config ...) failed after {k} attempt(s):
+        {reason}``; total attempts = ``retries + 1``.
     retry_backoff:
         Base sleep between attempts, doubled each retry and capped at
         a few seconds.
@@ -672,7 +632,7 @@ def run_sweep(
         points.append(config)
 
     outcomes: list[SweepOutcome | None] = [None] * len(points)
-    pending: list[tuple[int, dict]] = []
+    jobs: list[_PointJob] = []
     for index, config in enumerate(points):
         if cache is not None:
             hit = cache.get(_point_key(cache, program_factory, config, key_desc))
@@ -682,77 +642,76 @@ def run_sweep(
                     config=config, result=result, value=value, from_cache=True
                 )
                 continue
-        pending.append((index, config))
+        jobs.append(_PointJob(slot=len(jobs), index=index, config=config))
 
     if workers is None:
-        workers = min(len(pending), available_cpus())
-    def task(index: int, config: dict, attempt_retries: int) -> tuple:
-        return (program_factory, config, spec, index, attempt_retries, retry_backoff)
-
-    tasks = [task(index, config, retries) for index, config in pending]
-    statuses: list[tuple[str, Any]]
-    context = _fork_context()
-    if context is None:  # pragma: no cover - non-POSIX platforms
-        if timeout is not None:
-            warnings.warn(
-                "per-point timeouts need the 'fork' start method; running "
-                "without a timeout guard",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        statuses = [_safe_execute_point(task) for task in tasks]
-    elif not pending or (timeout is None and (workers <= 1 or len(pending) <= 1)):
-        # Serial in-process: same results, no processes.  A timeout
-        # always goes through the pool (the deadline kill needs a
-        # separate process), even for a single point or worker.
-        statuses = [_safe_execute_point(task) for task in tasks]
-    else:
-        # With a timeout the children run single attempts and the
-        # parent owns the retry loop (each retry needs a fresh deadline
-        # and possibly a fresh worker after a kill).
-        child_retries = 0 if timeout is not None else retries
-        jobs: list[_PoolJob] = []
-        try:
-            for slot, (index, config) in enumerate(pending):
-                blob = pickle.dumps(task(index, config, child_retries), protocol=5)
-                jobs.append(
-                    _PoolJob(slot=slot, index=index, config=config, blob=blob)
+        workers = min(len(jobs), available_cpus())
+    blobs: "list[bytes] | None" = None
+    # A timeout always goes through the pool (the deadline kill needs a
+    # separate process), even for a single point or worker.
+    if jobs and (timeout is not None or (workers > 1 and len(jobs) > 1)):
+        context = _fork_context()
+        if context is None:  # pragma: no cover - non-POSIX platforms
+            if timeout is not None:
+                warnings.warn(
+                    "per-point timeouts need the 'fork' start method; "
+                    "running without a timeout guard",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            # Unpicklable factory (e.g. a closure): degrade to serial.
-            warnings.warn(
-                f"sweep factory {_factory_name(program_factory)} (or its"
-                f" configs) is not picklable"
-                f" ({type(exc).__name__}: {exc}); running"
-                f" {len(tasks)} pending point(s) serially in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            statuses = [_safe_execute_point(task) for task in tasks]
         else:
-            statuses = _warm_pool(context).run(
-                jobs,
-                max_workers=max(1, min(workers, len(pending))),
-                timeout=timeout,
-                retries=retries,
-                backoff=retry_backoff,
-            )
+            try:
+                blobs = [
+                    pickle.dumps((program_factory, job.config, spec), protocol=5)
+                    for job in jobs
+                ]
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                # Unpicklable factory (e.g. a closure): degrade to serial.
+                warnings.warn(
+                    f"sweep factory {_factory_name(program_factory)} (or its"
+                    f" configs) is not picklable"
+                    f" ({type(exc).__name__}: {exc}); running"
+                    f" {len(jobs)} pending point(s) serially in-process",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+    if blobs is None:
+        statuses = []
+        for job in jobs:
+            status, payload = _attempt(program_factory, job.config, spec)
+            while status == "error":
+                payload = _charge(job, payload, retries, retry_backoff)
+                if payload is not None:
+                    break
+                time.sleep(max(0.0, job.eligible_at - time.monotonic()))
+                status, payload = _attempt(program_factory, job.config, spec)
+            statuses.append((status, payload))
+    else:
+        statuses = _warm_pool(context).run(
+            jobs,
+            blobs,
+            max_workers=max(1, min(workers, len(jobs))),
+            timeout=timeout,
+            retries=retries,
+            backoff=retry_backoff,
+        )
 
-    for (index, config), (status, payload) in zip(pending, statuses):
+    for job, (status, payload) in zip(jobs, statuses):
         if status == "ok":
             result, value = payload
-            outcomes[index] = SweepOutcome(config=config, result=result, value=value)
+            outcomes[job.index] = SweepOutcome(
+                config=job.config, result=result, value=value
+            )
             if cache is not None:
                 cache.put(
-                    _point_key(cache, program_factory, config, key_desc),
+                    _point_key(cache, program_factory, job.config, key_desc),
                     (result, value),
                 )
         else:
-            error = payload
             if on_error == "raise":
-                raise error
-            outcomes[index] = SweepOutcome(
-                config=config, result=None, failed=True, error=error
+                raise payload
+            outcomes[job.index] = SweepOutcome(
+                config=job.config, result=None, failed=True, error=payload
             )
     return [outcome for outcome in outcomes if outcome is not None]
 

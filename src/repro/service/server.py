@@ -23,9 +23,10 @@ stops accepting, drains queued work, joins the workers and removes the
 socket file.
 
 Work requests are expressed against the algorithm catalog
-(:data:`repro.engine.diff.CATALOG`), and cache keys are built with the
-same :func:`~repro.engine.pool._point_key` scheme ``run_sweep`` uses —
-so entries written by offline sweeps satisfy remote runs and vice versa.
+(:data:`repro.engine.diff.CATALOG`).  A ``run`` is a one-point
+:func:`~repro.engine.pool.run_sweep` — the same seed, cache key and
+attempt loop as a point of an offline sweep — so entries written by
+offline sweeps satisfy remote runs and vice versa.
 """
 
 from __future__ import annotations
@@ -41,10 +42,8 @@ from ..clique.errors import CliqueError
 from ..engine.cache import RunCache
 from ..engine.diff import CATALOG, catalog_factory
 from ..engine.pool import (
-    _point_key,
-    derive_seed,
+    aggregate_sweep_metrics,
     pool_stats,
-    run_spec,
     run_sweep,
     shutdown_pool,
 )
@@ -399,38 +398,29 @@ class ReproServer:
         return spec
 
     def _handle_run(self, request: dict) -> dict:
-        config = self._catalog_config(request)
-        config.setdefault("seed", derive_seed(0, 0, config))
-        spec = self._request_execution(request)
         use_cache = bool(request.get("cache", True))
-        key = None
-        cached = False
-        result = value = None
-        if use_cache:
-            key = _point_key(self.cache, catalog_factory, config, spec.describe())
-            hit = self.cache.get(key)
-            if hit is not None:
-                result, value = hit
-                cached = True
-        if result is None:
-            result, value = run_spec(
-                catalog_factory(dict(config)), execution=spec
-            )
-            if key is not None:
-                self.cache.put(key, (result, value))
+        (outcome,) = run_sweep(
+            catalog_factory,
+            [self._catalog_config(request)],
+            workers=1,
+            execution=self._request_execution(request),
+            cache=self.cache if use_cache else None,
+            on_error="raise",
+        )
+        result = outcome.result
         try:
             common = result.common_output()
         except CliqueError:
             common = None  # per-node outputs (e.g. apsp distance rows)
         reply = {
             "ok": True,
-            "cached": cached,
-            "config": _json_safe(config),
+            "cached": outcome.from_cache,
+            "config": _json_safe(outcome.config),
             "rounds": result.rounds,
             "total_message_bits": result.total_message_bits,
             "bulk_bits": result.bulk_bits,
             "common_output": _json_safe(common),
-            "value": _json_safe(value),
+            "value": _json_safe(outcome.value),
         }
         if result.metrics is not None:
             reply["metrics"] = _json_safe(result.metrics.summary())
@@ -462,8 +452,6 @@ class ReproServer:
             cache=self.cache if use_cache else None,
             base_seed=int(request.get("base_seed", 0)),
         )
-        from ..engine.pool import aggregate_sweep_metrics
-
         failed = [o for o in outcomes if o.failed]
         return {
             "ok": True,

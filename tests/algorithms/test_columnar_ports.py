@@ -72,6 +72,37 @@ def test_relay_header_naming_a_missing_node_is_a_protocol_violation(engine):
     )
 
 
+@pytest.mark.parametrize(
+    "scheme, message",
+    [
+        (
+            "direct",
+            "route: node 4 got a chunk from 6, which announced no flow to it",
+        ),
+        # A replayed 1-bit status message lands in a data round.
+        (
+            "relay",
+            "route(relay): node 5 got a 1-bit message from 0; relay frames "
+            "are 6 bits",
+        ),
+    ],
+)
+def test_replayed_messages_fail_alike_on_every_engine(scheme, message):
+    errors = []
+    for engine in ("reference", "fast", "columnar"):
+        with pytest.raises(ProtocolViolation) as err:
+            run_spec(
+                catalog_factory(
+                    {"algorithm": "routing", "n": 8, "seed": 0, "scheme": scheme}
+                ),
+                execution=ExecutionSpec(
+                    engine=engine, fault_plan="duplicate=0.05,seed=5"
+                ),
+            )
+        errors.append(str(err.value))
+    assert errors == [message] * 3
+
+
 @pytest.mark.parametrize("pos, width", [(0, 6), (2, 4)])
 def test_short_matmul_chunk_raises_the_bit_reader_overrun(pos, width):
     # matmul's receive side slices payload ints instead of reading them

@@ -1,8 +1,11 @@
 """Tests for the multiprocess sweep runner: determinism, worker/serial
 equivalence, cache integration, factory pickling fallbacks, and the
-failure-containment layer (crashing points, hanging points, retries)."""
+failure-containment layer (crashing points, hanging points, retries,
+dead and stale workers) and concurrent sweeps on the shared warm pool."""
 
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -18,7 +21,7 @@ from repro.engine import (
     run_spec,
     run_sweep,
 )
-from repro.engine.pool import available_cpus
+from repro.engine.pool import available_cpus, shutdown_pool
 
 
 def echo_factory(config: dict) -> RunSpec:
@@ -64,6 +67,55 @@ def flaky_factory(config: dict) -> RunSpec:
         _FLAKY_STATE["failures_left"] -= 1
         raise RuntimeError("transient failure")
     return chaos_factory(config)
+
+
+def marker_factory(config: dict) -> RunSpec:
+    """Module-level factory whose point with a ``log`` file fails its
+    first ``failures`` calls: by ``os._exit(3)`` when ``mode == "die"``,
+    by an exception otherwise.  Calls are counted as bytes in the file,
+    since a per-process counter does not survive a fork."""
+    log = config.get("log")
+    if log is not None:
+        with open(log, "a") as fh:
+            fh.write(".")
+        calls = os.path.getsize(log)
+        if calls <= config["failures"]:
+            if config.get("mode") == "die":
+                os._exit(3)
+            raise RuntimeError(f"transient failure on call {calls}")
+    return chaos_factory(config)
+
+
+def _refuse_to_load():
+    raise RuntimeError("refuses to load")
+
+
+class Unloadable:
+    """Pickles fine, but unpickling it raises (a task no worker can load)."""
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
+
+
+#: (workers, timeout) pairs: serial in-process, the chunked pool, and
+#: the pool's one-task-at-a-time deadline mode at one and two workers.
+ATTEMPT_LOOPS = [
+    pytest.param(1, None, id="serial"),
+    pytest.param(2, None, id="pool"),
+    pytest.param(1, 30.0, id="timeout-1-worker"),
+    pytest.param(2, 30.0, id="timeout-2-workers"),
+]
+#: A hard worker death needs a worker: serial ``os._exit`` would end
+#: the test process itself.
+DEATH_LOOPS = ATTEMPT_LOOPS[1:]
+#: (workers, timeout, mode) of a point that never recovers.
+PERSISTENT_FAILURES = [(*p.values, "raise") for p in ATTEMPT_LOOPS]
+PERSISTENT_FAILURES += [(*p.values, "die") for p in DEATH_LOOPS]
+#: What the final error says each mode's last attempt ran into.
+FAILURE_REASONS = {
+    "raise": "RuntimeError: transient failure on call 3",
+    "die": "worker died without a result (exit code 3)",
+}
 
 
 class TestRunSpec:
@@ -305,3 +357,120 @@ class TestFailureContainment:
             run_sweep(chaos_factory, [], timeout=0)
         with pytest.raises(CliqueError, match="retry_backoff"):
             run_sweep(chaos_factory, [], retry_backoff=-0.5)
+
+
+class TestAttemptLoop:
+    """Every path runs one parent-owned attempt loop: the same retries,
+    attempt counts and error wording whatever fails and wherever."""
+
+    def grid(self, tmp_path, failures, mode="raise"):
+        configs = [{"mode": "ok", "seed": s} for s in range(4)]
+        configs[1] = dict(
+            mode=mode, seed=1, log=str(tmp_path / "calls"), failures=failures
+        )
+        return configs
+
+    def calls(self, tmp_path):
+        return os.path.getsize(tmp_path / "calls")
+
+    @pytest.mark.parametrize("workers, timeout", DEATH_LOOPS)
+    def test_worker_death_is_retried(self, tmp_path, workers, timeout):
+        outcomes = run_sweep(
+            marker_factory,
+            self.grid(tmp_path, failures=1, mode="die"),
+            workers=workers,
+            timeout=timeout,
+            retries=1,
+            retry_backoff=0.0,
+        )
+        assert [o.failed for o in outcomes] == [False] * 4
+        assert all(o.result.rounds == 1 for o in outcomes)
+        assert self.calls(tmp_path) == 2
+
+    @pytest.mark.parametrize("workers, timeout", ATTEMPT_LOOPS)
+    def test_transient_exception_recovers(self, tmp_path, workers, timeout):
+        outcomes = run_sweep(
+            marker_factory,
+            self.grid(tmp_path, failures=2),
+            workers=workers,
+            timeout=timeout,
+            retries=2,
+            retry_backoff=0.0,
+        )
+        assert [o.failed for o in outcomes] == [False] * 4
+        assert self.calls(tmp_path) == 3
+
+    @pytest.mark.parametrize("workers, timeout, mode", PERSISTENT_FAILURES)
+    def test_persistent_failure_counts_retries_plus_one_attempts(
+        self, tmp_path, workers, timeout, mode
+    ):
+        outcomes = run_sweep(
+            marker_factory,
+            self.grid(tmp_path, failures=99, mode=mode),
+            workers=workers,
+            timeout=timeout,
+            retries=2,
+            retry_backoff=0.0,
+        )
+        assert [o.failed for o in outcomes] == [False, True, False, False]
+        message = str(outcomes[1].error)
+        assert message.startswith("sweep point 1 (config ")
+        assert message.endswith(f"failed after 3 attempt(s): {FAILURE_REASONS[mode]}")
+        assert self.calls(tmp_path) == 3
+
+    def test_unloadable_task_is_charged_like_any_failure(self):
+        configs = [{"mode": "ok", "seed": 0}, {"seed": 1, "poison": Unloadable()}]
+        outcomes = run_sweep(
+            chaos_factory, configs, workers=2, retries=1, retry_backoff=0.0
+        )
+        assert [o.failed for o in outcomes] == [False, True]
+        message = str(outcomes[1].error)
+        assert "failed after 2 attempt(s): could not be loaded" in message
+        assert "refuses to load" in message
+
+    def test_stale_fork_reloads_without_a_charge(self, tmp_path):
+        # Warm workers forked before the factory's module was importable
+        # cannot load its tasks; fresh workers can, and retries=0 holds.
+        run_sweep(echo_factory, TestWorkers.CONFIGS, workers=2)
+        (tmp_path / "late_factory.py").write_text(
+            "from tests.engine.test_pool import echo_factory\n\n\n"
+            "def late_factory(config):\n"
+            "    return echo_factory(config)\n"
+        )
+        sys.path.insert(0, str(tmp_path))
+        try:
+            from late_factory import late_factory
+
+            outcomes = run_sweep(late_factory, TestWorkers.CONFIGS, workers=2)
+        finally:
+            sys.path.remove(str(tmp_path))
+            sys.modules.pop("late_factory", None)
+        assert not any(o.failed for o in outcomes)
+        serial = run_sweep(echo_factory, TestWorkers.CONFIGS, workers=1)
+        assert [o.value for o in outcomes] == [o.value for o in serial]
+
+
+class TestConcurrentSweeps:
+    def test_two_threads_share_the_warm_pool(self):
+        configs = [{"n": n, "seed": s} for n in (4, 6, 8) for s in range(6)]
+
+        def summary(outcomes):
+            return [(o.config, o.result.outputs, o.value) for o in outcomes]
+
+        serial = summary(run_sweep(echo_factory, configs, workers=1))
+        shutdown_pool()  # both threads start on a cold pool
+        results = [None, None]
+
+        def sweep(slot):
+            results[slot] = summary(run_sweep(echo_factory, configs, workers=2))
+
+        threads = [
+            threading.Thread(target=sweep, args=(slot,), daemon=True)
+            for slot in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "sweep hung"
+        assert results == [serial, serial]

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.engine import aggregate_sweep_metrics, catalog_factory, run_sweep
 from repro.service import (
     ReproServer,
     ServiceBusy,
@@ -16,6 +17,7 @@ from repro.service import (
     ServiceUnavailable,
 )
 from repro.service.protocol import SOCKET_ENV, default_socket_path, raise_for_reply
+from repro.service.server import _json_safe
 
 
 @pytest.fixture
@@ -206,6 +208,21 @@ class TestRequests:
         run = client.run("kds", {"n": 6, "seed": 0})
         assert run["cached"] is True
 
+    def test_failing_run_is_an_error_and_the_daemon_keeps_serving(self, client):
+        # A duplicate plan replays an agreement message into routing's
+        # data rounds: a protocol violation inside the run itself.
+        with pytest.raises(ServiceError) as err:
+            client.run(
+                "routing",
+                {"n": 8, "seed": 0, "scheme": "direct"},
+                execution={"fault_plan": "duplicate=0.05,seed=5"},
+            )
+        message = str(err.value)
+        assert "sweep point 0 (config " in message
+        assert "failed after 1 attempt(s): ProtocolViolation: route: node 4" in message
+        assert client.run("bfs", {"n": 8, "seed": 0})["rounds"] >= 1
+        assert client.status()["counters"]["errors"] == 1
+
     def test_sweep_rejects_bad_configs(self, client):
         with pytest.raises(ServiceError, match="non-empty"):
             client.sweep("kds", [])
@@ -241,6 +258,32 @@ class TestConcurrency:
         status = client.status()
         assert status["counters"]["completed"] >= 8
         assert status["counters"]["peak_queue_depth"] <= 16
+
+    def test_concurrent_sweeps_share_the_warm_pool(self, client):
+        configs = [{"n": n, "seed": s} for n in (8, 12, 16) for s in range(6)]
+        serial = run_sweep(
+            catalog_factory,
+            [dict(c, algorithm="bfs") for c in configs],
+            workers=1,
+        )
+        replies = [None, None]
+
+        def sweep(slot):
+            replies[slot] = client.sweep("bfs", configs, workers=2, cache=False)
+
+        threads = [
+            threading.Thread(target=sweep, args=(slot,), daemon=True)
+            for slot in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads), "sweep hung"
+        for reply in replies:
+            assert reply["failed"] == 0 and reply["from_cache"] == 0
+            assert reply["rounds"] == [o.result.rounds for o in serial]
+            assert reply["summary"] == _json_safe(aggregate_sweep_metrics(serial))
 
     def test_backpressure_rejects_when_queue_is_full(self, tmp_path):
         """With one worker and a one-slot queue: request A occupies the

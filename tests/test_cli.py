@@ -35,10 +35,11 @@ class TestParser:
         assert sorted(action.choices) == sorted(CATALOG)
 
     def test_sweep_defaults(self):
-        # The engine stays unset: the batch default is filled in one
-        # place (repro.engine.spec.batch_execution), not by argparse.
+        # The engine and check level stay unset: the batch default is
+        # filled in one place (repro.engine.spec.batch_execution), and
+        # the check level is the engine's own, as for stats and trace.
         args = build_parser().parse_args(["sweep", "bfs"])
-        assert args.engine is None and args.check == "bandwidth"
+        assert args.engine is None and args.check is None
         assert args.cache is None and args.workers is None
 
     def test_stats_defaults(self):
