@@ -35,6 +35,7 @@ import sys
 from typing import Sequence
 
 from .analysis.report import format_table, magnitude
+from .clique.errors import CliqueError
 
 __all__ = ["main", "build_parser"]
 
@@ -682,16 +683,17 @@ def _measured_load(result) -> int:
     )
 
 
-def _catalog_config(args) -> dict:
-    """The diff-catalog config dict shared by ``stats`` and ``trace``."""
-    config = {"algorithm": args.algorithm, "n": args.n, "seed": args.seed}
-    if args.k is not None:
-        config["k"] = args.k
-    if args.p is not None:
-        config["p"] = args.p
-    if getattr(args, "f", None) is not None:
-        config["f"] = args.f
-    return config
+def _catalog_config(args, **point) -> dict:
+    """The diff-catalog config of ``stats``, ``trace``, ``sweep`` and
+    ``predict``: ``point`` plus whichever of ``--k``/``--p``/``--f``/
+    ``--resilient`` the command has and was given.  One builder, so the
+    commands that share a cache also share its keys."""
+    for name in ("k", "p", "f"):
+        if getattr(args, name, None) is not None:
+            point[name] = getattr(args, name)
+    if getattr(args, "resilient", False):
+        point["resilient"] = True
+    return point
 
 
 def _big(x: int) -> str:
@@ -704,20 +706,15 @@ def _big(x: int) -> str:
 def _cmd_predict(args) -> int:
     from .analysis import symbolic
     from .analysis.report import format_table
-    from .clique.errors import CliqueError
 
     if args.validate:
         names = [args.algorithm] if args.algorithm else None
-        try:
-            report = symbolic.validate_symbolic(
-                names=names,
-                ns=args.ns or symbolic.DEFAULT_VALIDATION_NS,
-                config=_predict_config(args),
-                engines=tuple(args.engines),
-            )
-        except CliqueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = symbolic.validate_symbolic(
+            names=names,
+            ns=args.ns or symbolic.DEFAULT_VALIDATION_NS,
+            config=_catalog_config(args, seed=args.seed),
+            engines=tuple(args.engines),
+        )
         print(report.markdown() if args.markdown else report.table())
         return 0 if report.ok else 1
 
@@ -727,12 +724,8 @@ def _cmd_predict(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        model = symbolic.get_cost_model(args.algorithm)
-    except CliqueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = _predict_config(args)
+    model = symbolic.get_cost_model(args.algorithm)
+    config = _catalog_config(args, seed=args.seed)
     print(f"algorithm: {model.name}")
     print(f"rounds        = {model.rounds}")
     print(f"message_bits  = {model.message_bits}")
@@ -750,79 +743,46 @@ def _cmd_predict(args) -> int:
         ns.append(cur)
         cur *= 4
     ns.append(target)
-    rows = []
-    try:
-        for point in symbolic.predict_points(model.name, ns, config):
-            rows.append(
-                {
-                    "n": point.n,
-                    "rounds": _big(point.rounds),
-                    "message_bits": _big(point.message_bits),
-                    "bulk_bits": _big(point.bulk_bits),
-                    "total_bits": _big(point.total_bits),
-                }
-            )
-    except CliqueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = [
+        {
+            "n": point.n,
+            "rounds": _big(point.rounds),
+            "message_bits": _big(point.message_bits),
+            "bulk_bits": _big(point.bulk_bits),
+            "total_bits": _big(point.total_bits),
+        }
+        for point in symbolic.predict_points(model.name, ns, config)
+    ]
     print()
     print(format_table(rows, title="closed-form extrapolation"))
     return 0
 
 
-def _predict_config(args) -> dict:
-    """Config overrides shared by ``predict`` evaluation and validation."""
-    config = {"seed": args.seed}
-    if args.k is not None:
-        config["k"] = args.k
-    if args.p is not None:
-        config["p"] = args.p
-    if args.f is not None:
-        config["f"] = args.f
-    return config
-
-
 def _cmd_stats(args) -> int:
-    from .engine import ExecutionSpec, RunCache, batch_execution
+    from .engine import ExecutionSpec, RunCache, run_sweep
     from .engine.diff import CATALOG, catalog_factory
-    from .engine.pool import _point_key, run_spec
-    from .obs import MetricsCollector
 
     assert args.algorithm in CATALOG  # parser choices mirror the catalog
-    config = _catalog_config(args)
-    collector = MetricsCollector(
-        links=args.links > 0, profile=args.profile
-    )
-    execution = batch_execution(
-        ExecutionSpec(
-            engine=args.engine,
-            check=args.check,
-            observer=collector,
-            fault_plan=args.fault_plan,
-        )
+    config = _catalog_config(args, algorithm=args.algorithm, n=args.n, seed=args.seed)
+    observer = {"observer": "metrics", "links": args.links > 0, "profile": args.profile}
+    execution = ExecutionSpec(
+        engine=args.engine,
+        check=args.check,
+        observer=observer,
+        fault_plan=args.fault_plan,
     )
     cache = RunCache(args.cache) if args.cache else None
-    key = None
-    result = None
-    if cache is not None and not args.resilient:
-        # Key-compatible with run_sweep so a sweep-warmed cache serves
-        # stats lookups (and vice versa) when the configs line up.
-        # (--resilient wraps the program, so the catalog key would
-        # collide with the unwrapped run.)
-        key = _point_key(cache, catalog_factory, config, execution.describe())
-        hit = cache.get(key)
-        if hit is not None:
-            result, _ = hit
-    if result is None:
-        spec = catalog_factory(config)
-        if args.resilient:
-            from .faults import resilient
-
-            spec.program = resilient(spec.program)
-        result, value = run_spec(spec, execution=execution)
-        if cache is not None and not args.resilient:
-            cache.put(key, (result, value))
-    metrics = result.metrics
+    # A one-point sweep, like the daemon's run op, so stats, sweeps and
+    # the daemon read and write one cache under one key per point.
+    (outcome,) = run_sweep(
+        catalog_factory,
+        [config],
+        workers=1,
+        execution=execution,
+        cache=cache,
+        on_error="raise",
+    )
+    metrics = outcome.result.metrics
     columns = [
         "round",
         "unicast_messages",
@@ -889,6 +849,8 @@ def _cmd_stats(args) -> int:
             )
         )
     if args.profile:
+        # A cache hit replays the timings of the run that warmed it.
+        cached = ", from cache" if outcome.from_cache else ""
         total = sum(metrics.phases.values()) or 1.0
         print()
         print(
@@ -903,7 +865,7 @@ def _cmd_stats(args) -> int:
                         metrics.phases.items(), key=lambda kv: -kv[1]
                     )
                 ],
-                title="phase profile (wall clock)",
+                title=f"phase profile (wall clock{cached})",
             )
         )
     if cache is not None:
@@ -922,7 +884,9 @@ def _cmd_trace(args) -> int:
     from .obs import JSONLSink, RingBufferSink, Tracer
 
     assert args.algorithm in CATALOG  # parser choices mirror the catalog
-    config = _catalog_config(args)
+    # The tracer's sink lives in this process, and a cache hit would
+    # emit no events, so trace runs the point directly (no run_sweep).
+    config = _catalog_config(args, algorithm=args.algorithm, n=args.n, seed=args.seed)
     if args.jsonl:
         sink = JSONLSink(args.jsonl)
     else:
@@ -969,15 +933,11 @@ def _cmd_sweep(args) -> int:
 
     assert args.algorithm in CATALOG  # parser choices mirror the catalog
 
-    configs = []
-    for n in args.ns:
-        for s in range(args.seeds):
-            config = {"algorithm": args.algorithm, "n": n, "seed": s}
-            if args.k is not None:
-                config["k"] = args.k
-            if args.p is not None:
-                config["p"] = args.p
-            configs.append(config)
+    configs = [
+        _catalog_config(args, algorithm=args.algorithm, n=n, seed=s)
+        for n in args.ns
+        for s in range(args.seeds)
+    ]
 
     execution = batch_execution(
         ExecutionSpec(
@@ -1068,7 +1028,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .bench import SUITE, compare_bench, default_output_path, run_suite
-    from .clique.errors import CliqueError
 
     if args.bench_command == "list":
         print(
@@ -1088,13 +1047,7 @@ def _cmd_bench(args) -> int:
         return 0
 
     if args.bench_command == "compare":
-        try:
-            comparison = compare_bench(
-                args.old, args.new, tolerance=args.tolerance
-            )
-        except CliqueError as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
+        comparison = compare_bench(args.old, args.new, tolerance=args.tolerance)
         if args.markdown:
             print(comparison.markdown_table())
         else:
@@ -1117,20 +1070,14 @@ def _cmd_bench(args) -> int:
         return 0
 
     assert args.bench_command == "run"
-    try:
-        report = run_suite(
-            args.only,
-            quick=args.quick,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            time_budget=args.budget,
-            progress=lambda line: print(f"  {line}", file=sys.stderr),
-        )
-    except CliqueError as exc:
-        # Typically an unknown --only name; the message carries the
-        # valid workload list, so surface it instead of a traceback.
-        print(f"repro bench: {exc}", file=sys.stderr)
-        return 2
+    report = run_suite(
+        args.only,
+        quick=args.quick,
+        repeats=args.repeats,
+        warmup=args.warmup,
+        time_budget=args.budget,
+        progress=lambda line: print(f"  {line}", file=sys.stderr),
+    )
     out = args.out if args.out else default_output_path(report.git_sha)
     path = report.write(out)
     print(
@@ -1244,6 +1191,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = command(args)
         sys.stdout.flush()
         return code
+    except CliqueError as exc:
+        # A bad name, spec or plan, or a run that broke the model: the
+        # message says which (with a did-you-mean hint where one fits).
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader closed stdout early (``repro sweep ... | head``).
         # Point the descriptor at /dev/null so the interpreter's exit

@@ -353,8 +353,10 @@ class CongestedClique:
           pre-configured engine instance raises;
         * ``observer``: ``None`` (the default) collects
           :class:`repro.obs.RunMetrics` into ``RunResult.metrics``;
-          ``False``/``"off"`` disables observation; any observer
-          instance (e.g. a ``Tracer``) receives the run's event stream;
+          ``False`` disables observation; a ``{"observer": "metrics",
+          "links": bool, "profile": bool}`` dict configures the
+          collector; any observer instance (e.g. a ``Tracer``) receives
+          the run's event stream;
         * ``fault_plan``: deterministic, seed-replayable network faults
           (drops, corruption, duplication, link failures, node crashes)
           injected at delivery time, as a :class:`repro.faults.FaultPlan`

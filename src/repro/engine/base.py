@@ -160,8 +160,9 @@ class Engine(ABC):
         node (see ``repro.clique.network._resolve_per_node``).
 
         ``observer`` follows :func:`repro.obs.resolve_observer` semantics
-        (``None`` attaches the default metrics collector, ``False`` /
-        ``"off"`` disables observation); ``transcripts`` overrides the
+        (``None`` attaches the default metrics collector, ``False``
+        disables observation, a spec dict configures the collector);
+        ``transcripts`` overrides the
         clique's ``record_transcripts`` setting when not ``None``.
 
         ``fault_plan`` follows :func:`repro.faults.resolve_fault_plan`

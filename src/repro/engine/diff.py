@@ -416,7 +416,10 @@ def catalog_factory(config: dict) -> RunSpec:
     """Sweep factory dispatching on ``config["algorithm"]``.
 
     Module-level and picklable, so it can be handed straight to
-    :func:`~repro.engine.pool.run_sweep` from any process.
+    :func:`~repro.engine.pool.run_sweep` from any process.  A true
+    ``config["resilient"]`` wraps the program in
+    :func:`repro.faults.resilient`; the key is part of the config, so
+    wrapped and unwrapped runs of a point cache apart.
     """
     name = config.get("algorithm")
     try:
@@ -427,7 +430,15 @@ def catalog_factory(config: dict) -> RunSpec:
         raise CliqueError(
             f"unknown catalog algorithm {name!r}; known: {known}{hint}"
         ) from None
-    return builder(config)
+    spec = builder(config)
+    wrap = config.get("resilient", False)
+    if wrap is True:
+        from ..faults import resilient
+
+        spec.program = resilient(spec.program)
+    elif wrap is not False:
+        raise CliqueError(f"catalog config 'resilient' must be a bool, got {wrap!r}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +479,7 @@ COLUMNAR_FAULT_CATALOG: tuple[str, ...] = ("fanout", "fanout_work")
 #
 # A raised error is not a comparable output, so none of them has a
 # faulty-leg contract.  The wrapped entries (bfs, broadcast, kvc) join
-# only plans that just drop messages: resilient() masks loss, not
+# only plans that just drop messages: the resilient wrapper masks loss, not
 # corruption, duplication, dead links, crashes or Byzantine rewrites
 # (under those, broadcast and kvc raise and bfs returns other outputs).
 
@@ -672,14 +683,13 @@ def _run_row(
     compared against it.  The columnar engine runs only entries that
     carry an array form (:class:`~repro.engine.columnar.DualProgram`).
     """
-    from ..faults import resilient
     from .columnar import DualProgram
 
+    if wrapped:
+        point = {**point, "resilient": True}
     base = None
     for label, engine in columns:
         spec = catalog_factory(dict(point))
-        if wrapped:
-            spec.program = resilient(spec.program)
         if engine.name == "columnar" and not isinstance(spec.program, DualProgram):
             continue
         execution = ExecutionSpec(engine=engine, fault_plan=plan)

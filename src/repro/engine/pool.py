@@ -569,15 +569,16 @@ def run_sweep(
         An :class:`~repro.engine.spec.ExecutionSpec` (or dict /
         engine-name shorthand) applied to every point.  An unset engine
         is :data:`~repro.engine.spec.BATCH_ENGINE`.  The observer must
-        be a *spec* (``None``/``True``/``"metrics"`` collect
-        :class:`repro.obs.RunMetrics` into each outcome's
-        ``result.metrics``, aggregated by
-        :func:`aggregate_sweep_metrics`; ``False``/``"off"`` disables
-        them): a single stateful observer instance cannot be shared
-        across worker processes.  The fault plan enters the cache key,
-        so faulty and fault-free sweeps never mix.  ``transcripts`` is
-        rejected here; per-run transcript recording belongs on
-        :attr:`RunSpec.record_transcripts`.
+        be a *spec* (``None`` collects :class:`repro.obs.RunMetrics`
+        into each outcome's ``result.metrics``, aggregated by
+        :func:`aggregate_sweep_metrics`; a ``{"observer": "metrics",
+        "links": bool, "profile": bool}`` dict configures that
+        collector; ``False`` disables it): a single stateful observer
+        instance cannot be shared across worker processes.  The
+        observer and the fault plan enter the cache key, so points
+        observed differently, or faulty and fault-free ones, never mix.
+        ``transcripts`` is rejected here; per-run transcript recording
+        belongs on :attr:`RunSpec.record_transcripts`.
     cache:
         Optional :class:`~repro.engine.cache.RunCache`; hits skip
         execution entirely and are marked ``from_cache=True``.  Failed
@@ -612,9 +613,10 @@ def run_sweep(
         )
     if isinstance(spec.observer, Observer):
         raise CliqueError(
-            "run_sweep needs an observer spec (None, True, False, "
-            "'metrics', 'off'), not an Observer instance: sweep points "
-            "run in worker processes, each with its own fresh collector"
+            "run_sweep needs an observer spec (None, False or an "
+            "{'observer': 'metrics', 'links': bool, 'profile': bool} "
+            "dict), not an Observer instance: sweep points run in worker "
+            "processes, each with its own fresh collector"
         )
     if on_error not in ("fail", "raise"):
         raise CliqueError(f"on_error must be 'fail' or 'raise', not {on_error!r}")

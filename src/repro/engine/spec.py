@@ -58,8 +58,9 @@ class ExecutionSpec:
     default level.
 
     ``engine`` is a registry name or an :class:`~repro.engine.base.Engine`
-    instance; ``observer`` an observer *spec* (``True``/``False``/
-    ``"metrics"``/``"off"``) or instance; ``fault_plan`` a spec string
+    instance; ``observer`` an observer *spec* (``False`` or a dict such
+    as ``{"observer": "metrics", "links": True, "profile": False}``; see
+    :mod:`repro.obs.observer`) or instance; ``fault_plan`` a spec string
     like ``"drop=0.2,seed=7"`` or a :class:`~repro.faults.FaultPlan`;
     ``transcripts`` overrides the clique's transcript recording.
     """
@@ -140,7 +141,8 @@ class ExecutionSpec:
             raise CliqueError(
                 f"ExecutionSpec with an Observer instance "
                 f"({self.observer!r}) cannot be serialised; use an "
-                f"observer spec (True/False/'metrics'/'off') instead"
+                f"observer spec (None, False or an {{'observer': "
+                f"'metrics', 'links': bool, 'profile': bool}} dict) instead"
             )
         out: dict = {}
         for f in fields(self):

@@ -16,12 +16,17 @@ Two capability flags keep the fast engine's hot path honest:
   (:meth:`Observer.on_phases`); engines only touch the wall clock when
   an attached observer asks.
 
-The ``observer`` field of a run's ``execution=`` spec accepts ``None``
-(the default: a fresh :class:`~repro.obs.metrics.MetricsCollector`, so
-every run carries metrics), ``False``/``"off"`` (no observation at
-all), ``"metrics"`` / ``True`` (explicitly the default collector), or
-any :class:`Observer` instance.  :func:`resolve_observer` implements that mapping and
-:func:`describe_observer` renders it into cache-key material.
+The ``observer`` field of a run's ``execution=`` spec has one spelling
+per meaning: ``None`` (the default: a fresh
+:class:`~repro.obs.metrics.MetricsCollector`, so every run carries
+metrics), ``False`` (no observation at all), a spec dict in the form
+:meth:`Observer.describe` emits (``{"observer": "metrics", "links":
+bool, "profile": bool}`` for a configured collector, ``{"observer":
+"off"}`` for none), or an :class:`Observer` instance (in-process
+callers only: an instance neither serialises nor crosses into sweep
+workers).  :func:`resolve_observer` implements that mapping and
+:func:`describe_observer` renders it into cache-key material, so a dict
+spec is its own key material.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..clique.errors import CliqueError
+from ..clique.errors import CliqueError, did_you_mean
 
 __all__ = [
     "CompositeObserver",
@@ -195,25 +200,48 @@ class CompositeObserver(Observer):
         }
 
 
+#: The keys of an observer spec dict, by its ``"observer"`` kind.
+_SPEC_KEYS = {"metrics": ("observer", "links", "profile"), "off": ("observer",)}
+
+
 def resolve_observer(spec: Any) -> Observer | None:
     """Turn an ``observer=`` argument into an observer (or ``None``).
 
-    ``None``/``True``/``"metrics"`` mean the default metrics collector,
-    ``False``/``"off"`` disable observation entirely, and an
-    :class:`Observer` instance passes through unchanged.
+    ``None`` means the default metrics collector, ``False`` disables
+    observation, a spec dict (see the module docstring) builds what it
+    describes, and an :class:`Observer` instance passes through
+    unchanged.  Anything else raises :class:`CliqueError`.
     """
     from .metrics import MetricsCollector
 
-    if spec is None or spec is True or spec == "metrics":
+    if spec is None:
         return MetricsCollector()
-    if spec is False or spec == "off":
+    if spec is False:
         return None
     if isinstance(spec, Observer):
         return spec
-    raise CliqueError(
-        f"observer must be None, True, False, 'metrics', 'off' or an "
-        f"Observer instance, got {spec!r}"
-    )
+    kind = spec.get("observer") if isinstance(spec, dict) else None
+    keys = _SPEC_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        hint = did_you_mean(str(kind), list(_SPEC_KEYS)) if kind else ""
+        raise CliqueError(
+            f"observer must be None, False, an Observer instance or a spec "
+            f"dict ({{'observer': 'metrics', 'links': bool, 'profile': "
+            f"bool}} or {{'observer': 'off'}}), got {spec!r}{hint}"
+        )
+    for key in spec:
+        if key not in keys:
+            hint = did_you_mean(str(key), list(keys))
+            raise CliqueError(
+                f"unknown key {key!r} in observer spec {spec!r}; "
+                f"known: {list(keys)}{hint}"
+            )
+    for key in keys[1:]:
+        if not isinstance(spec.get(key), bool):
+            raise CliqueError(f"observer spec {key!r} must be a bool, not {spec!r}")
+    if kind == "off":
+        return None
+    return MetricsCollector(links=spec["links"], profile=spec["profile"])
 
 
 def describe_observer(spec: Any) -> dict:
@@ -221,9 +249,10 @@ def describe_observer(spec: Any) -> dict:
 
     Runs that observe differently may produce different
     ``RunResult.metrics`` payloads, so the observer configuration is
-    part of every run-cache key.
+    part of every run-cache key.  A spec dict and the instance it
+    builds describe alike.
     """
-    observer = spec if isinstance(spec, Observer) else resolve_observer(spec)
+    observer = resolve_observer(spec)
     if observer is None:
         return {"observer": "off"}
     return observer.describe()

@@ -85,7 +85,13 @@ class TestRunCache:
         default = self.key(cache)  # observer omitted -> default metrics
         assert self.key(cache, observer=None) == default
         assert self.key(cache, observer=False) != default
-        assert self.key(cache, observer="metrics") == default
+        assert (
+            self.key(
+                cache,
+                observer={"observer": "metrics", "links": False, "profile": False},
+            )
+            == default
+        )
         assert self.key(cache, observer=MetricsCollector()) == default
         assert (self.key(cache, observer=MetricsCollector(links=True)) != default)
         assert self.key(cache, observer=Tracer()) != default

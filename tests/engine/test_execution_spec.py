@@ -104,7 +104,7 @@ class TestSpec:
         spec = ExecutionSpec(
             engine="columnar",
             check="bandwidth",
-            observer="metrics",
+            observer={"observer": "metrics", "links": True, "profile": False},
             fault_plan=FaultPlan(drop_rate=0.25, seed=9),
             transcripts=True,
         )
@@ -150,10 +150,10 @@ class TestSpec:
     def test_describe_matches_legacy_components(self):
         # The three cache-key components are the engine's, the
         # observer's and the fault plan's own descriptions.
-        spec = ExecutionSpec(engine="fast", check="off", observer="metrics")
+        spec = ExecutionSpec(engine="fast", check="off", observer=None)
         desc = spec.describe()
         assert desc["engine"] == resolve_engine("fast", check="off").describe()
-        assert desc["observer"] == describe_observer("metrics")
+        assert desc["observer"] == describe_observer(None)
         assert desc["fault_plan"] is None
 
     def test_resolve_execution_bundles_everything(self):

@@ -332,7 +332,9 @@ class TestFailureContainment:
             chaos_factory,
             self.CONFIGS,
             workers=1,
-            execution=ExecutionSpec(observer=True),
+            execution=ExecutionSpec(
+                observer={"observer": "metrics", "links": False, "profile": False}
+            ),
         )
         summary = aggregate_sweep_metrics(outcomes)
         assert summary["runs"] == 2

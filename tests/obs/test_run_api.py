@@ -46,16 +46,27 @@ def ring_factory(config):
 class TestObserverSpecs:
     def test_default_is_metrics(self):
         assert isinstance(resolve_observer(None), MetricsCollector)
-        assert isinstance(resolve_observer(True), MetricsCollector)
-        assert isinstance(resolve_observer("metrics"), MetricsCollector)
 
     def test_off(self):
         assert resolve_observer(False) is None
-        assert resolve_observer("off") is None
+        assert resolve_observer({"observer": "off"}) is None
+
+    def test_metrics_dict_builds_a_configured_collector(self):
+        obs = resolve_observer({"observer": "metrics", "links": True, "profile": False})
+        assert isinstance(obs, MetricsCollector)
+        assert (obs.links, obs.profile) == (True, False)
+        assert obs.wants_messages and not obs.wants_timing
 
     def test_instance_passes_through(self):
         obs = Profiler()
         assert resolve_observer(obs) is obs
+
+    @pytest.mark.parametrize("alias", [True, "metrics", "off"])
+    def test_removed_aliases_rejected(self, alias):
+        # Each meaning has one spelling: None, False, the dict or an
+        # instance.
+        with pytest.raises(CliqueError, match="observer must be None, False"):
+            resolve_observer(alias)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(CliqueError):
@@ -63,10 +74,61 @@ class TestObserverSpecs:
         with pytest.raises(CliqueError):
             resolve_observer(42)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"observer": "metric", "links": True, "profile": False},
+                r"got \{'observer': 'metric'.*; did you mean 'metrics'\?$",
+            ),
+            (
+                {"observer": "metrics", "link": True, "profile": False},
+                r"unknown key 'link'.*did you mean 'links'",
+            ),
+            (
+                {"observer": "metrics", "links": 1, "profile": False},
+                r"'links' must be a bool",
+            ),
+            (
+                {"observer": "metrics", "links": True},
+                r"'profile' must be a bool",
+            ),
+            (
+                {"observer": "off", "links": True},
+                r"unknown key 'links' in observer spec \{'observer': 'off'",
+            ),
+            ({"links": True}, r"observer must be None, False"),
+            ({"observer": ["metrics"]}, r"observer must be None, False"),
+        ],
+        ids=[
+            "kind-typo",
+            "key-typo",
+            "non-bool",
+            "missing-key",
+            "off-key",
+            "no-kind",
+            "unhashable-kind",
+        ],
+    )
+    def test_bad_spec_dict_rejected(self, spec, message):
+        with pytest.raises(CliqueError, match=message):
+            resolve_observer(spec)
+
     def test_describe_observer(self):
         assert describe_observer(False) == {"observer": "off"}
         assert describe_observer(None)["observer"] == "metrics"
         assert describe_observer(Tracer())["observer"] == "tracer"
+
+    @pytest.mark.parametrize("links", [False, True])
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_spec_dict_is_its_own_key_material(self, links, profile):
+        # A cache warmed through a MetricsCollector(links=, profile=)
+        # instance (repro stats before it went through run_sweep) keeps
+        # hitting under the dict spelling.
+        spec = {"observer": "metrics", "links": links, "profile": profile}
+        instance = MetricsCollector(links=links, profile=profile)
+        assert describe_observer(spec) == describe_observer(instance) == spec
+        assert describe_observer({"observer": "off"}) == describe_observer(False)
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_run_metrics_on_by_default_off_on_request(self, engine):

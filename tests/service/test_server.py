@@ -111,8 +111,21 @@ class TestRequests:
                 r"FaultPlan.drop_rate must be a real number",
             ),
             ({"fault_plan": {"seed": 1.5}}, r"FaultPlan.seed must be an int"),
+            (
+                {"observer": {"observer": "metrics", "link": True, "profile": False}},
+                r"unknown key 'link' in observer spec.*did you mean "
+                r"'links'",
+            ),
+            ({"observer": "metrics"}, r"observer must be None, False"),
         ],
-        ids=["removed-shards", "fault-plan-typo", "rate-type", "seed-type"],
+        ids=[
+            "removed-shards",
+            "fault-plan-typo",
+            "rate-type",
+            "seed-type",
+            "observer-key-typo",
+            "observer-alias",
+        ],
     )
     def test_bad_execution_is_an_error_and_the_daemon_keeps_serving(
         self, client, execution, message

@@ -208,6 +208,86 @@ class TestCommands:
         assert main(["stats", "bfs", "--n", "8", "--cache", str(tmp_path)]) == 0
         assert "cache: 1 hit(s), 0 miss(es)" in capsys.readouterr().out
 
+    def test_stats_links_hits_a_cache_warmed_by_an_observer_spec_sweep(
+        self, capsys, tmp_path
+    ):
+        from repro.engine import RunCache, catalog_factory, run_sweep
+
+        observer = {"observer": "metrics", "links": True, "profile": False}
+        (warm,) = run_sweep(
+            catalog_factory,
+            [{"algorithm": "bfs", "n": 8, "seed": 0}],
+            workers=1,
+            execution={"observer": observer},
+            cache=RunCache(tmp_path),
+        )
+        assert not warm.from_cache and warm.result.metrics.busiest_links(1)
+        argv = ["stats", "bfs", "--n", "8", "--links", "3", "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "busiest links (top 3)" in out
+        assert "cache: 1 hit(s), 0 miss(es)" in out
+
+    def test_stats_resilient_is_cached_under_its_own_key(self, capsys, tmp_path):
+        from repro.engine import RunCache, catalog_factory
+        from repro.engine.pool import _point_key
+        from repro.engine.spec import ExecutionSpec, batch_execution
+
+        argv = ["stats", "bfs", "--resilient", "--fault-plan", "drop=0.2,seed=1",
+                "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "resilience: retransmits" in out
+        assert "cache: 0 hit(s), 1 miss(es)" in out
+        assert main(argv) == 0
+        assert "cache: 1 hit(s), 0 miss(es)" in capsys.readouterr().out
+        # The unwrapped point misses: the wrap is part of the key.
+        assert main(argv[:2] + argv[3:]) == 0
+        assert "cache: 0 hit(s), 1 miss(es)" in capsys.readouterr().out
+        cache = RunCache(tmp_path)
+        desc = batch_execution(
+            ExecutionSpec(fault_plan="drop=0.2,seed=1")
+        ).describe()
+        point = {"algorithm": "bfs", "n": 16, "seed": 0}
+        wrapped = _point_key(
+            cache, catalog_factory, {**point, "resilient": True}, desc
+        )
+        assert wrapped != _point_key(cache, catalog_factory, point, desc)
+        assert len(list(tmp_path.rglob("*.pkl"))) == 2
+
+    def test_stats_profile_from_cache_is_labelled(self, capsys, tmp_path):
+        argv = ["stats", "bfs", "--n", "8", "--profile", "--cache", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "phase profile (wall clock)" in out
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        # The second run replays the first run's timings; say so.
+        assert "phase profile (wall clock, from cache)" in out
+        assert "cache: 1 hit(s), 0 miss(es)" in out
+
+    @pytest.mark.parametrize("command", ["stats", "sweep"])
+    def test_fault_plan_typo_exits_2_with_a_hint(self, command, capsys):
+        size = ["--ns", "8"] if command == "sweep" else ["--n", "8"]
+        assert main([command, "bfs", *size, "--fault-plan", "dorp=0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad fault-plan spec entry 'dorp=0.1'")
+        assert "did you mean 'drop'" in err
+        assert "Traceback" not in err
+
+    def test_trace_bad_sample_exits_2(self, capsys):
+        assert main(["trace", "bfs", "--n", "8", "--sample", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: sample must be >= 1, got 0\n"
+
+    def test_stats_run_error_exits_2_without_traceback(self, capsys):
+        argv = ["stats", "sorting", "--n", "8", "--fault-plan", "duplicate=0.1,seed=1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point 0")
+        assert "EncodingError" in err
+        assert "Traceback" not in err
+
     def test_stats_prints_per_round_table(self, capsys):
         assert main(["stats", "broadcast", "--n", "32"]) == 0
         out = capsys.readouterr().out
