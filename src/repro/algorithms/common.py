@@ -20,6 +20,7 @@ from ..clique.bits import (
     encode_uint_array,
     uint_width,
 )
+from ..clique.errors import CliqueError
 from ..clique.node import Node
 from ..clique.primitives import all_broadcast
 
@@ -40,6 +41,8 @@ __all__ = [
 def int_ceil_root(n: int, k: int) -> int:
     """Largest integer g with g**k <= n (i.e. floor(n^(1/k))), computed
     exactly (floating-point roots of large ints are unreliable)."""
+    if k < 1:
+        raise CliqueError(f"int_ceil_root needs k >= 1, got k={k}")
     if n < 1:
         return 0
     g = max(1, int(round(n ** (1.0 / k))))

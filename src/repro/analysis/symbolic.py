@@ -575,11 +575,10 @@ def _bfs_profile(cfg: dict) -> tuple[int, int]:
     return ecc, reach
 
 
-def _kvc_main(cfg: dict) -> int:
+def _kvc_main(cfg: dict, kk: int) -> int:
     """1 when the Buss kernel phase runs, 0 when preprocessing rejects
     (beyond :data:`MIRROR_LIMIT`: a dense seeded instance rejects)."""
     n = int(cfg["n"])
-    kk = int(cfg.get("k", 3))
     if n > MIRROR_LIMIT:
         return 0
     from ..problems import generators as gen
@@ -640,6 +639,13 @@ cost_model(
 )
 
 
+def _bind_kvc(cfg: dict) -> dict:
+    from ..engine.diff import catalog_k
+
+    kk = catalog_k("kvc", cfg)
+    return {**_base_binding(cfg), K: Integer(kk), MAIN: Integer(_kvc_main(cfg, kk))}
+
+
 _KVC_WIDTH = Max(1, ceiling(log(K + 1, 2))) + K * VW  # count + k node ids
 
 cost_model(
@@ -648,11 +654,7 @@ cost_model(
         rounds=1 + MAIN * _bc_rounds(_KVC_WIDTH),
         message_bits=N * (N - 1) * (1 + MAIN * _KVC_WIDTH),
         bulk_bits=Integer(0),
-        binder=lambda cfg: {
-            **_base_binding(cfg),
-            K: Integer(int(cfg.get("k", 3))),
-            MAIN: Integer(_kvc_main(cfg)),
-        },
+        binder=_bind_kvc,
         default_n=9,
         assumes=(
             "Buss kernelisation: 1 preprocessing round, then (unless "
@@ -666,8 +668,10 @@ cost_model(
 
 
 def _bind_kds(cfg: dict) -> dict:
+    from ..engine.diff import catalog_k
+
     binding = _base_binding(cfg)
-    kk = int(cfg.get("k", 2))
+    kk = catalog_k("kds", cfg)
     flows, load, bulk = _label_profile(int(cfg["n"]), kk, False)
     binding.update(
         {
@@ -697,28 +701,29 @@ cost_model(
 )
 
 
-def _bind_label_subgraph(kk_default: int):
-    def bind(cfg: dict) -> dict:
-        binding = _base_binding(cfg)
-        kk = kk_default
-        flows, load, bulk = _label_profile(int(cfg["n"]), kk, True)
-        binding.update(
-            {
-                K: Integer(kk),
-                F1: Integer(flows),
-                LOAD1: Integer(load),
-                BULK1: Integer(bulk),
-            }
-        )
-        return binding
+def _bind_label_subgraph(cfg: dict, kk: int) -> dict:
+    binding = _base_binding(cfg)
+    flows, load, bulk = _label_profile(int(cfg["n"]), kk, True)
+    binding.update(
+        {
+            K: Integer(kk),
+            F1: Integer(flows),
+            LOAD1: Integer(load),
+            BULK1: Integer(bulk),
+        }
+    )
+    return binding
 
-    return bind
+
+def _bind_kis(cfg: dict) -> dict:
+    from ..engine.diff import catalog_k
+
+    return _bind_label_subgraph(cfg, catalog_k("kis", cfg))
 
 
 _SUBGRAPH_ASSUMES = (
     "label-scheme route of |S_v|-bit restricted rows into every S_v, "
-    "then the decide-and-agree witness broadcast (k pinned to 3: the "
-    "catalog entry detects triangles / 3-IS)"
+    "then the decide-and-agree witness broadcast"
 )
 
 cost_model(
@@ -727,9 +732,9 @@ cost_model(
         rounds=_route_rounds(LOAD1) + _bc_rounds(_witness_width(K)),
         message_bits=_route_msg_bits(F1) + _bc_bits(_witness_width(K)),
         bulk_bits=BULK1,
-        binder=_bind_label_subgraph(3),
+        binder=lambda cfg: _bind_label_subgraph(cfg, 3),
         default_n=9,
-        assumes=_SUBGRAPH_ASSUMES,
+        assumes=_SUBGRAPH_ASSUMES + " (k pinned to 3: the entry detects triangles)",
         exponent="O(k^2 n^(1-2/k)) rounds — n^(1/3) for triangles",
     )
 )
@@ -740,7 +745,7 @@ cost_model(
         rounds=_route_rounds(LOAD1) + _bc_rounds(_witness_width(K)),
         message_bits=_route_msg_bits(F1) + _bc_bits(_witness_width(K)),
         bulk_bits=BULK1,
-        binder=_bind_label_subgraph(3),
+        binder=_bind_kis,
         default_n=9,
         assumes=_SUBGRAPH_ASSUMES,
         exponent="O(n^(1-2/k)) rounds (Dolev et al., Figure 1)",

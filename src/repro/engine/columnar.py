@@ -31,12 +31,16 @@ Wide payloads are encoded/decoded through the bulk bit-codec kernels
 Observability, fault injection and transcripts are all supported, with
 the exact semantics of the reference engine (sender always charged,
 receiver only on arrival, bulk exempt), so faulty columnar runs are
-differentially comparable.  Transcript recording or a per-message
-observer sends delivery through the shared explicit-delivery core
-(:func:`repro.engine.delivery.deliver_rows`); a fault plan alone keeps
-the round in array form (:func:`repro.engine.delivery.deliver_columns`),
-where the :class:`~repro.faults.FaultInjector`'s row decisions become a
-keep mask over the expanded message columns.
+differentially comparable.  A round is delivered one of two ways: the
+identity transpose above when it is fault-free and unobserved, and
+otherwise (a fault plan, transcript recording or a per-message
+observer) the one explicit path,
+:func:`repro.engine.delivery.deliver_columns`, which keeps the round in
+array form: the :class:`~repro.faults.FaultInjector`'s row decisions
+become a keep mask over the expanded message columns, per-message
+observer events are emitted from those columns, and transcripts are
+built from the emission columns, the delivered inbox columns and the
+bulk channel.
 
 Array programs
 --------------
@@ -73,13 +77,7 @@ from ..faults import FaultInjector, resolve_fault_plan
 from ..obs import RoundStats, resolve_observer
 from ..obs.profile import PhaseTimer
 from .base import CHECK_LEVELS, Engine, canonical_check, register_engine
-from .delivery import (
-    BROADCAST,
-    deliver_columns,
-    deliver_rows,
-    inbox_columns,
-    sender_rows,
-)
+from .delivery import deliver_columns
 
 __all__ = [
     "ArrayContext",
@@ -392,8 +390,9 @@ class ArrayContext:
         """Unexpanded broadcast deliveries: ``(senders, values, widths)``.
 
         Every node other than a sender received that sender's value.
-        Empty on the explicit delivery path (faults/transcripts), where
-        broadcasts arrive expanded in :attr:`inbox_messages`.
+        Empty on the explicit delivery path (a fault plan, transcripts
+        or a per-message observer), where broadcasts arrive expanded in
+        :attr:`inbox_messages`.
         """
         return self._in_bcast
 
@@ -577,8 +576,7 @@ class ColumnarEngine(Engine):
                 ctx,
                 this_round,
                 injector=injector,
-                per_message=per_message,
-                obs=obs,
+                obs=obs if per_message else None,
                 records=records if record else None,
             )
             total_bits += stats.message_bits
@@ -642,11 +640,11 @@ class ColumnarEngine(Engine):
         this_round: int,
         *,
         injector: FaultInjector | None,
-        per_message: bool,
         obs: Any,
         records: list | None,
     ) -> RoundStats:
-        """Validate, deliver and account one round's queued traffic."""
+        """Validate, deliver and account one round's queued traffic;
+        ``obs`` is the per-message observer, if any."""
         n = ctx.n
         bs, bv, bw, us, ud, uv, uw = ctx._collect_outbox()
         bulk = ctx._bulk
@@ -658,36 +656,28 @@ class ColumnarEngine(Engine):
             n, bs, bw, us, uw, bulk
         )
 
-        if records is not None or per_message:
-            coo = _deliver_per_message(
-                n,
-                this_round,
-                (bs, bv, bw),
-                (us, ud, uv, uw),
-                bulk,
-                injector=injector,
-                obs=obs if per_message else None,
-                records=records,
-                received=received,
-            )
-        elif injector is not None:
-            # Faults only: the decisions become a keep mask over the
-            # columns and no message is built as an object.
-            coo = deliver_columns(
-                injector, this_round, n, (bs, bv, bw), (us, ud, uv, uw), bulk, received
-            )
-        else:
-            # Fault-free fast path: delivery is the identity transpose of
-            # the outbox columns; only the accounting needs computing.
+        if injector is None and obs is None and records is None:
+            # Fault-free, unobserved: delivery is the identity transpose
+            # of the outbox columns; only the accounting needs computing.
             _fast_received(received, bs, bw, ud, uw)
-            coo = None
-        if coo is None:
             ctx._in_bcast = (bs, bv, bw)
             ctx._in_coo = (us, ud, uv, uw)
         else:
-            # Explicit delivery lands broadcasts expanded in the COO inbox.
+            # Explicit delivery: broadcasts land expanded in the COO inbox.
+            coo = deliver_columns(
+                injector,
+                this_round,
+                n,
+                (bs, bv, bw),
+                (us, ud, uv, uw),
+                bulk,
+                received,
+                obs,
+            )
             ctx._in_bcast = (_EMPTY_I, _EMPTY_U, _EMPTY_I)
             ctx._in_coo = coo
+            if records is not None:
+                _record_round(records, n, (bs, bv, bw), (us, ud, uv, uw), coo, bulk)
         ctx._in_bulk = list(bulk)
 
         stats = RoundStats(
@@ -704,59 +694,35 @@ class ColumnarEngine(Engine):
         return stats
 
 
-def _deliver_per_message(
+def _record_round(
+    records: list[list[RoundRecord]],
     n: int,
-    this_round: int,
     bcast: tuple,
     unicast: tuple,
+    inbox: tuple,
     bulk: list,
-    *,
-    injector: FaultInjector | None,
-    obs: Any,
-    records: list | None,
-    received: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deliver through the shared core when transcripts or a per-message
-    observer need every message; returns the inbox COO columns.
-
-    Bulk messages stay outside the COO inbox (``ctx.inbox_bulk``), but
-    they are occupied inbox slots in the reference engine, so the core
-    reserves them from forged messages.
-    """
-    entries = [
-        (src, BROADCAST, BitString(value, width), False)
-        for src, value, width in zip(*(col.tolist() for col in bcast))
-    ]
-    entries += [
-        (src, dst, BitString(value, width), False)
-        for src, dst, value, width in zip(*(col.tolist() for col in unicast))
-    ]
-    # Senders were already charged by _sent_accounting.
-    rows, _counts = sender_rows(entries, n, [0] * n)
-    bulk = [(src, dst, BitString(value, width)) for src, dst, value, width in bulk]
-    inboxes: list[dict[int, BitString]] = [{} for _ in range(n)]
-    sent_records = [{} for _ in range(n)] if records is not None else None
-    deliver_rows(
-        this_round,
-        rows,
-        inboxes,
-        received,
-        injector=injector,
-        sent_records=sent_records,
-        obs=obs,
-        bulk_outside=bulk,
-    )
-    if records is not None:
-        bulk_in: list[dict[int, BitString]] = [{} for _ in range(n)]
-        for src, dst, payload in bulk:
-            bulk_in[dst][src] = payload
-        for v in range(n):
-            records[v].append(
-                RoundRecord(
-                    sent=sent_records[v], received={**inboxes[v], **bulk_in[v]}
-                )
-            )
-    return inbox_columns(inboxes)
+) -> None:
+    """Append one :class:`RoundRecord` per node: every queued payload as
+    sent (broadcasts expanded, then unicasts, then bulk) and the inbox
+    columns plus the bulk channel as received."""
+    sent: list[dict[int, BitString]] = [{} for _ in range(n)]
+    got: list[dict[int, BitString]] = [{} for _ in range(n)]
+    for src, value, width in zip(*(col.tolist() for col in bcast)):
+        payload = BitString(value, width)
+        box = sent[src]
+        for dst in range(n):
+            if dst != src:
+                box[dst] = payload
+    for src, dst, value, width in zip(*(col.tolist() for col in unicast)):
+        sent[src][dst] = BitString(value, width)
+    for src, dst, value, width in zip(*(col.tolist() for col in inbox)):
+        got[dst][src] = BitString(value, width)
+    for src, dst, value, width in bulk:
+        payload = BitString(value, width)
+        sent[src][dst] = payload
+        got[dst][src] = payload
+    for v in range(n):
+        records[v].append(RoundRecord(sent=sent[v], received=got[v]))
 
 
 def _validate_columns(

@@ -1,32 +1,33 @@
-"""The explicit per-message delivery core shared by the non-reference engines.
+"""Explicit message-by-message delivery for the non-reference engines.
 
-The fast and columnar engines deliver a round message by
-message whenever something needs to see each message: a fault plan, a
-transcript, a per-message observer or the fast engine's
-``shuffle_seed`` permutation.  This module is that one loop; the
-reference engine keeps its own scalar loop over
-:meth:`~repro.faults.FaultInjector.deliver` as the executable semantics,
-so the differential gates compare this core against an independent
-implementation.
+The fast engine delivers a round message by message whenever something
+needs to see each message: a fault plan, a transcript, a per-message
+observer or its ``shuffle_seed`` permutation.  The columnar engine does
+so in array form for the same reasons (bar the shuffle).  The reference
+engine keeps its own scalar loop over
+:meth:`~repro.faults.FaultInjector.deliver` as the executable
+semantics, so the differential gates compare both forms here against an
+independent implementation.
 
-A round reaches the core as **sender rows** ``(src, kind, dsts,
-payloads)``: one broadcast (``payloads`` is the shared payload), a run
-of consecutive unicasts or bulk sends of one sender (``payloads`` is a
-list aligned with ``dsts``).  Fault decisions are made a row at a time
-through :meth:`~repro.faults.FaultInjector.deliver_row`, bit-identical
-to the scalar per-message checks.  Semantics, shared with the reference
-engine:
+:func:`deliver_rows` is the fast engine's form.  A round reaches it as
+**sender rows** ``(src, kind, dsts, payloads)``: one broadcast
+(``payloads`` is the shared payload), a run of consecutive unicasts or
+bulk sends of one sender (``payloads`` is a list aligned with
+``dsts``).  :func:`deliver_columns` is the columnar engine's one
+explicit path: the same rows, as slices of the expanded ``(src, dst)``
+columns, with the decisions applied as a keep mask.  In both, fault
+decisions are made a row at a time through
+:meth:`~repro.faults.FaultInjector.deliver_row`, bit-identical to the
+scalar per-message checks, and the semantics are those of the
+reference engine:
 
 * duplicates scheduled for the round land first, so a genuine message
   on the same link wins the inbox slot;
 * the sender is charged for every queued message, the receiver only for
   messages that arrive; the bulk channel is exempt from faults;
 * forged-identity messages land last, into slots no genuine delivery
-  claimed, in sorted order — independent of the delivery order.
-
-:func:`deliver_columns` is the columnar engine's array form of the same
-delivery when nothing needs per-message objects: decisions become a
-keep mask over the expanded ``(src, dst)`` columns.
+  (bulk included) claimed, in sorted order — independent of the
+  delivery order.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ def deliver_rows(
     sent_records: list[dict[int, BitString]] | None = None,
     obs: Any = None,
     rng: random.Random | None = None,
-    bulk_outside: Sequence[tuple[int, int, BitString]] = (),
 ) -> None:
     """Deliver one round's sender rows into per-node dict inboxes.
 
@@ -133,10 +133,6 @@ def deliver_rows(
     (when given) records every queued payload, ``obs`` (when given)
     gets one ``on_message`` per arrival.  ``rng`` permutes the delivery
     order message by message (the fast engine's ``shuffle_seed``).
-    ``bulk_outside`` lists ``(src, dst, payload)`` bulk messages the
-    caller delivers outside ``inboxes`` (the columnar engine): they are
-    recorded and observed after the rows, and forged messages may not
-    claim their slots.
     """
     if rng is not None:
         flat = []
@@ -176,22 +172,8 @@ def deliver_rows(
                 obs.on_message(
                     round=this_round, src=src, dst=dst, bits=plen, kind=kind
                 )
-    for src, dst, payload in bulk_outside:
-        if sent_records is not None:
-            sent_records[src][dst] = payload
-        if obs is not None:
-            obs.on_message(
-                round=this_round, src=src, dst=dst, bits=len(payload), kind="bulk"
-            )
     if injector is not None:
-        shadow = []
-        for src, dst, payload in bulk_outside:
-            if src not in inboxes[dst]:
-                inboxes[dst][src] = payload
-                shadow.append((dst, src))
         injector.finish_round(this_round, inboxes, received_bits)
-        for dst, src in shadow:
-            del inboxes[dst][src]
 
 
 def deliver_columns(
@@ -202,22 +184,26 @@ def deliver_columns(
     unicast: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     bulk: Sequence[tuple[int, int, int, int]],
     received: np.ndarray,
+    obs: Any = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Faulty delivery of validated columnar traffic, kept in array form.
+    """Explicit delivery of validated columnar traffic, kept in array form.
 
-    For runs without transcripts or per-message observers.  ``bcast``
-    is ``(senders, values, widths)``, ``unicast`` is ``(src, dst,
-    values, widths)`` and ``bulk`` the bulk-channel tuples, which only
-    reserve their slots from forged messages here.  Broadcasts are
-    expanded to ``(src, dst)`` columns in emission order, followed
-    by the unicast columns; each sender row is decided by
+    ``bcast`` is ``(senders, values, widths)``, ``unicast`` is ``(src,
+    dst, values, widths)`` and ``bulk`` the bulk-channel tuples, which
+    are delivered outside the returned columns and only reserve their
+    slots from forged messages here.  Broadcasts are expanded to
+    ``(src, dst)`` columns in emission order, followed by the unicast
+    columns; with an ``injector`` each sender row is decided by
     :meth:`~repro.faults.FaultInjector.deliver_row`, and the decisions
     become a keep mask (plus value overrides for rewritten payloads).
     A ``BitString`` is built only for a message a fault rewrites or
-    buffers.  Returns the inbox ``(src, dst, value, width)`` columns in
-    the order :func:`deliver_rows` produces them: per destination,
-    pending duplicates, then genuine arrivals in emission order, then
-    forged messages.  ``received`` is charged per arrival.
+    buffers.  ``obs`` (when given) gets one ``on_message`` per arrival:
+    pending duplicates, each sender row's arrivals right after its
+    fault decisions, the bulk messages, then forged messages as they
+    land.  Returns the inbox
+    ``(src, dst, value, width)`` columns: per destination, pending
+    duplicates, then genuine arrivals in emission order, then forged
+    messages.  ``received`` is charged per arrival.
     """
     bs, bv, bw = bcast
     us, ud, uv, uw = unicast
@@ -234,35 +220,57 @@ def deliver_columns(
         src, dst, val, wid = us, ud, uv.copy(), uw
         starts = []
     offset = len(starts) * rows
-    if us.size:
-        breaks = np.flatnonzero(us[1:] != us[:-1]) + 1 + offset
-        starts += [offset, *breaks.tolist()]
-    keep = np.ones(src.size, dtype=bool)
-    dst_list = dst.tolist()
-    src_list = src.tolist()
-    wid_list = wid.tolist()
-    bounds = starts + [src.size]
-    for start, stop in zip(bounds, bounds[1:]):
-        s = src_list[start]
-        if start < offset:
-            widths = wid_list[start]
-        else:
-            widths = wid_list[start:stop]
-        fates = injector.deliver_row(
-            this_round,
-            s,
-            dst_list[start:stop],
-            widths,
-            lambda i, base=start: BitString(int(val[base + i]), wid_list[base + i]),
-        )
-        for i, fate in enumerate(fates):
-            if fate is None:
-                keep[start + i] = False
-            elif fate is not True:
-                val[start + i] = fate.value
-    pending = injector.pop_pending(this_round)
-    forged = injector.take_forged()
-    src, dst, val, wid = src[keep], dst[keep], val[keep], wid[keep]
+    pending = injector.pop_pending(this_round) if injector is not None else []
+    if obs is not None:
+        for s, d, payload in pending:
+            obs.on_message(
+                round=this_round, src=s, dst=d, bits=len(payload), kind="duplicate"
+            )
+    if injector is not None or obs is not None:
+        if us.size:
+            breaks = np.flatnonzero(us[1:] != us[:-1]) + 1 + offset
+            starts += [offset, *breaks.tolist()]
+        keep = np.ones(src.size, dtype=bool)
+        dst_list = dst.tolist()
+        src_list = src.tolist()
+        wid_list = wid.tolist()
+        bounds = starts + [src.size]
+        for start, stop in zip(bounds, bounds[1:]):
+            s = src_list[start]
+            dsts = dst_list[start:stop]
+            shared = start < offset
+            widths = wid_list[start] if shared else wid_list[start:stop]
+            if injector is None:
+                fates = [True] * len(dsts)
+            else:
+                fates = injector.deliver_row(
+                    this_round,
+                    s,
+                    dsts,
+                    widths,
+                    lambda i, base=start: BitString(
+                        int(val[base + i]), wid_list[base + i]
+                    ),
+                )
+                for i, fate in enumerate(fates):
+                    if fate is None:
+                        keep[start + i] = False
+                    elif fate is not True:
+                        val[start + i] = fate.value
+            if obs is not None:
+                kind = "broadcast" if shared else "unicast"
+                bits = [widths] * len(dsts) if shared else widths
+                for d, w, fate in zip(dsts, bits, fates):
+                    if fate is not None:
+                        obs.on_message(
+                            round=this_round, src=s, dst=d, bits=w, kind=kind
+                        )
+        if obs is not None:
+            for s, d, _v, w in bulk:
+                obs.on_message(round=this_round, src=s, dst=d, bits=w, kind="bulk")
+        if injector is not None:
+            src, dst, val, wid = src[keep], dst[keep], val[keep], wid[keep]
+    forged = injector.take_forged() if injector is not None else []
     if dst.size:
         np.add.at(received, dst, wid)
     keys = np.sort(dst * n + src)
@@ -286,29 +294,23 @@ def deliver_columns(
                 continue
             inboxes[d][s] = (payload.value, len(payload))
             received[d] += len(payload)
+            if obs is not None:
+                obs.on_message(
+                    round=this_round, src=s, dst=d, bits=len(payload), kind="forged"
+                )
     return inbox_columns(inboxes)
 
 
 def inbox_columns(
-    inboxes: Sequence[dict[int, Any]],
+    inboxes: Sequence[dict[int, tuple[int, int]]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-destination inbox dicts as ``(src, dst, value, width)`` columns.
-
-    Values are ``BitString`` payloads or ``(value, width)`` pairs; the
-    order is by destination, then inbox insertion order.
-    """
-    count = sum(len(box) for box in inboxes)
-    src_col = np.empty(count, dtype=np.int64)
-    dst_col = np.empty(count, dtype=np.int64)
-    val_col = np.empty(count, dtype=np.uint64)
-    wid_col = np.empty(count, dtype=np.int64)
-    i = 0
-    for d, box in enumerate(inboxes):
-        for s, item in box.items():
-            if isinstance(item, BitString):
-                item = (item.value, len(item))
-            src_col[i] = s
-            dst_col[i] = d
-            val_col[i], wid_col[i] = item
-            i += 1
-    return src_col, dst_col, val_col, wid_col
+    """Per-destination ``{src: (value, width)}`` inboxes as ``(src, dst,
+    value, width)`` columns, by destination, then insertion order."""
+    items = [(s, d, *item) for d, box in enumerate(inboxes) for s, item in box.items()]
+    src, dst, val, wid = zip(*items) if items else ((), (), (), ())
+    return (
+        np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64),
+        np.array(val, dtype=np.uint64),
+        np.array(wid, dtype=np.int64),
+    )

@@ -47,6 +47,7 @@ __all__ = [
     "RESILIENT_CATALOG",
     "algorithm",
     "catalog_factory",
+    "catalog_k",
     "compare",
     "run_matrix",
 ]
@@ -101,6 +102,24 @@ def algorithm(
         return builder
 
     return register
+
+
+#: The ``k`` of the parameterised entries: ``(default, least valid k)``.
+_K_RANGE = {"kds": (2, 1), "kis": (3, 1), "kvc": (3, 0)}
+
+
+def catalog_k(name: str, config: dict) -> int:
+    """``config["k"]`` of catalog entry ``name`` (or its default), checked.
+
+    The one guard for the catalog entries and their cost models: kds
+    and kis need ``k >= 1`` (the label scheme takes a ``k``-th root),
+    kvc ``k >= 0``.
+    """
+    default, least = _K_RANGE[name]
+    k = int(config.get("k", default))
+    if k < least:
+        raise CliqueError(f"{name} needs k >= {least}, got k={k}")
+    return k
 
 
 def _graph(config: dict, default_p: float = 0.3):
@@ -202,7 +221,7 @@ def _spec_kds(config: dict) -> RunSpec:
     """Theorem 9: k-dominating set detection."""
     from ..algorithms import k_dominating_set
 
-    k = int(config.get("k", 2))
+    k = catalog_k("kds", config)
 
     def prog(node):
         return (yield from k_dominating_set(node, k))
@@ -215,7 +234,7 @@ def _spec_kvc(config: dict) -> RunSpec:
     """Theorem 11: k-vertex cover in O(k) rounds."""
     from ..algorithms import k_vertex_cover
 
-    k = int(config.get("k", 3))
+    k = catalog_k("kvc", config)
 
     def prog(node):
         return (yield from k_vertex_cover(node, k))
@@ -239,7 +258,7 @@ def _spec_kis(config: dict) -> RunSpec:
     """k-independent-set detection (the Theorem 10 source problem)."""
     from ..algorithms import k_independent_set_detection
 
-    k = int(config.get("k", 3))
+    k = catalog_k("kis", config)
 
     def prog(node):
         return (yield from k_independent_set_detection(node, k))

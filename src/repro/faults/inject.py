@@ -14,18 +14,20 @@ hold exactly one injector per run and consult it at these points:
   message) replaces the payload the engine would have delivered.  This
   scalar form is the executable semantics, and the reference engine
   uses it;
-* :meth:`deliver_row` — the batched form the shared explicit-delivery
-  core (:mod:`repro.engine.delivery`) uses: one call decides all of one
-  sender's messages of a round, bit-identical to :meth:`deliver` called
-  per message in the same order;
+* :meth:`deliver_row` — the batched form the fast and columnar
+  engines' explicit delivery (:mod:`repro.engine.delivery`) uses: one
+  call decides all of one sender's messages of a round, bit-identical
+  to :meth:`deliver` called per message in the same order;
 * :meth:`finish_round` — after the round's real deliveries, to land
   forged-identity messages buffered by the Byzantine tier into inbox
   slots genuine messages did not claim.  Engines without Byzantine
   plans may still call it unconditionally — it is a no-op then.
 
 :meth:`pop_pending` and :meth:`take_forged` hand the duplicate and
-forged buffers out as lists, for the columnar engine's array-form
-delivery, which has no dict inboxes to write into.
+forged buffers out as lists, for the columnar engine's explicit
+delivery, which works on arrays and has no dict inboxes to write into;
+it emits the matching ``on_message`` events itself, in the order
+:meth:`inject_pending` and :meth:`finish_round` would.
 
 Because every decision ultimately comes from the plan's coordinate
 hashes, two engines delivering the same logical messages in different
@@ -172,7 +174,7 @@ class FaultInjector:
 
         In scheduling order, minus those aimed at a node that is down
         this round.  :meth:`inject_pending` is this list applied to dict
-        inboxes; the columnar engine's array path consumes it directly.
+        inboxes; the columnar engine's explicit path consumes it directly.
         """
         pending = self._pending.pop(round, None)
         if not pending:

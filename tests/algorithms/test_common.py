@@ -11,6 +11,7 @@ from repro.algorithms.common import (
     label_union,
     node_label,
 )
+from repro.clique.errors import CliqueError
 
 
 class TestIntCeilRoot:
@@ -27,6 +28,11 @@ class TestIntCeilRoot:
 
     def test_zero(self):
         assert int_ceil_root(0, 3) == 0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(CliqueError, match="needs k >= 1"):
+            int_ceil_root(8, k)
 
 
 class TestGroupPartition:

@@ -102,6 +102,18 @@ class TestValidation:
         )
         assert report.ok, report.table()
 
+    @pytest.mark.parametrize("name, k", [("kds", 3), ("kis", 2), ("kis", 4)])
+    def test_k_enters_the_closed_form(self, name, k):
+        report = symbolic.validate_symbolic(
+            names=[name], ns=(8, 12, 16), config={"k": k}, engines=("fast",)
+        )
+        assert report.ok, report.table()
+
+    @pytest.mark.parametrize("name, k", [("kds", 0), ("kis", -1), ("kvc", -1)])
+    def test_out_of_range_k_rejected(self, name, k):
+        with pytest.raises(CliqueError, match=f"{name} needs k >= "):
+            symbolic.predict_points(name, [9], {"k": k})
+
     def test_mismatch_is_reported_not_swallowed(self):
         # Sabotage one model copy and make sure the gate trips.
         broken = symbolic.CostModel(

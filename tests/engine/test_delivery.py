@@ -1,10 +1,17 @@
-"""The shared explicit-delivery core (``repro.engine.delivery``).
+"""Explicit delivery (``repro.engine.delivery``).
 
-The columnar engine delivers a faulty round in array form when nothing
-needs per-message objects, and through the per-message core otherwise
-(transcripts, per-message observers).  Both must hand the program the
-same inbox columns, order included.
+The fast engine delivers message by message through the shared row
+core (``deliver_rows``); the columnar engine delivers every round that
+has a fault plan, transcripts or a per-message observer through one
+keep-mask path (``deliver_columns``).  A per-message observer must not
+change the inbox columns the program sees, order included, and both
+engines must agree with the reference engine's scalar loop and with
+each other on transcripts, per-link metrics, faults and delivery
+events, for a generator program bridged onto columnar and for a native
+array program.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -18,7 +25,9 @@ from repro.engine import (
     adapt_generator,
     array_program,
 )
-from repro.obs import MetricsCollector
+from repro.engine.diff import catalog_factory
+from repro.engine.pool import run_spec
+from repro.obs import CompositeObserver, MetricsCollector, RingBufferSink, Tracer
 
 N = 9
 PLANS = [
@@ -128,3 +137,40 @@ def test_per_message_core_matches_reference(spec, engine):
     assert ref.metrics.link_bits == other.metrics.link_bits
     assert ref.metrics.faults == other.metrics.faults
     assert ref.metrics.total_faults > 0
+
+
+@pytest.mark.parametrize("spec", PLANS)
+@pytest.mark.parametrize("check", ["full", "bandwidth"])
+def test_native_array_program_matches_fast(spec, check):
+    """The fanout entry's array form (broadcasts, expanded by the
+    keep-mask path) against its generator form on the fast engine."""
+
+    def run(engine):
+        metrics = MetricsCollector(links=True)
+        tracer = Tracer(RingBufferSink(capacity=1 << 20))
+        result, _ = run_spec(
+            catalog_factory({"algorithm": "fanout", "n": N, "rounds": 4}),
+            execution=ExecutionSpec(
+                engine=engine,
+                fault_plan=spec,
+                transcripts=True,
+                observer=CompositeObserver(metrics, tracer),
+            ),
+        )
+        delivered = Counter(
+            (e.round, e.src, e.dst, e.bits, e.channel)
+            for e in tracer.sink.events()
+            if e.kind == "deliver"
+        )
+        return result, metrics.run_metrics(), delivered
+
+    fast, fast_metrics, fast_events = run(FastEngine())
+    col, col_metrics, col_events = run(ColumnarEngine(check=check))
+    assert fast.outputs == col.outputs
+    assert fast.received_bits == col.received_bits
+    assert fast.transcripts == col.transcripts
+    assert fast_metrics.link_bits == col_metrics.link_bits
+    assert fast_metrics.faults == col_metrics.faults
+    assert fast_events == col_events
+    assert sum(fast_events.values()) > 0
+    assert fast_metrics.total_faults > 0

@@ -216,3 +216,14 @@ class TestCatalogFactory:
     def test_specs_are_self_contained(self):
         spec = catalog_factory({"algorithm": "broadcast", "n": 5, "seed": 0})
         assert spec.resolved_n() == 5
+
+    @pytest.mark.parametrize(
+        "name, k", [("kds", 0), ("kds", -1), ("kis", 0), ("kvc", -1)]
+    )
+    def test_out_of_range_k_rejected(self, name, k):
+        with pytest.raises(CliqueError, match=f"{name} needs k >= "):
+            catalog_factory({"algorithm": name, "n": 8, "k": k})
+
+    def test_smallest_k_accepted(self):
+        for name, k in (("kds", 1), ("kis", 1), ("kvc", 0)):
+            catalog_factory({"algorithm": name, "n": 8, "k": k})

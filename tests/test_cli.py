@@ -2,7 +2,9 @@
 
 import io
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +289,49 @@ class TestCommands:
         assert err.startswith("error: sweep point 0")
         assert "EncodingError" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "kds", "--n", "8", "--k=-1"], "kds needs k >= 1, got k=-1"),
+            (["predict", "kds", "--n", "100", "--k=-1"], "kds needs k >= 1, got k=-1"),
+            (["trace", "kds", "--n", "8", "--k", "0"], "kds needs k >= 1, got k=0"),
+            (["predict", "kds", "--k", "0"], "kds needs k >= 1, got k=0"),
+            (["stats", "kvc", "--k=-1"], "kvc needs k >= 0, got k=-1"),
+            (["run", "kds", "--n", "8", "--k", "0"], "needs k >= 1, got k=0"),
+        ],
+        ids=["stats-kds", "predict-kds", "trace-kds", "predict-kds-0", "stats-kvc",
+             "run-kds"],
+    )
+    def test_out_of_range_k_exits_2(self, argv, message):
+        # In a child process with a deadline, so a command that spins
+        # fails the test instead of hanging the suite.
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_stats_fault_and_link_tables_agree_across_engines(self, capsys):
+        argv = ["stats", "fanout", "--n", "8", "--links", "5",
+                "--fault-plan", "drop=0.2,seed=1"]
+        tables = {}
+        for engine in ("fast", "columnar"):
+            assert main([*argv, "--engine", engine]) == 0
+            title, _, rest = capsys.readouterr().out.partition("\n")
+            assert f"{engine} engine" in title
+            tables[engine] = rest
+        assert "busiest links (top 5)" in tables["fast"]
+        assert "faults: drop" in tables["fast"]
+        assert tables["fast"] == tables["columnar"]
 
     def test_stats_prints_per_round_table(self, capsys):
         assert main(["stats", "broadcast", "--n", "32"]) == 0
