@@ -18,25 +18,30 @@ broadcast round hands every destination the same column, and fall
 back to per-pair big ints only from the first round delivered
 message by message (faults, transcripts).  Chunks themselves always
 fit ``uint64`` because they are at most ``B`` bits — the ports require
-``B <= 64``.  Entry packing reuses the bulk bit-codec kernels
-(:func:`repro.clique.bits.encode_uint_array` and friends) exactly like
-the generator forms, so the wire bits are identical by construction;
-the ports make one codec call per block and slice or concatenate the
-payload ints by shifts.  Relay routing keeps a queue only for links
-that carry traffic, so its state grows with the flows, not with
-``n**2``.
+``B <= 64``.
+
+Routed flows are :class:`~repro.engine.columnar.BulkBatch` lane
+columns.  matmul and sorting write one matrix entry or key per lane,
+which is the codec's bit layout with no packing, hand the batch to the
+``lenzen`` bulk channel as is, and read the received lanes back by
+index arithmetic.  A received flow whose lanes are not one field each
+(a replayed message under faults, or a payload the ``direct``/``relay``
+schemes reassembled) is read through its payload int instead, in the
+generator twin's node order, so errors match the twin's.  Relay
+routing keeps a queue only for links that carry traffic, so its state
+grows with the flows, not with ``n**2``.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+import mmap
 from collections import deque
 from typing import Generator
 
 import numpy as np
 
-from ..clique.bits import BitReader, BitString, BitWriter, uint_width
+from ..clique.bits import BitString, uint_width
 from ..clique.errors import CliqueError, EncodingError, ProtocolViolation
 from ..clique.primitives import chunks_needed
 from ..clique.routing import (
@@ -50,7 +55,7 @@ from ..clique.routing import (
     _unannounced_chunk,
     relay_min_bandwidth,
 )
-from ..engine.columnar import array_program
+from ..engine.columnar import BulkBatch, array_program, int_lanes, segment_ranges
 from .matmul import Semiring
 
 __all__ = [
@@ -70,6 +75,10 @@ __all__ = [
 
 _I64 = np.int64
 _U64 = np.uint64
+_U8 = np.uint8
+#: Fields gathered or scattered per step of a chunked loop: index
+#: columns that stay small beside the lane columns they address.
+_CHUNK = 1 << 14
 
 
 def _require_narrow_links(ctx) -> None:
@@ -227,14 +236,24 @@ def array_agree_uint_max(
 # Routing
 # ---------------------------------------------------------------------------
 #
-# Flows are ``flows[src][dst] = (value, nbits)`` with arbitrary-precision
-# values; the result is ``result[dst][src] = (value, nbits)``.
+# Flows go in and come out as a :class:`~repro.engine.columnar.BulkBatch`.
+# ``direct`` and ``relay`` chunk payload ints, so they convert at their
+# boundary; ``lenzen`` hands the batch to the bulk channel unchanged.
 
 
-def array_route(
-    ctx, flows: dict[int, dict[int, tuple[int, int]]], scheme: str = "lenzen"
-) -> Generator[None, None, list[dict[int, tuple[int, int]]]]:
+def array_route(ctx, flows: BulkBatch, scheme: str = "lenzen"):
     """Columnar :func:`repro.clique.routing.route` — all three schemes.
+
+    ``flows`` lists each source's flows together, sources ascending and
+    each source's flows in the order of its generator twin's ``flows``
+    dict; a flow to its own source is delivered locally.  Returns
+    ``(received, failure)``: the received flows, each destination's in
+    the order of its twin's result dict (the flows of different
+    destinations interleave), and ``(node, error)`` for the first node
+    whose ``lenzen`` route fails its delivery check, or ``None``.  The
+    twins of the nodes below run on past the route, so the caller raises
+    ``error`` only after what their code raises first; ``direct`` and
+    ``relay`` raise their errors themselves.
 
     Mirrors the generator collective exactly: a sparse 32-bit length
     exchange on flow links, the per-node payload-load counters, then the
@@ -245,74 +264,78 @@ def array_route(
         raise ProtocolViolation(f"unknown routing scheme {scheme!r}")
     _require_narrow_links(ctx)
     n, b = ctx.n, ctx.bandwidth
-    live: dict[int, dict[int, tuple[int, int]]] = {}
-    self_flows: dict[int, tuple[int, int]] = {}
-    for src in range(n):
-        mine = {}
-        for d, (value, nbits) in flows.get(src, {}).items():
-            if nbits <= 0:
-                continue
-            if d == src:
-                self_flows[src] = (value, nbits)
-                continue
-            if not 0 <= d < n:
-                raise ProtocolViolation(f"flow destination {d} out of range")
-            mine[d] = (value, nbits)
-        live[src] = mine
-
-    result: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+    if not flows.nbits.all():
+        flows = flows.take(flows.nbits > 0)
+    own = flows.src == flows.dst
+    bad = ~own & ((flows.dst < 0) | (flows.dst >= n))
+    if bad.any():
+        raise ProtocolViolation(
+            f"flow destination {int(flows.dst[np.argmax(bad)])} out of range"
+        )
+    # Self flows go last, so the rest is a view of the lanes (and the
+    # whole batch is the result when the channel hands it back).
+    k = own.size - int(np.count_nonzero(own))
+    every = flows
+    if own[:k].any():
+        every = BulkBatch.concat([flows.take(~own), flows.take(own)])
+    flows, self_flows = every.split(k)
     if n == 1:
-        if 0 in self_flows:
-            result[0][0] = self_flows[0]
-        return result
+        return every, None
 
     # ---- Phase 1: sparse length exchange (headers only on flow links).
-    pairs = [(s, d) for s in range(n) for d in live[s]]
-    hdr_src = np.asarray([p[0] for p in pairs], dtype=_I64)
-    hdr_dst = np.asarray([p[1] for p in pairs], dtype=_I64)
-    hdr_len = np.asarray(
-        [live[s][d][1] for s, d in pairs], dtype=_U64
-    )
+    hdr_len = flows.nbits.astype(_U64)
     acc_len = np.zeros((n, n), dtype=_U64)
     got_len = np.zeros((n, n), dtype=_I64)
     sent_bits = 0
     for w in _chunk_layout(_LEN_WIDTH, b):
         shift = _LEN_WIDTH - sent_bits - w
         sent_bits += w
-        if hdr_src.size:
+        if len(flows):
             chunk = (hdr_len >> _U64(shift)) & _U64((1 << w) - 1)
-            ctx.send(hdr_src, hdr_dst, chunk, w)
+            ctx.send(flows.src, flows.dst, chunk, w)
         yield
         src, dst, val, wid = ctx.inbox_messages
         if src.size:
             acc_len[dst, src] = (acc_len[dst, src] << wid.astype(_U64)) | val
             np.add.at(got_len, (dst, src), wid)
-    in_lengths: list[dict[int, int]] = [{} for _ in range(n)]
     in_dst, in_src = np.nonzero(got_len)
-    for d, s, length in zip(
-        in_dst.tolist(), in_src.tolist(), acc_len[in_dst, in_src].tolist()
-    ):
-        in_lengths[d][s] = length
+    in_len = acc_len[in_dst, in_src].astype(_I64)
 
-    out_col = np.asarray(
-        [sum(nb for _v, nb in live[s].values()) for s in range(n)], dtype=_I64
-    )
-    in_col = np.asarray(
-        [sum(in_lengths[dst].values()) for dst in range(n)], dtype=_I64
-    )
+    out_col = np.zeros(n, dtype=_I64)
+    np.add.at(out_col, flows.src, flows.nbits)
+    in_col = np.zeros(n, dtype=_I64)
+    np.add.at(in_col, in_dst, in_len)
     ctx.count("route_payload_out_bits", out_col)
     ctx.count("route_payload_in_bits", in_col)
 
-    if scheme == "direct":
-        yield from _array_route_direct(ctx, live, in_lengths, result)
-    elif scheme == "lenzen":
-        yield from _array_route_lenzen(ctx, live, in_lengths, result)
+    failure = None
+    if scheme == "lenzen":
+        result, failure = yield from _array_route_lenzen(
+            ctx, flows, (in_dst, in_src, in_len), np.maximum(out_col, in_col)
+        )
+        if result is flows:
+            # A fault-free round delivers the sent batch itself, and the
+            # self flows follow it in ``every``.
+            return every, failure
     else:
-        yield from _array_route_relay(ctx, live, in_lengths, result)
+        live: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+        for s, d, value, nbits in flows:
+            live[s][d] = (value, nbits)
+        in_lengths: list[dict[int, int]] = [{} for _ in range(n)]
+        for d, s, length in zip(in_dst.tolist(), in_src.tolist(), in_len.tolist()):
+            in_lengths[d][s] = length
+        boxes: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+        phase = _array_route_direct if scheme == "direct" else _array_route_relay
+        yield from phase(ctx, live, in_lengths, boxes)
+        items = [
+            (s, d, *item) for d, box in enumerate(boxes) for s, item in box.items()
+        ]
+        src, dst, values, nbits = zip(*items) if items else ((), (), (), ())
+        result = BulkBatch(src, dst, *int_lanes(values, nbits))
 
-    for src, payload in self_flows.items():
-        result[src][src] = payload
-    return result
+    if len(self_flows):
+        result = BulkBatch.concat([result, self_flows])
+    return result, failure
 
 
 def _array_route_direct(
@@ -390,41 +413,56 @@ def _array_route_direct(
     finish(range(n))
 
 
-def _array_route_lenzen(
-    ctx, live, in_lengths, result
-) -> Generator[None, None, None]:
+def _array_route_lenzen(ctx, flows: BulkBatch, inbound, loads: np.ndarray):
     n, b = ctx.n, ctx.bandwidth
-    loads = [
-        max(
-            sum(nb for _val, nb in live[v].values()),
-            sum(in_lengths[v].values()),
-        )
-        for v in range(n)
-    ]
-    max_loads = yield from array_agree_uint_max(ctx, loads, _LEN_WIDTH)
+    max_loads = yield from array_agree_uint_max(ctx, loads.tolist(), _LEN_WIDTH)
     charged = max(0, math.ceil(max_loads[0] / (b * (n - 1))))
     if charged == 0:
-        return
-    for s in range(n):
-        for d, (value, nbits) in live[s].items():
-            ctx.bulk_send(s, d, value, nbits)
+        return BulkBatch.concat([]), None
+    ctx.bulk_send(flows)
     yield
-    received: dict[tuple[int, int], tuple[int, int]] = {}
-    for src, dst, value, width in ctx.inbox_bulk:
-        received[(dst, src)] = (value, width)
+    received = _first_inbox(ctx)
     for _ in range(charged - 1):
         yield
-    for dst in range(n):
-        for s, expected in in_lengths[dst].items():
-            got = received.get((dst, s), (0, 0))[1]
-            if expected > 0 and got != expected:
-                raise ProtocolViolation(
-                    f"route(lenzen): node {dst} expected {expected} bits "
-                    f"from {s}, got {got}"
-                )
-    for (dst, s), (value, nbits) in received.items():
-        if nbits > 0:
-            result[dst][s] = (value, nbits)
+    in_dst, in_src, in_len = inbound
+    keys = received.dst * n + received.src
+    order = np.argsort(keys, kind="stable")
+    want = in_dst * n + in_src
+    at = np.minimum(np.searchsorted(keys, want, sorter=order), max(keys.size - 1, 0))
+    got = np.zeros(want.size, dtype=_I64)
+    if keys.size:
+        hit = keys[order[at]] == want
+        got[hit] = received.nbits[order[at[hit]]]
+    bad = (in_len > 0) & (got != in_len)
+    failure = None
+    if bad.any():
+        i = int(np.argmax(bad))
+        failure = (
+            int(in_dst[i]),
+            ProtocolViolation(
+                f"route(lenzen): node {int(in_dst[i])} expected {int(in_len[i])} "
+                f"bits from {int(in_src[i])}, got {int(got[i])}"
+            ),
+        )
+    if not received.nbits.all():
+        received = received.take(received.nbits > 0)
+    return received, failure
+
+
+def _first_inbox(ctx) -> BulkBatch:
+    """The first charged round's inbox as flows, read like the generator
+    twin's inbox dict: the round's messages (replays, forgeries) as
+    one-lane flows first, then the bulk flows, a bulk flow taking over
+    the slot of a message on its link."""
+    bulk = ctx.inbox_bulk
+    src, dst, val, wid = ctx.inbox_messages
+    if not src.size:
+        return bulk
+    both = BulkBatch.concat([BulkBatch(src, dst, val, wid), bulk])
+    slots: dict[int, int] = {}
+    for i, key in enumerate((both.dst * ctx.n + both.src).tolist()):
+        slots[key] = i
+    return both.take(np.fromiter(slots.values(), dtype=_I64, count=len(slots)))
 
 
 def _array_route_relay(
@@ -826,21 +864,19 @@ def routing_array(ctx) -> Generator[None, None, list[tuple]]:
     """Columnar twin of :func:`routing_generator`."""
     n = ctx.n
     scheme = str(ctx.auxes[0] or "relay")
-    flows = {
-        src: {
-            d: (
-                _flow_value(src, d, _flow_length(src, d)),
-                _flow_length(src, d),
-            )
-            for d in _routing_dsts(src, n)
-        }
-        for src in range(n)
-    }
-    received = yield from array_route(ctx, flows, scheme=scheme)
-    return [
-        tuple(sorted((s, nb, v) for s, (v, nb) in received[dst].items()))
-        for dst in range(n)
-    ]
+    pairs = [(src, d) for src in range(n) for d in _routing_dsts(src, n)]
+    lengths = [_flow_length(src, d) for src, d in pairs]
+    values = [_flow_value(src, d, nb) for (src, d), nb in zip(pairs, lengths)]
+    src, dst = zip(*pairs)
+    received, failure = yield from array_route(
+        ctx, BulkBatch(src, dst, *int_lanes(values, lengths)), scheme=scheme
+    )
+    if failure is not None:
+        raise failure[1]
+    boxes: list[list[tuple]] = [[] for _ in range(n)]
+    for s, d, value, nbits in received:
+        boxes[d].append((s, nbits, value))
+    return [tuple(sorted(box)) for box in boxes]
 
 
 def _take_bits(value: int, nbits: int, pos: int, width: int) -> int:
@@ -853,152 +889,347 @@ def _take_bits(value: int, nbits: int, pos: int, width: int) -> int:
     return (value >> (nbits - pos - width)) & ((1 << width) - 1)
 
 
-def _decode_concat(
-    semiring: Semiring, chunks: list[int], counts: list[int], width: int
-) -> np.ndarray:
-    """Decode ``chunks`` (``counts[i]`` entries of ``width`` bits in
-    ``chunks[i]``) with one codec call over their concatenation."""
-    merged = 0
-    for chunk, count in zip(chunks, counts):
-        merged = (merged << (count * width)) | chunk
-    total = sum(counts)
-    return semiring.decode_entries(BitString(merged, total * width), total, width)
+def _field_lanes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lane columns of nonnegative ``width``-bit fields (values below
+    ``2**64``): one lane per field up to 64 bits, else zero lanes ahead
+    of the value.  Returns ``(values, widths, lanes per field)``."""
+    values = values.astype(_U64, copy=False)
+    if width <= 64:
+        return values, np.broadcast_to(_U8(width), values.shape), 1
+    k = -(-width // 64)
+    lanes = np.zeros((values.size, k), dtype=_U64)
+    lanes[:, -1] = values
+    widths = np.full(k, 64, dtype=_U8)
+    widths[0] = width - 64 * (k - 1)
+    return lanes.ravel(), np.tile(widths, values.size), k
+
+
+def _unfit(x: np.ndarray, width: int) -> np.ndarray:
+    """Entries the codec rejects at ``width`` bits (negative or too wide)."""
+    bad = x < 0
+    if width < 63:
+        bad |= x >= (1 << width)
+    return bad
+
+
+def _lane_column(size: int) -> np.ndarray:
+    """An uninitialised ``uint64`` lane column of ``size`` lanes.
+
+    One of more than a MiB gets a mapping of its own instead of a malloc
+    block: freeing a malloc block that large raises glibc's dynamic mmap
+    threshold to its size, after which every smaller array lands on the
+    heap and the process keeps those pages.  On a 2-vCPU VM that took
+    the ``columnar-large`` benchmark's peak RSS from 65.7 to 61.6 MiB.
+    """
+    if size * 8 <= 1 << 20:
+        return np.empty(size, dtype=_U64)
+    return np.frombuffer(mmap.mmap(-1, size * 8), dtype=_U64)
+
+
+def _field_chunks(values: np.ndarray, first: np.ndarray, counts: np.ndarray):
+    """Yield ``(part, fields)`` over slices ``part`` of the segments, with
+    ``fields`` the ``counts[i]`` entries of ``values`` from ``first[i]``
+    for each segment in the slice; a slice spans at most ``_CHUNK``
+    fields, so the index columns stay small beside the values."""
+    step = max(1, _CHUNK // max(1, int(counts.max(initial=0))))
+    for lo in range(0, counts.size, step):
+        part = slice(lo, lo + step)
+        yield part, values[segment_ranges(first[part], counts[part])]
+
+
+def _twin_reads(flows: BulkBatch, failure, wanted=None):
+    """``(flow, payload int)`` pairs in the order the generator twins read
+    their received dicts: node by node, each in arrival order, up to the
+    node whose route failed (``failure``), and only ``wanted`` flows."""
+    order = np.argsort(flows.dst, kind="stable")
+    keep = np.ones(order.size, dtype=bool) if wanted is None else wanted[order]
+    if failure is not None:
+        keep &= flows.dst[order] < failure[0]
+    order = order[keep].tolist()
+    return zip(order, flows.payloads(order))
+
+
+class _Cube:
+    """The cube partition of matrix multiplication over ``n`` nodes.
+
+    ``g = floor(n ** (1/3))`` row blocks of stride ``size`` (the last may
+    be shorter); cube node ``t`` is ``(ta[t], tb[t], tc[t])`` in
+    ``[g]^3``.  Every entry travels as one lane (``in_w`` bits on the
+    way in, ``acc_w`` on the way out), so blocks are gathered from and
+    scattered into stacked arrays by index arithmetic, and the cube's
+    block products are one batched multiply over blocks padded to
+    ``size`` (RING's zero pads nothing into a sum).  A received flow
+    whose lanes are not one entry each (a replayed message under faults,
+    or a payload the ``direct``/``relay`` schemes reassembled) makes the
+    whole read go through payload ints instead, node by node in the
+    generator twin's order, so a short flow raises the twin's overrun
+    error.
+    """
+
+    def __init__(self, n: int, semiring: Semiring, max_entry: int) -> None:
+        from .common import group_partition, int_ceil_root
+
+        self.n = n
+        self.semiring = semiring
+        self.in_w = semiring.in_width(n, max_entry)
+        self.acc_w = semiring.acc_width(n, max_entry)
+        self.g = g = int_ceil_root(n, 3)
+        self.blocks = group_partition(n, g)
+        self.size = math.ceil(n / g)
+        self.lens = np.asarray([len(blk) for blk in self.blocks], dtype=_I64)
+        self.starts = np.arange(g, dtype=_I64) * self.size
+        self.block = np.minimum(np.arange(n) // self.size, g - 1)
+        t = np.arange(g**3, dtype=_I64)
+        self.ta, self.tb, self.tc = t // (g * g), (t // g) % g, t % g
+
+    def inputs(self, rows) -> BulkBatch:
+        """Phase 1: node ``v`` of block ``m`` sends cube node ``(a, b, c)``
+        its A row on block ``b`` if ``a == m``, then its B row on block
+        ``c`` if ``b == m`` (``rows[v]`` is ``(A[v], B[v])``)."""
+        n, lens, starts = self.n, self.lens, self.starts
+        ab = np.asarray(
+            [[np.asarray(rows[v][k], dtype=_I64) for v in range(n)] for k in (0, 1)]
+        )
+        ta, tb, tc = self.ta, self.tb, self.tc
+        bad = np.flatnonzero(_unfit(ab, self.in_w).any(axis=(0, 2)))
+        if bad.size:
+            # The twin's ascending-``t`` encode loop of the first node
+            # with an unfit entry raises the codec's error.
+            me, m = int(bad[0]), int(self.block[bad[0]])
+            for t in np.flatnonzero((ta == m) | (tb == m)).tolist():
+                if ta[t] == m:
+                    self._encode(ab[0, me, self.blocks[tb[t]]], self.in_w)
+                if tb[t] == m:
+                    self._encode(ab[1, me, self.blocks[tc[t]]], self.in_w)
+        targets = np.stack(
+            [np.flatnonzero((ta == m) | (tb == m)) for m in range(self.g)]
+        )
+        src = np.repeat(np.arange(n, dtype=_I64), targets.shape[1])
+        dst = targets[self.block].ravel()
+        m = self.block[src]
+        a_cnt = np.where(ta[dst] == m, lens[tb[dst]], 0)
+        b_cnt = np.where(tb[dst] == m, lens[tc[dst]], 0)
+        first = np.stack(
+            [src * n + starts[tb[dst]], n * n + src * n + starts[tc[dst]]], 1
+        )
+        counts = np.stack([a_cnt, b_cnt], 1)
+        return self._flows(ab.reshape(-1), src, dst, first, counts, self.in_w)
+
+    def products(self, received: BulkBatch, failure):
+        """Phase 2: every cube node's block product, padded to ``size``,
+        and the first failure of the twin's nodes as ``(node, error)``:
+        ``failure`` (the route's), unless a read of a lower node overruns
+        its flow first.
+
+        Flow ``src -> t`` fills row ``src - start`` of t's A block (its
+        first ``|B_b|`` entries) if src lies in block ``a``, then the same
+        row of t's B block (``|B_c|`` entries) if src lies in block ``b``.
+        The blocks are built and multiplied a few dozen cube nodes at a
+        time, so they stay small beside the received lanes.
+        """
+        lens, size, in_w = self.lens, self.size, self.in_w
+        g3 = self.ta.size
+        t = received.dst
+        sb = self.block[received.src]
+        into = t < g3
+        tt = np.where(into, t, 0)
+        a_cnt = np.where(into & (sb == self.ta[tt]), lens[self.tb[tt]], 0)
+        b_cnt = np.where(into & (sb == self.tb[tt]), lens[self.tc[tt]], 0)
+        row = (received.src - self.starts[sb]) * size
+        lane0 = received.offsets[:-1]
+        whole = (np.diff(received.offsets) >= a_cnt + b_cnt).all()
+        if whole and (received.widths == in_w).all():
+            partial = np.empty((g3, size, size), dtype=_I64)
+            step = max(1, _CHUNK // (size * size))
+            for lo in range(0, g3, step):
+                hi = min(lo + step, g3)
+                mine = np.flatnonzero(into & (t >= lo) & (t < hi))
+                at = row[mine] + (t[mine] - lo) * size * size
+                blocks = np.zeros((2, hi - lo, size, size), dtype=_I64)
+                for flat, cnt, first in (
+                    (blocks[0].reshape(-1), a_cnt[mine], lane0[mine]),
+                    (blocks[1].reshape(-1), b_cnt[mine], lane0[mine] + a_cnt[mine]),
+                ):
+                    fields = received.values[segment_ranges(first, cnt)]
+                    flat[segment_ranges(at, cnt)] = fields.view(_I64)
+                partial[lo:hi] = self.semiring.local_matmul(blocks[0], blocks[1])
+            return partial, failure
+        # Through payload ints, in the twin's node order, up to the first
+        # read that overruns its flow.
+        blocks = np.zeros((2, g3, size, size), dtype=_I64)
+        a_flat, b_flat = blocks.reshape(2, -1)
+        for f, value in _twin_reads(received, failure, (a_cnt > 0) | (b_cnt > 0)):
+            nbits, pos = int(received.nbits[f]), 0
+            at = int(row[f] + t[f] * size * size)
+            for flat, cnt in ((a_flat, int(a_cnt[f])), (b_flat, int(b_cnt[f]))):
+                if cnt:
+                    try:
+                        chunk = _take_bits(value, nbits, pos, cnt * in_w)
+                    except EncodingError as exc:
+                        partial = self.semiring.local_matmul(blocks[0], blocks[1])
+                        return partial, (int(t[f]), exc)
+                    flat[at : at + cnt] = self._decode(chunk, cnt, in_w)
+                    pos += cnt * in_w
+        return self.semiring.local_matmul(blocks[0], blocks[1]), failure
+
+    def checked(self, partial: np.ndarray, failure) -> np.ndarray:
+        """``partial``, once no cube node failed: each encodes its partial
+        rows right after its multiply, so an unfit row of a node before
+        ``failure``'s raises first, then ``failure``'s read error."""
+        stop = partial.shape[0] if failure is None else failure[0]
+        bad = _unfit(partial[:stop], self.acc_w).any(axis=(1, 2))
+        if bad.any():
+            node = int(np.argmax(bad))
+            lens = self.lens
+            rows = partial[node, : lens[self.ta[node]], : lens[self.tc[node]]]
+            first = np.flatnonzero(_unfit(rows, self.acc_w).any(axis=1))[0]
+            self._encode(rows[first], self.acc_w)
+        if failure is not None:
+            raise failure[1]
+        return partial
+
+    def partial_rows(self, partial: np.ndarray) -> BulkBatch:
+        """Phase 3: cube node ``(a, b, c)`` sends each row owner of block
+        ``a`` its partial row, ``|B_c|`` entries."""
+        cols = np.arange(self.size)
+        row_ok = cols[None, :] < self.lens[self.ta][:, None]
+        t, row = np.nonzero(row_ok)
+        size = self.size
+        first = (t * size + row) * size
+        dst = self.starts[self.ta[t]] + row
+        return self._flows(
+            partial.reshape(-1), t, dst, first, self.lens[self.tc[t]], self.acc_w
+        )
+
+    def row_sums(self, received: BulkBatch, failure) -> np.ndarray:
+        """The ``(n, n)`` product: each row owner sums the partial rows it
+        receives (RING's combine is +, so arrival order does not matter);
+        raises the route's ``failure`` unless a lower node's read does.
+        """
+        n, acc_w = self.n, self.acc_w
+        out = np.zeros((n, n), dtype=_I64)
+        c = received.src % self.g
+        cnt = self.lens[c]
+        whole = (np.diff(received.offsets) >= cnt).all()
+        if whole and (received.widths == acc_w).all():
+            lane0 = received.offsets[:-1]
+            for part, fields in _field_chunks(received.values, lane0, cnt):
+                at = segment_ranges(self.starts[c[part]], cnt[part])
+                at += np.repeat(received.dst[part] * n, cnt[part])
+                np.add.at(out.reshape(-1), at, fields.view(_I64))
+        else:
+            for f, value in _twin_reads(received, failure):
+                count = int(cnt[f])
+                chunk = _take_bits(value, int(received.nbits[f]), 0, count * acc_w)
+                start = int(self.starts[c[f]])
+                out[received.dst[f], start : start + count] += self._decode(
+                    chunk, count, acc_w
+                )
+        if failure is not None:
+            raise failure[1]
+        return out
+
+    def _flows(self, source, src, dst, first, counts, width) -> BulkBatch:
+        """Flows ``src -> dst`` of ``width``-bit fields gathered from
+        ``source`` (nonnegative entries): flow ``i`` carries the
+        ``counts[i]`` entries from ``first[i]`` (per segment, when these
+        are rows).  Flows to their own source go last, so the route hands
+        the rest to the channel without a copy."""
+        own = src == dst
+        if own.any():
+            order = np.argsort(own, kind="stable")
+            src, dst = src[order], dst[order]
+            first, counts = first[order], counts[order]
+        values = _lane_column(int(counts.sum()))
+        at = 0
+        for _part, fields in _field_chunks(source, first.ravel(), counts.ravel()):
+            values[at : at + fields.size] = fields
+            at += fields.size
+        lanes, widths, k = _field_lanes(values, width)
+        per_flow = counts.reshape(src.size, -1).sum(axis=1) * k
+        offsets = np.zeros(src.size + 1, dtype=_I64)
+        np.cumsum(per_flow, out=offsets[1:])
+        return BulkBatch(src, dst, lanes, widths, offsets)
+
+    def _encode(self, entries: np.ndarray, width: int) -> None:
+        self.semiring.encode_entries(entries, width)
+
+    def _decode(self, chunk: int, count: int, width: int) -> np.ndarray:
+        bits = BitString(chunk, count * width)
+        return self.semiring.decode_entries(bits, count, width)
 
 
 def matmul_array(ctx) -> Generator[None, None, list[np.ndarray]]:
-    """Columnar cube-partitioned matrix multiplication.
+    """Columnar cube-partitioned matrix multiplication (see :class:`_Cube`).
 
     Mirrors :func:`repro.algorithms.matmul.distributed_matmul` with the
     RING semiring: node ``v``'s input is ``(A[v], B[v])`` and its output
     ``C[v]``.  ``ctx.auxes[v]`` carries ``{"max_entry", "scheme"}``.
-    Entry packing makes one codec call per row block (phase 1), per
-    partial block (phase 3) and per node and matrix on the receive side,
-    slicing and concatenating the payload ints by shifts.
     """
-    from .common import group_partition, int_ceil_root
     from .matmul import RING
 
-    n = ctx.n
     aux = dict(ctx.auxes[0])
-    semiring: Semiring = RING
-    max_entry = int(aux["max_entry"])
+    cube = _Cube(ctx.n, RING, int(aux["max_entry"]))
     scheme = str(aux.get("scheme", "lenzen"))
-    g = int_ceil_root(n, 3)
-    blocks = group_partition(n, g)
-    in_w = semiring.in_width(n, max_entry)
-    acc_w = semiring.acc_width(n, max_entry)
+    inputs = array_route(ctx, cube.inputs(ctx.inputs), scheme=scheme)
+    # The received lanes are freed as soon as the products are built.
+    partial = cube.checked(*cube.products(*(yield from inputs)))
+    sums = yield from array_route(ctx, cube.partial_rows(partial), scheme=scheme)
+    return list(cube.row_sums(*sums))
 
-    def block_of(i: int) -> int:
-        size = math.ceil(n / g)
-        return min(i // size, g - 1)
 
-    def triple_of(t: int) -> tuple[int, int, int]:
-        return (t // (g * g), (t // g) % g, t % g)
+def _key_flows(node: np.ndarray, dst: np.ndarray, keys: np.ndarray, width: int):
+    """The flows of ``keys`` (grouped by node, ascending) to ``dst``:
+    one flow per run of equal ``(node, dst)``, laid out as the twin's
+    ``_pack_keys`` — a 32-bit count lane, then one lane per key."""
+    run = np.ones(keys.size, dtype=bool)
+    run[1:] = (node[1:] != node[:-1]) | (dst[1:] != dst[:-1])
+    first = np.flatnonzero(run)
+    counts = np.diff(np.append(first, keys.size))
+    heads = first + np.arange(first.size)
+    values = np.empty(keys.size + first.size, dtype=_U64)
+    widths = np.full(values.size, width, dtype=_U8)
+    values[heads] = counts
+    widths[heads] = 32
+    values[np.arange(keys.size) + np.cumsum(run)] = keys
+    return BulkBatch(
+        node[first], dst[first], values, widths, np.append(heads, values.size)
+    )
 
-    # ---- Phase 1: distribute input blocks to the cube nodes.  Node ``v``
-    # serves the cube nodes ``(block(v), *, *)`` with its A row blocks and
-    # ``(*, block(v), *)`` with its B row blocks; each block is encoded
-    # once, when the ascending-``t`` loop first needs it, so an entry that
-    # does not fit ``in_w`` fails in the same block as in the generator twin.
-    flows: dict[int, dict[int, tuple[int, int]]] = {}
-    for me in range(n):
-        a_row = np.asarray(ctx.inputs[me][0], dtype=np.int64)
-        b_row = np.asarray(ctx.inputs[me][1], dtype=np.int64)
-        m = block_of(me)
-        targets = {m * g * g + r for r in range(g * g)}
-        targets.update(a * g * g + m * g + c for a in range(g) for c in range(g))
-        enc_a: dict[int, BitString] = {}
-        enc_b: dict[int, BitString] = {}
-        mine: dict[int, tuple[int, int]] = {}
-        for t in sorted(targets):
-            a, bb, c = triple_of(t)
-            value = nbits = 0
-            if a == m:
-                if bb not in enc_a:
-                    enc_a[bb] = semiring.encode_entries(a_row[blocks[bb]], in_w)
-                value, nbits = enc_a[bb].value, len(enc_a[bb])
-            if bb == m:
-                if c not in enc_b:
-                    enc_b[c] = semiring.encode_entries(b_row[blocks[c]], in_w)
-                value = (value << len(enc_b[c])) | enc_b[c].value
-                nbits += len(enc_b[c])
-            if nbits > 0:
-                mine[t] = (value, nbits)
-        flows[me] = mine
-    received = yield from array_route(ctx, flows, scheme=scheme)
 
-    # ---- Phase 2: local block multiply at cube nodes.
-    partials: dict[int, np.ndarray] = {}
-    for me in range(min(n, g**3)):
-        a, bb, c = triple_of(me)
-        Ba, Bb, Bc = blocks[a], blocks[bb], blocks[c]
-        a_w, b_w = len(Bb) * in_w, len(Bc) * in_w
-        a_rows, a_chunks, b_rows, b_chunks = [], [], [], []
-        for src, (value, nbits) in received[me].items():
-            src_block = block_of(src)
-            pos = 0
-            if src_block == a:
-                a_rows.append(Ba.index(src))
-                a_chunks.append(_take_bits(value, nbits, 0, a_w))
-                pos = a_w
-            if src_block == bb:
-                b_rows.append(Bb.index(src))
-                b_chunks.append(_take_bits(value, nbits, pos, b_w))
-        a_block = np.full((len(Ba), len(Bb)), semiring.identity, dtype=np.int64)
-        b_block = np.full((len(Bb), len(Bc)), semiring.identity, dtype=np.int64)
-        if a_rows:
-            a_block[a_rows] = _decode_concat(
-                semiring, a_chunks, [len(Bb)] * len(a_rows), in_w
-            ).reshape(len(a_rows), len(Bb))
-        if b_rows:
-            b_block[b_rows] = _decode_concat(
-                semiring, b_chunks, [len(Bc)] * len(b_rows), in_w
-            ).reshape(len(b_rows), len(Bc))
-        partials[me] = semiring.local_matmul(a_block, b_block)
+def _received_keys(flows: BulkBatch, failure, width: int):
+    """``(keys, dst)`` of every key in the received ``flows``, read like
+    the twin's ``_unpack_keys``: a 32-bit count, then that many keys;
+    raises the route's ``failure`` unless a lower node's read does."""
+    from ..clique.sorting import _unpack_keys
 
-    # ---- Phase 3: aggregate partial rows at the row owners.  One
-    # encode per partial block; row ``idx`` is a shift-and-mask slice.
-    flows3: dict[int, dict[int, tuple[int, int]]] = {}
-    for me, partial in partials.items():
-        Ba = blocks[triple_of(me)[0]]
-        row_bits = partial.shape[1] * acc_w
-        whole = semiring.encode_entries(partial, acc_w).value
-        mask = (1 << row_bits) - 1
-        flows3[me] = {
-            i: ((whole >> ((len(Ba) - 1 - idx) * row_bits)) & mask, row_bits)
-            for idx, i in enumerate(Ba)
-        }
-    received3 = yield from array_route(ctx, flows3, scheme=scheme)
-
-    # One decode per node over every received partial row, then the
-    # semiring sum in arrival order (blocks are contiguous column spans).
-    spans = [slice(blk[0], blk[-1] + 1) for blk in blocks]
-    out: list[np.ndarray] = []
-    for me in range(n):
-        c_row = np.full(n, semiring.identity, dtype=np.int64)
-        cs, chunks, counts = [], [], []
-        for t, (value, nbits) in received3[me].items():
-            c = t % g
-            cs.append(c)
-            counts.append(len(blocks[c]))
-            chunks.append(_take_bits(value, nbits, 0, counts[-1] * acc_w))
-        if chunks:
-            flat = _decode_concat(semiring, chunks, counts, acc_w)
-            off = 0
-            for c, count in zip(cs, counts):
-                span = spans[c]
-                vals = flat[off : off + count]
-                c_row[span] = semiring.combine(c_row[span], vals)
-                off += count
-        out.append(c_row)
-    return out
+    heads = flows.offsets[:-1]
+    counts = flows.values[heads].astype(_I64)
+    head = np.zeros(flows.widths.size, dtype=bool)
+    head[heads] = True
+    whole = (np.diff(flows.offsets) > counts).all()
+    if whole and (flows.widths == np.where(head, 32, width)).all():
+        keys = flows.values[segment_ranges(heads + 1, counts)]
+        dst = np.repeat(flows.dst, counts)
+    else:
+        # Through payload ints, in the twin's node order.
+        keys, dst = [], []
+        for f, value in _twin_reads(flows, failure):
+            got = _unpack_keys(BitString(value, int(flows.nbits[f])), width)
+            keys += got
+            dst += [int(flows.dst[f])] * len(got)
+        keys, dst = np.asarray(keys, dtype=_U64), np.asarray(dst, dtype=_I64)
+    if failure is not None:
+        raise failure[1]
+    return keys, dst
 
 
 def sorting_array(ctx) -> Generator[None, None, list[list[int]]]:
     """Columnar PSRS sorting (twin of ``distributed_sort``).
 
     Node ``v``'s input is its key list; ``ctx.auxes[v]`` carries
-    ``{"key_width", "scheme"}``.
+    ``{"key_width", "scheme"}``.  Keys travel one per ``uint64`` lane,
+    so ``key_width`` is at most 64 here.
     """
     from ..clique.bits import decode_uint_array, encode_uint_array
 
@@ -1006,6 +1237,11 @@ def sorting_array(ctx) -> Generator[None, None, list[list[int]]]:
     aux = dict(ctx.auxes[0])
     key_width = int(aux["key_width"])
     scheme = str(aux.get("scheme", "lenzen"))
+    if key_width > 64:
+        raise CliqueError(
+            f"columnar sorting carries keys in uint64 lanes, got "
+            f"key_width={key_width}; run this configuration on another engine"
+        )
     locals_: list[list[int]] = []
     for me in range(n):
         keys = [int(k) for k in ctx.inputs[me]]
@@ -1032,76 +1268,50 @@ def sorting_array(ctx) -> Generator[None, None, list[list[int]]]:
         ctx, payloads, n * key_width
     )
 
-    def splitters_of(row: tuple[int, ...]) -> list[int]:
+    # Step 3: route keys to their splitter bucket.  Every node that
+    # received the same sample rows (all of them, on a fault-free run)
+    # derives the same splitters: compute them once per distinct rows.
+    keys = np.asarray([k for local in locals_ for k in local], dtype=_U64)
+    node = np.repeat(ctx.ids, [len(local) for local in locals_])
+    bucket = np.zeros(keys.size, dtype=_I64)
+    by_rows: dict[tuple[int, ...], list[int]] = {}
+    for me in range(n):
+        by_rows.setdefault(tuple(sample_rows[me]), []).append(me)
+    for row, members in by_rows.items():
         samples = []
         for value in row:
             samples += decode_uint_array(
                 BitString(value, n * key_width), n, key_width
             )
         samples.sort()
-        return [samples[(j + 1) * n - 1] for j in range(n - 1)]
-
-    def pack_keys(keys: list[int]) -> tuple[int, int]:
-        w = BitWriter()
-        w.write_uint(len(keys), 32)
-        if keys:
-            w.write_uints(keys, key_width)
-        bits = w.finish()
-        return (bits.value, len(bits))
-
-    def unpack_keys(value: int, nbits: int) -> list[int]:
-        r = BitReader(BitString(value, nbits))
-        count = r.read_uint(32)
-        return r.read_uints(count, key_width)
-
-    # Step 3: route keys to their splitter bucket.
-    # Every node that received the same sample rows (all of them, on a
-    # fault-free run) derives the same splitters: compute them once.
-    splitters_by_rows: dict[tuple[int, ...], list[int]] = {}
-    flows: dict[int, dict[int, tuple[int, int]]] = {}
-    for me in range(n):
-        row = tuple(sample_rows[me])
-        splitters = splitters_by_rows.get(row)
-        if splitters is None:
-            splitters = splitters_by_rows[row] = splitters_of(row)
-        buckets: dict[int, list[int]] = {j: [] for j in range(n)}
-        for k in locals_[me]:
-            buckets[bisect.bisect_left(splitters, k)].append(k)
-        flows[me] = {
-            j: pack_keys(ks) for j, ks in buckets.items() if ks
-        }
-    received = yield from array_route(ctx, flows, scheme=scheme)
-    merged = [
-        sorted(
-            k
-            for value, nbits in received[me].values()
-            for k in unpack_keys(value, nbits)
+        splitters = np.asarray(
+            [samples[(j + 1) * n - 1] for j in range(n - 1)], dtype=_U64
         )
-        for me in range(n)
-    ]
+        mine = np.isin(node, members)
+        bucket[mine] = np.searchsorted(splitters, keys[mine], side="left")
+    received = yield from array_route(
+        ctx, _key_flows(node, bucket, keys, key_width), scheme=scheme
+    )
+    keys, node = _received_keys(*received, key_width)
+    order = np.lexsort((keys, node))
+    keys, node = keys[order], node[order]
 
     # Step 4: all-gather bucket sizes and re-route to rank owners.
-    size_rows = yield from array_all_gather_uint(
-        ctx, [len(m) for m in merged], 32
+    sizes = np.bincount(node, minlength=n)
+    size_rows = yield from array_all_gather_uint(ctx, sizes.tolist(), 32)
+    rows = np.asarray(size_rows, dtype=_I64)
+    diag = ctx.ids
+    my_offset = rows.cumsum(axis=1)[diag, diag] - rows[diag, diag]
+    quota = -(-rows.sum(axis=1) // n)
+    rank = my_offset[node] + np.arange(keys.size) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes
     )
-    flows2: dict[int, dict[int, tuple[int, int]]] = {}
-    for me in range(n):
-        sizes = size_rows[me]
-        total = sum(sizes)
-        my_offset = sum(sizes[:me])
-        quota = -(-total // n)
-        rank_flows: dict[int, list[int]] = {}
-        for pos, k in enumerate(merged[me]):
-            rank = my_offset + pos
-            owner = min(rank // quota, n - 1) if quota > 0 else 0
-            rank_flows.setdefault(owner, []).append(k)
-        flows2[me] = {d: pack_keys(ks) for d, ks in rank_flows.items() if ks}
-    received2 = yield from array_route(ctx, flows2, scheme=scheme)
-    return [
-        sorted(
-            k
-            for value, nbits in received2[me].values()
-            for k in unpack_keys(value, nbits)
-        )
-        for me in range(n)
-    ]
+    q = quota[node]
+    owner = np.where(q > 0, np.minimum(rank // np.maximum(q, 1), n - 1), 0)
+    received2 = yield from array_route(
+        ctx, _key_flows(node, owner, keys, key_width), scheme=scheme
+    )
+    keys, node = _received_keys(*received2, key_width)
+    order = np.lexsort((keys, node))
+    bounds = np.cumsum(np.bincount(node, minlength=n))[:-1]
+    return [part.tolist() for part in np.split(keys[order], bounds)]

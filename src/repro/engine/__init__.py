@@ -50,6 +50,7 @@ from .base import (
 from .cache import RunCache, content_digest, default_cache_dir
 from .columnar import (
     ArrayContext,
+    BulkBatch,
     ColumnarEngine,
     DualProgram,
     adapt_generator,
@@ -89,6 +90,7 @@ from .spec import (
 __all__ = [
     "ArrayContext",
     "BATCH_ENGINE",
+    "BulkBatch",
     "CATALOG",
     "CHECK_LEVELS",
     "COLUMNAR_CATALOG",

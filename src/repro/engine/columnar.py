@@ -23,10 +23,14 @@ is a handful of vectorised operations:
   with a broadcast of width ``w`` charged as ``n - 1`` recipient
   messages exactly like the reference engine.
 
-Wide payloads are encoded/decoded through the bulk bit-codec kernels
-(:func:`repro.clique.bits.encode_uint_array` /
-:func:`~repro.clique.bits.decode_uint_array`) by the array ports in
-:mod:`repro.algorithms.columnar`.
+Wide payloads travel the bulk channel as a :class:`BulkBatch`: flow
+columns ``src``, ``dst`` and ``offsets`` index lane columns ``values``
+(``uint64``) and ``widths`` (``uint8``), and a flow's bits are its lanes
+concatenated MSB first, the layout of the bit codec.  The array ports
+in :mod:`repro.algorithms.columnar` write matrix entries and keys
+straight into lanes and read them back by index arithmetic, so no
+Python int carries a bulk payload; ints are built only for transcripts,
+per-message observers and the generator bridge (iterating a batch).
 
 Observability, fault injection and transcripts are all supported, with
 the exact semantics of the reference engine (sender always charged,
@@ -82,6 +86,7 @@ from .delivery import deliver_columns
 __all__ = [
     "ArrayContext",
     "ArrayProgram",
+    "BulkBatch",
     "ColumnarEngine",
     "DualProgram",
     "adapt_generator",
@@ -92,6 +97,210 @@ _I64 = np.int64
 _U64 = np.uint64
 _EMPTY_I = np.empty(0, dtype=_I64)
 _EMPTY_U = np.empty(0, dtype=_U64)
+_U8 = np.uint8
+_LANE_BITS = 64
+
+
+def segment_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
+    without the Python loop."""
+    counts = np.asarray(counts, dtype=_I64).ravel()
+    total = int(counts.sum())
+    if total == 0:
+        return _EMPTY_I
+    first = np.asarray(starts, dtype=_I64).ravel() - (np.cumsum(counts) - counts)
+    out = np.repeat(first, counts)
+    out += np.arange(total, dtype=_I64)
+    return out
+
+
+def int_lanes(payloads: Sequence[int], nbits: Sequence[int]):
+    """Split arbitrary-precision payloads into ``(values, widths,
+    offsets)`` lane columns: each ``L``-bit payload becomes one narrow
+    head lane plus 64-bit lanes (an empty payload, no lanes)."""
+    values: list[int] = []
+    widths: list[int] = []
+    counts: list[int] = []
+    mask = (1 << _LANE_BITS) - 1
+    for value, length in zip(payloads, nbits):
+        k = -(-length // _LANE_BITS)
+        counts.append(k)
+        if k <= 1:
+            if k:
+                values.append(value)
+                widths.append(length)
+            continue
+        widths.append(length - _LANE_BITS * (k - 1))
+        widths.extend([_LANE_BITS] * (k - 1))
+        values.extend((value >> (_LANE_BITS * j)) & mask for j in range(k - 1, -1, -1))
+    offsets = np.zeros(len(counts) + 1, dtype=_I64)
+    np.cumsum(counts, out=offsets[1:])
+    return (
+        np.asarray(values, dtype=_U64),
+        np.asarray(widths, dtype=_U8),
+        offsets,
+    )
+
+
+class BulkBatch:
+    """Bulk-channel flows as columns.
+
+    Flow ``i`` goes ``src[i] -> dst[i]`` and carries the lanes
+    ``offsets[i]:offsets[i + 1]``: lane ``j`` holds the low ``widths[j]``
+    (at most 64) bits of ``values[j]``, and the flow's payload is its
+    lanes concatenated MSB first, ``nbits[i]`` bits in all.  Without
+    ``offsets`` every flow is one lane and the four columns broadcast
+    against each other, like :meth:`ArrayContext.send`'s.
+
+    Iterating yields ``(src, dst, value, nbits)`` with the payload as a
+    Python int, for the consumers that need ints: transcripts,
+    per-message observers and generator programs.
+    """
+
+    __slots__ = ("src", "dst", "offsets", "values", "widths", "nbits")
+
+    def __init__(
+        self, src: Any, dst: Any, values: Any, widths: Any, offsets: Any = None
+    ) -> None:
+        if offsets is None:
+            src, dst, values, widths = np.broadcast_arrays(
+                np.asarray(src, dtype=_I64).ravel(),
+                np.asarray(dst, dtype=_I64).ravel(),
+                np.asarray(values, dtype=_U64).ravel(),
+                np.asarray(widths).ravel(),
+            )
+            offsets = np.arange(src.size + 1, dtype=_I64)
+        else:
+            src, dst = np.broadcast_arrays(
+                np.asarray(src, dtype=_I64).ravel(),
+                np.asarray(dst, dtype=_I64).ravel(),
+            )
+            values, widths = np.broadcast_arrays(
+                np.asarray(values, dtype=_U64).ravel(), np.asarray(widths).ravel()
+            )
+            offsets = np.asarray(offsets, dtype=_I64).ravel()
+            if offsets.size != src.size + 1 or (
+                src.size and (offsets[0] != 0 or offsets[-1] != values.size)
+            ):
+                raise CliqueError(
+                    f"bulk batch offsets must run from 0 to the {values.size} "
+                    f"lanes in {src.size + 1} entries"
+                )
+        if widths.dtype != _U8:
+            if widths.size and (widths.min() < 0 or widths.max() > _LANE_BITS):
+                raise CliqueError("bulk lanes carry 0 to 64 bits each")
+            widths = widths.astype(_U8)
+        elif widths.size and widths.max() > _LANE_BITS:
+            raise CliqueError("bulk lanes carry 0 to 64 bits each")
+        self._set(src, dst, offsets, values, widths, _lane_sums(widths, offsets))
+
+    def _set(self, src, dst, offsets, values, widths, nbits) -> "BulkBatch":
+        self.src = src
+        self.dst = dst
+        self.offsets = offsets
+        self.values = values
+        self.widths = widths
+        self.nbits = nbits
+        return self
+
+    def __len__(self) -> int:
+        return int(self.src.size)
+
+    def __iter__(self):
+        return zip(
+            self.src.tolist(), self.dst.tolist(), self.payloads(), self.nbits.tolist()
+        )
+
+    def payloads(self, flows: Any = None) -> list[int]:
+        """The payloads of ``flows`` (default: all) as Python ints."""
+        values = self.values.tolist()
+        widths = self.widths.tolist()
+        offsets = self.offsets.tolist()
+        out = []
+        for i in range(len(self)) if flows is None else flows:
+            value = 0
+            for j in range(offsets[i], offsets[i + 1]):
+                value = (value << widths[j]) | values[j]
+            out.append(value)
+        return out
+
+    def take(self, flows: Any) -> "BulkBatch":
+        """The batch of ``flows`` (a mask, or indices in any order)."""
+        flows = np.asarray(flows)
+        counts = np.diff(self.offsets)[flows]
+        if flows.dtype == bool:
+            lanes = np.repeat(flows, np.diff(self.offsets))
+        else:
+            lanes = segment_ranges(self.offsets[flows], counts)
+        offsets = np.zeros(counts.size + 1, dtype=_I64)
+        np.cumsum(counts, out=offsets[1:])
+        return BulkBatch.__new__(BulkBatch)._set(
+            self.src[flows],
+            self.dst[flows],
+            offsets,
+            self.values[lanes],
+            self.widths[lanes],
+            self.nbits[flows],
+        )
+
+    def split(self, k: int) -> tuple["BulkBatch", "BulkBatch"]:
+        """The first ``k`` flows and the rest, as views of the lanes."""
+        cut = int(self.offsets[k])
+        head, tail = BulkBatch.__new__(BulkBatch), BulkBatch.__new__(BulkBatch)
+        head._set(
+            self.src[:k],
+            self.dst[:k],
+            self.offsets[: k + 1],
+            self.values[:cut],
+            self.widths[:cut],
+            self.nbits[:k],
+        )
+        tail._set(
+            self.src[k:],
+            self.dst[k:],
+            self.offsets[k:] - cut,
+            self.values[cut:],
+            self.widths[cut:],
+            self.nbits[k:],
+        )
+        return head, tail
+
+    @staticmethod
+    def concat(batches: Sequence["BulkBatch"]) -> "BulkBatch":
+        """One batch holding the flows of ``batches`` in order."""
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return BulkBatch(_EMPTY_I, _EMPTY_I, _EMPTY_U, _EMPTY_U.astype(_U8))
+        shift = np.cumsum([0] + [b.values.size for b in batches[:-1]])
+        return BulkBatch.__new__(BulkBatch)._set(
+            np.concatenate([b.src for b in batches]),
+            np.concatenate([b.dst for b in batches]),
+            np.concatenate(
+                [np.zeros(1, dtype=_I64)]
+                + [b.offsets[1:] + s for b, s in zip(batches, shift)]
+            ),
+            np.concatenate([b.values for b in batches]),
+            np.concatenate([b.widths for b in batches]),
+            np.concatenate([b.nbits for b in batches]),
+        )
+
+
+def _lane_sums(widths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Bits per flow: the widths of its lanes, summed."""
+    counts = np.diff(offsets)
+    if widths.size and widths.min() == widths.max():
+        return counts * int(widths[0])
+    # Segment sums over the flows that own lanes: each such segment runs
+    # to the next one's first lane, past any empty flows.
+    nbits = np.zeros(counts.size, dtype=_I64)
+    owns = counts > 0
+    if owns.any():
+        nbits[owns] = np.add.reduceat(widths, offsets[:-1][owns], dtype=_I64)
+    return nbits
+
+
+_EMPTY_BULK = BulkBatch.concat([])
 
 
 @runtime_checkable
@@ -201,6 +410,7 @@ def adapt_generator(program: Callable) -> Callable:
             dsts: list[int] = []
             vals: list[int] = []
             wids: list[int] = []
+            bulk: list[tuple[int, int, int, int]] = []
             for node in nodes:
                 for dst, payload in node._outbox.items():
                     if len(payload) > 64:
@@ -215,10 +425,13 @@ def adapt_generator(program: Callable) -> Callable:
                     wids.append(len(payload))
                 node._outbox = {}
                 for dst, payload in node._bulk_outbox.items():
-                    ctx.bulk_send(node.id, dst, payload.value, len(payload))
+                    bulk.append((node.id, dst, payload.value, len(payload)))
                 node._bulk_outbox = {}
             if srcs:
                 ctx.send(srcs, dsts, vals, wids)
+            if bulk:
+                bsrc, bdst, bval, blen = zip(*bulk)
+                ctx.bulk_send(BulkBatch(bsrc, bdst, *int_lanes(bval, blen)))
 
         for v in range(n):
             gens[v] = program(nodes[v])
@@ -275,8 +488,8 @@ class ArrayContext:
     :meth:`bulk_send`.  Inbox (after a ``yield``):
     :attr:`inbox_broadcast`, :attr:`inbox_messages`, :attr:`inbox_bulk`,
     :meth:`inbox_dense`.  Message payloads are unsigned values of at
-    most 64 bits (wide payloads belong on the bulk channel, which
-    carries arbitrary-precision ints).
+    most 64 bits (wide payloads belong on the bulk channel, whose flows
+    are :class:`BulkBatch` lane columns).
     """
 
     __slots__ = (
@@ -312,10 +525,10 @@ class ArrayContext:
         self.round = 0
         self._bcast: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._uni: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self._bulk: list[tuple[int, int, int, int]] = []
+        self._bulk: list[BulkBatch] = []
         self._in_bcast = (_EMPTY_I, _EMPTY_U, _EMPTY_I)
         self._in_coo = (_EMPTY_I, _EMPTY_I, _EMPTY_U, _EMPTY_I)
-        self._in_bulk: list[tuple[int, int, int, int]] = []
+        self._in_bulk = _EMPTY_BULK
         # Preallocated (n, n) delivery scratch, materialised on first use.
         self._dense_val: np.ndarray | None = None
         self._dense_mask: np.ndarray | None = None
@@ -364,17 +577,18 @@ class ArrayContext:
         widths = np.broadcast_to(np.asarray(width, dtype=_I64), src.shape)
         self._uni.append((src, dst, values, widths))
 
-    def bulk_send(self, src: int, dst: int, value: int, width: int) -> None:
-        """Privileged unbounded send on the cost-model bulk channel.
+    def bulk_send(self, flows: BulkBatch) -> None:
+        """Privileged unbounded sends on the cost-model bulk channel.
 
         Mirrors ``Node._bulk_send``: reserved for routers that charge
-        rounds separately (Lenzen's theorem); ``value`` is an
-        arbitrary-precision unsigned int, empty payloads are dropped,
-        and the channel is exempt from fault injection.
+        rounds separately (Lenzen's theorem), and exempt from fault
+        injection.  Empty flows are dropped; a round whose one batch
+        has none delivers that very object as :attr:`inbox_bulk`.
         """
-        if width == 0:
-            return
-        self._bulk.append((int(src), int(dst), int(value), int(width)))
+        if not flows.nbits.all():
+            flows = flows.take(flows.nbits > 0)
+        if len(flows):
+            self._bulk.append(flows)
 
     def count(self, key: str, amounts: Any) -> None:
         """Add per-node amounts to the measurement counter ``key``."""
@@ -402,8 +616,10 @@ class ArrayContext:
         return self._in_coo
 
     @property
-    def inbox_bulk(self) -> list[tuple[int, int, int, int]]:
-        """Bulk-channel deliveries: ``(src, dst, value, width)`` tuples."""
+    def inbox_bulk(self) -> BulkBatch:
+        """Bulk-channel deliveries, as sent: the round's flows in emission
+        order (iterating yields ``(src, dst, value, nbits)`` int tuples).
+        """
         return self._in_bulk
 
     def inbox_dense(self) -> tuple[np.ndarray, np.ndarray]:
@@ -462,6 +678,10 @@ class ArrayContext:
         else:
             us, ud, uv, uw = _EMPTY_I, _EMPTY_I, _EMPTY_U, _EMPTY_I
         return bs, bv, bw, us, ud, uv, uw
+
+    def _collect_bulk(self) -> BulkBatch:
+        """The round's bulk segments as one batch."""
+        return BulkBatch.concat(self._bulk) if self._bulk else _EMPTY_BULK
 
     def _clear_outbox(self) -> None:
         self._bcast.clear()
@@ -647,7 +867,7 @@ class ColumnarEngine(Engine):
         ``obs`` is the per-message observer, if any."""
         n = ctx.n
         bs, bv, bw, us, ud, uv, uw = ctx._collect_outbox()
-        bulk = ctx._bulk
+        bulk = ctx._collect_bulk()
         bs, bv, bw, us, ud, uv, uw = _validate_columns(
             n, ctx.bandwidth, self.check, bs, bv, bw, us, ud, uv, uw, bulk
         )
@@ -678,7 +898,7 @@ class ColumnarEngine(Engine):
             ctx._in_coo = coo
             if records is not None:
                 _record_round(records, n, (bs, bv, bw), (us, ud, uv, uw), coo, bulk)
-        ctx._in_bulk = list(bulk)
+        ctx._in_bulk = bulk
 
         stats = RoundStats(
             this_round,
@@ -700,7 +920,7 @@ def _record_round(
     bcast: tuple,
     unicast: tuple,
     inbox: tuple,
-    bulk: list,
+    bulk: BulkBatch,
 ) -> None:
     """Append one :class:`RoundRecord` per node: every queued payload as
     sent (broadcasts expanded, then unicasts, then bulk) and the inbox
@@ -730,7 +950,7 @@ def _validate_columns(
     bandwidth: int,
     check: str,
     bs, bv, bw, us, ud, uv, uw,
-    bulk: list,
+    bulk: BulkBatch,
 ):
     """Apply a check level to one round's emission columns.
 
@@ -805,25 +1025,30 @@ def _validate_columns(
             if clash.any():
                 i = _first(clash)
                 raise DuplicateMessage(int(us[i]), int(ud[i]))
-    if bulk:
-        seen = set()
-        uni_slots = (
-            set(zip(us.tolist(), ud.tolist())) if us.size else set()
-        )
-        bset = set(bs.tolist())
-        for src, dst, _value, _width in bulk:
-            if src == dst or not 0 <= dst < n or not 0 <= src < n:
-                raise InvalidAddress(
-                    f"bulk send {src} -> {dst} is invalid (n={n})"
-                )
-            if (src, dst) in seen or (src, dst) in uni_slots or src in bset:
-                raise DuplicateMessage(src, dst)
-            seen.add((src, dst))
+    if len(bulk):
+        # The first flow that is misaddressed or claims a taken slot:
+        # an earlier flow of the batch, a unicast, or a broadcaster's.
+        src, dst = bulk.src, bulk.dst
+        bad = (src == dst) | (dst < 0) | (dst >= n) | (src < 0) | (src >= n)
+        keys = src * n + dst
+        clash = np.ones(keys.size, dtype=bool)
+        clash[np.unique(keys, return_index=True)[1]] = False
+        if us.size:
+            clash |= np.isin(keys, us * n + ud)
+        if bs.size:
+            clash |= np.isin(src, bs)
+        err = bad | clash
+        if err.any():
+            i = _first(err)
+            s, d = int(src[i]), int(dst[i])
+            if bad[i]:
+                raise InvalidAddress(f"bulk send {s} -> {d} is invalid (n={n})")
+            raise DuplicateMessage(s, d)
     return bs, bv, bw, us, ud, uv, uw
 
 
 def _sent_accounting(
-    n: int, bs, bw, us, uw, bulk: list
+    n: int, bs, bw, us, uw, bulk: BulkBatch
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Sender-side bit accounting for one round's validated columns.
 
@@ -843,10 +1068,10 @@ def _sent_accounting(
     if us.size:
         msg_bits += int(uw.sum())
         np.add.at(sent, us, uw)
-    for src, dst, _value, width in bulk:
-        bulk_bits += width
-        sent[src] += width
-        received[dst] += width
+    if len(bulk):
+        bulk_bits = int(bulk.nbits.sum())
+        np.add.at(sent, bulk.src, bulk.nbits)
+        np.add.at(received, bulk.dst, bulk.nbits)
     return sent, received, msg_bits, bulk_bits
 
 

@@ -182,16 +182,17 @@ def deliver_columns(
     n: int,
     bcast: tuple[np.ndarray, np.ndarray, np.ndarray],
     unicast: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    bulk: Sequence[tuple[int, int, int, int]],
+    bulk: Any,
     received: np.ndarray,
     obs: Any = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Explicit delivery of validated columnar traffic, kept in array form.
 
     ``bcast`` is ``(senders, values, widths)``, ``unicast`` is ``(src,
-    dst, values, widths)`` and ``bulk`` the bulk-channel tuples, which
-    are delivered outside the returned columns and only reserve their
-    slots from forged messages here.  Broadcasts are expanded to
+    dst, values, widths)`` and ``bulk`` the round's
+    :class:`~repro.engine.columnar.BulkBatch`, which is delivered
+    outside the returned columns and only reserves its slots from
+    forged messages here.  Broadcasts are expanded to
     ``(src, dst)`` columns in emission order, followed by the unicast
     columns; with an ``injector`` each sender row is decided by
     :meth:`~repro.faults.FaultInjector.deliver_row`, and the decisions
@@ -266,7 +267,9 @@ def deliver_columns(
                             round=this_round, src=s, dst=d, bits=w, kind=kind
                         )
         if obs is not None:
-            for s, d, _v, w in bulk:
+            for s, d, w in zip(
+                bulk.src.tolist(), bulk.dst.tolist(), bulk.nbits.tolist()
+            ):
                 obs.on_message(round=this_round, src=s, dst=d, bits=w, kind="bulk")
         if injector is not None:
             src, dst, val, wid = src[keep], dst[keep], val[keep], wid[keep]
@@ -288,7 +291,7 @@ def deliver_columns(
     ):
         inboxes[d][s] = (v, w)
     if forged:
-        taken = {(s, d) for s, d, _v, _w in bulk}
+        taken = set(zip(bulk.src.tolist(), bulk.dst.tolist()))
         for s, d, _real, payload in forged:
             if s in inboxes[d] or (s, d) in taken:
                 continue

@@ -20,6 +20,7 @@ TWIN_CASES = [
     # n=30: the cube side g=3 leaves three of the 30 nodes outside it.
     {"algorithm": "matmul", "n": 30},
     {"algorithm": "matmul", "n": 64},
+    {"algorithm": "matmul", "n": 125},
     {"algorithm": "routing", "n": 40, "scheme": "relay"},
     {"algorithm": "routing", "n": 64, "scheme": "relay"},
     {"algorithm": "routing", "n": 64, "scheme": "direct"},
@@ -101,6 +102,90 @@ def test_replayed_messages_fail_alike_on_every_engine(scheme, message):
             )
         errors.append(str(err.value))
     assert errors == [message] * 3
+
+
+def _outcome(config, engine, plan):
+    try:
+        result = run_spec(
+            catalog_factory(config),
+            execution=ExecutionSpec(engine=engine, fault_plan=plan),
+        )[0]
+    except Exception as exc:  # the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+    return result.rounds, result.total_message_bits, result.bulk_bits, repr(
+        sorted(result.outputs.items())
+    )
+
+
+@pytest.mark.parametrize(
+    "config, plan, want",
+    [
+        # A replayed message from an earlier round lands in the first
+        # charged round of a lenzen route; the generator twin reads it as
+        # a received flow unless a bulk flow takes its link.
+        (
+            {"algorithm": "routing", "n": 8, "seed": 0, "scheme": "lenzen"},
+            "duplicate=0.05,seed=5",
+            15,
+        ),
+        (
+            {"algorithm": "sorting", "n": 8, "seed": 1},
+            "duplicate=0.1,seed=1",
+            "ProtocolViolation: route(lenzen): node 2 expected 3 bits from 4, "
+            "got 2",
+        ),
+        (
+            {"algorithm": "matmul", "n": 8, "seed": 1},
+            "duplicate=0.1,seed=1",
+            "EncodingError: read of 48 bits at offset 0 overruns 2-bit message",
+        ),
+    ],
+    ids=["routing", "sorting", "matmul"],
+)
+def test_lenzen_replays_are_read_alike_on_every_engine(config, plan, want):
+    outcomes = [
+        _outcome(config, engine, plan) for engine in ("reference", "fast", "columnar")
+    ]
+    assert outcomes[1:] == outcomes[:1] * 2
+    if isinstance(want, int):
+        assert outcomes[0][0] == want
+        # The replay changes the output: it is not the fault-free one.
+        assert outcomes[0] != _outcome(config, "reference", None)
+    else:
+        assert outcomes[0] == want
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"algorithm": name, "n": n} for name in ("matmul", "sorting") for n in (27, 30)],
+    ids=lambda c: f"{c['algorithm']}-{c['n']}",
+)
+def test_bulk_payload_transcripts_match_the_generator_twin(config):
+    runs = [
+        run_spec(
+            catalog_factory(config),
+            execution=ExecutionSpec(engine=engine, transcripts=True),
+        )[0]
+        for engine in ("fast", "columnar")
+    ]
+    assert runs[0].bulk_bits > 0
+    assert runs[1].transcripts == runs[0].transcripts
+
+
+def test_matmul_entry_above_max_entry_fails_alike():
+    # max_entry=8 gives 4-bit entries.  Node 3's unfit B entry (column 5)
+    # is encoded for cube node t=1, before its unfit A entry (column 6)
+    # for t=2; node 5's unfit entry comes later still.
+    errors = []
+    for engine in ("fast", "columnar"):
+        spec = catalog_factory({"algorithm": "matmul", "n": 8, "seed": 0})
+        spec.node_input[3][0][6] = 20
+        spec.node_input[3][1][5] = 30
+        spec.node_input[5][0][0] = 40
+        with pytest.raises(EncodingError) as err:
+            run_spec(spec, execution=ExecutionSpec(engine=engine))
+        errors.append(str(err.value))
+    assert errors == ["value 30 does not fit in 4 bits"] * 2
 
 
 @pytest.mark.parametrize("pos, width", [(0, 6), (2, 4)])

@@ -16,6 +16,7 @@ from repro.engine import (
     CHECK_LEVELS,
     COLUMNAR_CATALOG,
     NATIVE_RESILIENT,
+    BulkBatch,
     ColumnarEngine,
     DualProgram,
     ExecutionSpec,
@@ -187,7 +188,7 @@ def _bulk_echo(ctx):
     # Every node bulk-sends its input to node 0 and broadcasts one bit;
     # node 0 then sums its bulk inbox.
     for v in range(1, ctx.n):
-        ctx.bulk_send(v, 0, int(ctx.inputs[v]), 64)
+        ctx.bulk_send(BulkBatch(v, 0, int(ctx.inputs[v]), 64))
     ctx.broadcast(np.asarray(ctx.ids, dtype=np.uint64) & np.uint64(1), 1)
     yield
     total = sum(val for (_, dst, val, _) in ctx.inbox_bulk if dst == 0)
@@ -250,3 +251,94 @@ class TestCheckLevels:
         for check in ("full", "bandwidth"):
             with pytest.raises(BandwidthExceeded):
                 CongestedClique(4).run(oversend, execution=ColumnarEngine(check=check))
+
+
+def _bulk_round(bulk, unicast=(), broadcasters=()):
+    """One round: ``broadcasters`` broadcast, ``unicast`` pairs send, and
+    the ``bulk`` pairs go out as one batch of 3-bit flows."""
+
+    @array_program
+    def prog(ctx):
+        if broadcasters:
+            ctx.broadcast(0, 1, senders=list(broadcasters))
+        if unicast:
+            src, dst = zip(*unicast)
+            ctx.send(src, dst, 1, 2)
+        src, dst = zip(*bulk)
+        ctx.bulk_send(BulkBatch(src, dst, 5, 3))
+        yield
+        return None
+
+    return prog
+
+
+_BAD = "bulk send {} -> {} is invalid (n=4)"
+
+
+class TestBulkChecks:
+    """The full check validates a bulk batch with index arithmetic and
+    raises the first error a per-flow loop would, type and text."""
+
+    @pytest.mark.parametrize(
+        "bulk, unicast, broadcasters, error",
+        [
+            # A self-send ahead of an out-of-range destination.
+            ([(0, 1), (2, 2), (3, 9)], (), (), InvalidAddress(_BAD.format(2, 2))),
+            ([(0, 1), (1, 4), (0, 1)], (), (), InvalidAddress(_BAD.format(1, 4))),
+            ([(3, 1), (-1, 2)], (), (), InvalidAddress(_BAD.format(-1, 2))),
+            # A repeated pair ahead of a misaddressed flow.
+            ([(0, 1), (2, 3), (0, 1), (1, 1)], (), (), DuplicateMessage(0, 1)),
+            ([(0, 1), (2, 3)], [(1, 0), (2, 3)], (), DuplicateMessage(2, 3)),
+            ([(1, 2), (3, 0), (0, 1)], (), [3], DuplicateMessage(3, 0)),
+        ],
+        ids=["self", "range", "src-range", "repeat", "unicast", "broadcaster"],
+    )
+    def test_first_error_type_and_text(self, bulk, unicast, broadcasters, error):
+        with pytest.raises(CliqueError) as err:
+            CongestedClique(4).run(
+                _bulk_round(bulk, unicast, broadcasters),
+                execution=ColumnarEngine(check="full"),
+            )
+        assert type(err.value) is type(error)
+        assert str(err.value) == str(error)
+
+    def test_lax_checks_leave_the_batch_alone(self):
+        for check in ("bandwidth", "off"):
+            result = CongestedClique(4).run(
+                _bulk_round([(0, 1), (0, 1)], [(0, 1)]),
+                execution=ColumnarEngine(check=check),
+            )
+            assert result.bulk_bits == 6
+
+    def test_accounting_matches_a_flow_loop(self):
+        from repro.engine.columnar import _sent_accounting
+
+        rng = np.random.default_rng(7)
+        n, flows = 12, 60
+        src = rng.integers(0, n, flows)
+        dst = (src + rng.integers(1, n, flows)) % n
+        counts = rng.integers(0, 5, flows)  # empty flows included
+        widths = rng.integers(0, 65, int(counts.sum()))
+        values = [int(rng.integers(0, 2**63)) % (1 << int(w)) for w in widths]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        batch = BulkBatch(src, dst, values, widths, offsets)
+
+        sent = np.zeros(n, dtype=np.int64)
+        received = np.zeros(n, dtype=np.int64)
+        want = []
+        for i in range(flows):
+            value = nbits = 0
+            for j in range(offsets[i], offsets[i + 1]):
+                value = (value << int(widths[j])) | values[j]
+                nbits += int(widths[j])
+            sent[src[i]] += nbits
+            received[dst[i]] += nbits
+            want.append((int(src[i]), int(dst[i]), value, nbits))
+        empty = np.empty(0, dtype=np.int64)
+        got_sent, got_received, msg_bits, bulk_bits = _sent_accounting(
+            n, empty, empty, empty, empty, batch
+        )
+        assert list(batch) == want
+        assert got_sent.tolist() == sent.tolist()
+        assert got_received.tolist() == received.tolist()
+        assert (msg_bits, bulk_bits) == (0, sum(w[3] for w in want))

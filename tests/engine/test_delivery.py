@@ -19,6 +19,7 @@ from repro.clique import CliqueGraph, run_algorithm
 from repro.clique.bits import BitString
 from repro.clique.network import CongestedClique
 from repro.engine import (
+    BulkBatch,
     ColumnarEngine,
     ExecutionSpec,
     FastEngine,
@@ -53,7 +54,7 @@ def _probe(log: list, collide: bool):
             ctx.send(odd, (odd + 1) % N, odd + 40 + r, 7)
             ctx.send(odd, (odd + 3) % N, odd + 20, 5)
             for v in odd.tolist():
-                ctx.bulk_send(v, (v + 5) % N, 12345 + r, 20)
+                ctx.bulk_send(BulkBatch(v, (v + 5) % N, 12345 + r, 20))
             if collide:
                 ctx.send(odd, (odd + 1) % N, odd + 90, 7)
                 ctx.broadcast(50 + r, 6, senders=[1])
