@@ -156,7 +156,7 @@ def test_bench_suite_repeated_runs_agree_within_stated_tolerance():
     -> the deterministic payloads are identical and the medians agree
     within a generous wall-clock tolerance.  A wall-clock comparison, so
     it lives here beside the other timing gates rather than in tier-1."""
-    names = ["codec/bool-row", "catalog/kds"]
+    names = ["codec/bool-row", "bracha-broadcast"]
     first = run_suite(names, quick=True, repeats=3)
     second = run_suite(names, quick=True, repeats=3)
     for name in names:

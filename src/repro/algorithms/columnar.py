@@ -220,8 +220,16 @@ def _fold_columns(
 def array_all_gather_uint(
     ctx, values, width: int
 ) -> Generator[None, None, list[list[int]]]:
-    """Columnar ``all_gather_uint``: ``result[dst][src]`` uint values."""
-    return (yield from array_all_broadcast(ctx, values, width))
+    """Columnar ``all_gather_uint``: ``result[dst][src]`` uint values.
+
+    Like the twin's ``BitString(value, width)``, a negative value or one
+    wider than ``width`` raises before the first broadcast, for the
+    lowest such node.
+    """
+    vals = [int(v) for v in values]
+    for v in vals:
+        BitString(v, width)
+    return (yield from array_all_broadcast(ctx, vals, width))
 
 
 def array_agree_uint_max(

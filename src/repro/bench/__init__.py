@@ -6,10 +6,11 @@ the second claim testable the way the first already is — as versioned,
 machine-readable artifacts:
 
 * :mod:`repro.bench.workloads` — the suite registry (:data:`SUITE`):
-  stable, named workloads with pinned seeds spanning the simulator's
-  hot paths (fan-out, routing, codec, the kds/kvc/matmul/sorting
-  catalog algorithms, cached vs. uncached sweeps, fault-injection and
-  metrics overhead) on both engines;
+  stable, named workloads with pinned seeds for the rows the external
+  end-to-end yardstick (``perfbench/``) cannot show — the paired
+  fan-out rows behind the README's speedup ratios (reference vs. fast,
+  columnar vs. fast), the metrics-overhead twin, relay routing, honest
+  Bracha broadcast, the bit codecs and the symbolic cost-model gate;
 * :mod:`repro.bench.runner` — the deterministic runner: warmup +
   median-of-k wall clock under per-workload time budgets, environment
   fingerprint, peak RSS; emits the schema-versioned ``BENCH_*.json``
@@ -19,8 +20,8 @@ machine-readable artifacts:
   committed baseline and renders the markdown table CI publishes.
 
 Layering: ``repro.bench`` sits at the top of the stack — it drives
-``repro.engine`` (``run_spec``/``run_sweep``/``RunCache``), reads
-``repro.obs.RunMetrics``, and nothing imports it back.
+``repro.engine`` (``run_spec``), reads ``repro.obs.RunMetrics``, and
+nothing imports it back.
 
 Quickstart::
 
@@ -34,8 +35,9 @@ Quickstart::
     assert verdict.ok
 
 or from the command line: ``repro bench run --quick``, ``repro bench
-compare benchmarks/baseline.json BENCH_dev.json``, ``repro bench
-update-baseline``.
+compare benchmarks/baseline.json BENCH_dev.json``; ``repro bench run
+--quick --out benchmarks/baseline.json`` refreshes the committed
+baseline.
 """
 
 from .compare import BenchComparison, WorkloadComparison, compare_bench

@@ -286,18 +286,12 @@ def _run_workload(
         if time_budget is not None
         else workload.resolved_budget(quick)
     )
-    ctx = workload.setup(params) if workload.setup is not None else {}
-    try:
-        timing = measure(
-            lambda: workload.run(params, ctx),
-            repeats=repeats,
-            warmup=warmup,
-            time_budget=budget,
-        )
-    finally:
-        cleanup = ctx.get("cleanup")
-        if cleanup is not None:
-            cleanup()
+    timing = measure(
+        lambda: workload.run(params),
+        repeats=repeats,
+        warmup=warmup,
+        time_budget=budget,
+    )
     return WorkloadTiming(
         name=workload.name,
         seconds=timing.median,

@@ -1,10 +1,13 @@
 """The benchmark suite registry: stable, named engine workloads.
 
-Each :class:`Workload` names one hot path of the simulator — all-to-all
-message fan-out, the routing and sorting primitives, the diff-catalog
-algorithms the paper's theorems are about (``kds``/``kvc``/``matmul``),
-cached vs. uncached sweeps, fault-plan and metrics-collector overhead —
-with pinned seeds and sizes so repeated runs measure the same work.
+Each :class:`Workload` names one timing that the external end-to-end
+yardstick (``perfbench/``) cannot show: the paired rows behind the
+README's speedup ratios (reference vs. fast fan-out, columnar vs. fast
+fan-out at n=1024), the metrics-overhead twin, the relay-routing
+generator, honest Bracha broadcast, the bit codecs and the symbolic
+cost-model gate — with pinned seeds and sizes so repeated runs measure
+the same work.  Catalog sweeps, the warm pool, ``RunCache``, the daemon
+and fault injection are timed end to end by perfbench.
 
 Workload *names are an interface*: ``BENCH_*.json`` artifacts and the
 committed ``benchmarks/baseline.json`` are keyed by them, so renaming or
@@ -12,15 +15,14 @@ re-parameterising a workload invalidates the comparison history (the
 ratchet reports it as ``added``/``removed`` rather than silently mixing
 incomparable timings).
 
-The runners reuse the existing execution stack — ``run_spec`` over the
-diff catalog, ``run_sweep`` with the worker pool, ``RunCache`` — instead
-of re-implementing timing loops, so a benchmark exercises exactly the
-code paths real experiments use.
+The runners reuse the existing execution stack (``run_spec`` over the
+diff catalog, ``CongestedClique.run``) instead of re-implementing
+timing loops, so a benchmark exercises exactly the code paths real
+experiments use.
 """
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -71,24 +73,14 @@ def _info_from_result(result) -> dict:
     }
 
 
-def _info_with_faults(result, params: dict) -> dict:
-    """:func:`_info_from_result`, plus the injected-fault count when the
-    workload's execution carries a fault plan."""
-    info = _info_from_result(result)
-    metrics = result.metrics
-    if params["execution"].get("fault_plan") is not None and metrics is not None:
-        info["faults"] = metrics.total_faults
-    return info
-
-
-def _run_fanout(params: dict, ctx: dict) -> dict:
+def _run_fanout(params: dict) -> dict:
     result = all_to_all_chatter(
         params["n"], params["rounds"], execution=params["execution"]
     )
-    return _info_with_faults(result, params)
+    return _info_from_result(result)
 
 
-def _run_relay_route(params: dict, ctx: dict) -> dict:
+def _run_relay_route(params: dict) -> dict:
     from ..clique.bits import BitString
     from ..clique.network import CongestedClique
     from ..clique.routing import route
@@ -105,7 +97,7 @@ def _run_relay_route(params: dict, ctx: dict) -> dict:
     return _info_from_result(clique.run(prog))
 
 
-def _run_bool_codec(params: dict, ctx: dict) -> dict:
+def _run_bool_codec(params: dict) -> dict:
     import numpy as np
 
     from ..algorithms.common import decode_bool_row, encode_bool_row
@@ -124,58 +116,17 @@ def _run_bool_codec(params: dict, ctx: dict) -> dict:
     }
 
 
-def _run_catalog(params: dict, ctx: dict) -> dict:
+def _run_catalog(params: dict) -> dict:
     from ..engine.diff import catalog_factory
     from ..engine.pool import run_spec
 
     result, _ = run_spec(
         catalog_factory(dict(params["config"])), execution=params["execution"]
     )
-    return _info_with_faults(result, params)
+    return _info_from_result(result)
 
 
-def _sweep_grid(params: dict) -> list[dict]:
-    return [
-        {"algorithm": params["algorithm"], "n": n, "seed": seed}
-        for n in params["ns"]
-        for seed in range(params["seeds"])
-    ]
-
-
-def _run_sweep_workload(params: dict, ctx: dict) -> dict:
-    from ..engine import run_sweep
-    from ..engine.diff import catalog_factory
-
-    outcomes = run_sweep(
-        catalog_factory,
-        _sweep_grid(params),
-        workers=params.get("workers", 1),
-        execution=params["execution"],
-        cache=ctx.get("cache"),
-    )
-    failed = [o for o in outcomes if o.failed]
-    if failed:  # pragma: no cover - pinned grids never fail
-        raise CliqueError(f"benchmark sweep had {len(failed)} failed points")
-    return {
-        "rounds": sum(o.result.rounds for o in outcomes),
-        "total_bits": sum(
-            o.result.total_message_bits + o.result.bulk_bits
-            for o in outcomes
-        ),
-        "cache_hits": sum(1 for o in outcomes if o.from_cache),
-    }
-
-
-def _setup_pool_shutdown(params: dict) -> dict:
-    """The persistent worker pool outlives each timed call by design
-    (that amortisation is what the workload measures); shut it down when
-    the workload finishes so later workloads time a quiet process."""
-    from ..engine import shutdown_pool
-
-    return {"cleanup": shutdown_pool}
-
-
-def _run_bulk_uint_codec(params: dict, ctx: dict) -> dict:
+def _run_bulk_uint_codec(params: dict) -> dict:
     import numpy as np
 
     from ..clique.bits import decode_uint_array, encode_uint_array
@@ -199,90 +150,20 @@ def _run_bulk_uint_codec(params: dict, ctx: dict) -> dict:
     }
 
 
-def _setup_service(params: dict) -> dict:
-    """Start a throwaway ``repro serve`` daemon with a warm cache.
-
-    The daemon, its socket and its cache live in a temp directory; one
-    priming request per grid point is issued here (the cold path), so
-    the timed region measures warm request latency through the full
-    client/socket/server/cache stack.
-    """
-    import os
-
-    from ..service import ReproServer, ServiceClient
-
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-service-")
-    server = ReproServer(
-        os.path.join(tmp.name, "serve.sock"),
-        workers=2,
-        cache_root=os.path.join(tmp.name, "cache"),
-    )
-    server.start()
-    client = ServiceClient(server.socket_path, timeout=120.0)
-    client.wait_until_ready()
-    for seed in range(params["seeds"]):
-        client.run(params["algorithm"], {"n": params["n"], "seed": seed})
-
-    def cleanup() -> None:
-        server.stop()
-        tmp.cleanup()
-
-    return {"client": client, "cleanup": cleanup}
-
-
-def _run_service_warm(params: dict, ctx: dict) -> dict:
-    """One warm pass over the primed grid through the service client."""
-    client = ctx["client"]
-    rounds = 0
-    total_bits = 0
-    cache_hits = 0
-    for seed in range(params["seeds"]):
-        reply = client.run(params["algorithm"], {"n": params["n"], "seed": seed})
-        rounds += reply["rounds"]
-        total_bits += reply["total_message_bits"] + reply["bulk_bits"]
-        cache_hits += 1 if reply["cached"] else 0
-    return {
-        "rounds": rounds,
-        "total_bits": total_bits,
-        "cache_hits": cache_hits,
-    }
-
-
-def _setup_warm_cache(params: dict) -> dict:
-    """Pre-warm a throwaway :class:`RunCache` so the timed runs measure
-    the hit path (lookup + deserialise), not first execution."""
-    from ..engine import RunCache, run_sweep
-    from ..engine.diff import catalog_factory
-
-    tmp = tempfile.TemporaryDirectory(prefix="repro-bench-cache-")
-    cache = RunCache(tmp.name)
-    run_sweep(
-        catalog_factory,
-        _sweep_grid(params),
-        workers=1,
-        execution=params["execution"],
-        cache=cache,
-    )
-    return {"cache": cache, "cleanup": tmp.cleanup}
-
-
 @dataclass(frozen=True)
 class Workload:
     """One named benchmark: a timed runner plus pinned parameters.
 
-    ``run(params, ctx)`` executes one timed iteration and returns the
-    deterministic info payload recorded in the artifact.  ``setup`` (if
-    any) builds ``ctx`` once per workload, outside the timed region; a
-    ``"cleanup"`` callable in ``ctx`` is invoked when the workload is
-    done.  ``quick_params`` are merged over ``params`` in quick mode.
+    ``run(params)`` executes one timed iteration and returns the
+    deterministic info payload recorded in the artifact.
+    ``quick_params`` are merged over ``params`` in quick mode.
     """
 
     name: str
     description: str
-    run: Callable[[dict, dict], dict]
+    run: Callable[[dict], dict]
     params: dict = field(default_factory=dict)
     quick_params: dict = field(default_factory=dict)
-    setup: Callable[[dict], dict] | None = None
     #: Per-workload wall-clock budget, seconds (repeats stop early once
     #: the cumulative measurement time exceeds it).
     time_budget: float = 20.0
@@ -323,8 +204,6 @@ def get_workloads(names: "list[str] | None" = None) -> list[Workload]:
 #: The execution most workloads run under (the batch engine at its
 #: default check level, spelled out so the workload pins it).
 _FAST = {"engine": "fast", "check": "bandwidth"}
-
-_BYZANTINE_PLAN = "byzantine=equivocate+selective,f=1,seed=7,byz_rate=0.5"
 
 
 register_workload(
@@ -378,116 +257,12 @@ register_workload(
 )
 register_workload(
     Workload(
-        name="catalog/kds",
-        description="Theorem 9 k-dominating set (diff catalog, fast engine)",
-        run=_run_catalog,
-        params={
-            "config": {"algorithm": "kds", "n": 32, "seed": 0, "k": 2},
-            "execution": _FAST,
-        },
-        quick_params={"config": {"algorithm": "kds", "n": 16, "seed": 0, "k": 2}},
-    )
-)
-register_workload(
-    Workload(
-        name="catalog/kvc",
-        description="Theorem 11 k-vertex cover (diff catalog, fast engine)",
-        run=_run_catalog,
-        params={
-            "config": {"algorithm": "kvc", "n": 32, "seed": 0, "k": 3},
-            "execution": _FAST,
-        },
-        quick_params={"config": {"algorithm": "kvc", "n": 16, "seed": 0, "k": 3}},
-    )
-)
-register_workload(
-    Workload(
-        name="catalog/matmul",
-        description="cube-partitioned matrix multiply (diff catalog)",
-        run=_run_catalog,
-        params={
-            "config": {"algorithm": "matmul", "n": 24, "seed": 0},
-            "execution": _FAST,
-        },
-        quick_params={"config": {"algorithm": "matmul", "n": 12, "seed": 0}},
-    )
-)
-register_workload(
-    Workload(
-        name="catalog/sorting",
-        description="PSRS distributed sorting (diff catalog, fast engine)",
-        run=_run_catalog,
-        params={
-            "config": {"algorithm": "sorting", "n": 24, "seed": 0},
-            "execution": _FAST,
-        },
-        quick_params={"config": {"algorithm": "sorting", "n": 12, "seed": 0}},
-    )
-)
-register_workload(
-    Workload(
-        name="sweep/uncached",
-        description="serial bfs sweep through run_sweep, no cache",
-        run=_run_sweep_workload,
-        params={
-            "algorithm": "bfs",
-            "ns": [12, 16],
-            "seeds": 2,
-            "execution": _FAST,
-        },
-        quick_params={"ns": [8, 12], "seeds": 1},
-    )
-)
-register_workload(
-    Workload(
-        name="sweep/cached",
-        description="the same bfs sweep served entirely from a warm RunCache",
-        run=_run_sweep_workload,
-        setup=_setup_warm_cache,
-        params={
-            "algorithm": "bfs",
-            "ns": [12, 16],
-            "seeds": 2,
-            "execution": _FAST,
-        },
-        quick_params={"ns": [8, 12], "seeds": 1},
-    )
-)
-register_workload(
-    Workload(
-        name="pool-warm-sweep",
-        description="parallel bfs sweep on the persistent warm worker pool",
-        run=_run_sweep_workload,
-        setup=_setup_pool_shutdown,
-        params={
-            "algorithm": "bfs",
-            "ns": [12, 16],
-            "seeds": 3,
-            "workers": 2,
-            "execution": _FAST,
-        },
-        quick_params={"ns": [8, 12], "seeds": 2},
-    )
-)
-register_workload(
-    Workload(
         name="bulk-codec",
         description="bulk uint-array encode/decode round trip "
         "(encode_uint_array / decode_uint_array)",
         run=_run_bulk_uint_codec,
         params={"count": 4096, "width": 24, "iters": 100, "seed": 3},
         quick_params={"iters": 25},
-    )
-)
-register_workload(
-    Workload(
-        name="service-warm-run",
-        description="warm run requests through the repro serve daemon "
-        "(client + socket + resident cache)",
-        run=_run_service_warm,
-        setup=_setup_service,
-        params={"algorithm": "bfs", "n": 16, "seeds": 4},
-        quick_params={"n": 12, "seeds": 2},
     )
 )
 register_workload(
@@ -522,35 +297,6 @@ register_workload(
 )
 register_workload(
     Workload(
-        name="columnar-matmul",
-        description="cube-partitioned matrix multiply via the columnar "
-        "array port (diff catalog)",
-        run=_run_catalog,
-        params={
-            "execution": {"engine": "columnar", "check": "bandwidth"},
-            "config": {"algorithm": "matmul", "n": 27, "seed": 0},
-        },
-        quick_params={
-            "config": {"algorithm": "matmul", "n": 12, "seed": 0},
-        },
-    )
-)
-register_workload(
-    Workload(
-        name="faults/drop-overhead",
-        description="fast-engine fan-out under a deterministic drop plan "
-        "(per-delivery injector cost)",
-        run=_run_fanout,
-        params={
-            "execution": {**_FAST, "fault_plan": "drop=0.05,seed=7"},
-            "n": 48,
-            "rounds": 8,
-        },
-        quick_params={"n": 24, "rounds": 4},
-    )
-)
-register_workload(
-    Workload(
         name="bracha-broadcast",
         description="Bracha reliable broadcast, honest run "
         "(f + 5 rounds of tagged all-to-all echo/ready traffic)",
@@ -562,23 +308,9 @@ register_workload(
         quick_params={"config": {"algorithm": "bracha", "n": 16, "f": 1, "seed": 0}},
     )
 )
-register_workload(
-    Workload(
-        name="byzantine-overhead",
-        description="fast-engine fan-out under an f=1 Byzantine plan "
-        "(per-delivery adversary cost; honest twin is fanout/fast)",
-        run=_run_fanout,
-        params={
-            "execution": {**_FAST, "fault_plan": _BYZANTINE_PLAN},
-            "n": 48,
-            "rounds": 8,
-        },
-        quick_params={"n": 24, "rounds": 4},
-    )
-)
 
 
-def _run_symbolic_validate(params: dict, ctx: dict) -> dict:
+def _run_symbolic_validate(params: dict) -> dict:
     """Time the full symbolic gate: closed-form evaluation (sympy
     substitution + the arithmetic instance-profile binders) plus the
     metered engine runs it cross-validates against."""

@@ -14,9 +14,8 @@ Commands
                 and print (or write to JSONL) the event stream
 ``bench``       the engine benchmark suite: ``bench run`` emits a
                 schema-versioned ``BENCH_<sha>.json``, ``bench compare``
-                ratchets two artifacts, ``bench update-baseline``
-                refreshes the committed baseline, ``bench list`` names
-                the workloads
+                ratchets two artifacts, ``bench list`` names the
+                workloads
 ``serve``       run the long-lived service daemon on a local socket
                 (warm worker pool + resident run cache); ``--status``
                 and ``--stop`` talk to a running daemon
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="engine benchmark suite: run / compare / update-baseline",
+        help="engine benchmark suite: run / compare / list",
     )
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
@@ -396,20 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--markdown", action="store_true",
         help="print a GitHub-flavoured markdown table (for job summaries)",
     )
-
-    b_base = bench_sub.add_parser(
-        "update-baseline",
-        help="re-time the suite and rewrite the committed baseline",
-    )
-    b_base.add_argument(
-        "--out", default="benchmarks/baseline.json", metavar="FILE",
-        help="baseline path (default: benchmarks/baseline.json)",
-    )
-    b_base.add_argument(
-        "--full", action="store_true",
-        help="record full-size workloads (default: quick, matching CI)",
-    )
-    b_base.add_argument("--repeats", type=int, default=None)
 
     bench_sub.add_parser("list", help="list the registered workloads")
 
@@ -1055,19 +1040,6 @@ def _cmd_bench(args) -> int:
                 format_table(comparison.rows(), title=comparison.summary())
             )
         return 0 if comparison.ok else 1
-
-    if args.bench_command == "update-baseline":
-        report = run_suite(
-            quick=not args.full,
-            repeats=args.repeats,
-            progress=lambda line: print(f"  {line}", file=sys.stderr),
-        )
-        path = report.write(args.out)
-        print(
-            f"baseline: {len(report.results)} workloads "
-            f"({'full' if args.full else 'quick'} mode) -> {path}"
-        )
-        return 0
 
     assert args.bench_command == "run"
     report = run_suite(

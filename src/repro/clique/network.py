@@ -347,9 +347,9 @@ class CongestedClique:
           always-validating, transcript-capable reference engine,
           ``"fast"`` for the batched performance engine, ``"columnar"``
           for the vectorised whole-round array-program engine, or any
-          engine instance (e.g. ``FastEngine(check="off")``);
-        * ``check``: the validation level (``"full"``, ``"bandwidth"``,
-          ``"off"``) for an engine named or left unset; a conflicting
+          engine instance (e.g. ``FastEngine(check="full")``);
+        * ``check``: the validation level (``"full"`` or
+          ``"bandwidth"``) for an engine named or left unset; a conflicting
           pre-configured engine instance raises;
         * ``observer``: ``None`` (the default) collects
           :class:`repro.obs.RunMetrics` into ``RunResult.metrics``;

@@ -7,7 +7,7 @@ One semantic model, multiple interchangeable execution backends:
   semantic ground truth and the default for
   :meth:`repro.clique.network.CongestedClique.run`.
 * :class:`~repro.engine.fast.FastEngine` (``"fast"``) — batched message
-  delivery, selectable validation (``check="full"|"bandwidth"|"off"``),
+  delivery, selectable validation (``check="full"|"bandwidth"``),
   transcripts off by default; differentially tested against the
   reference backend on the algorithm catalog.
 * :func:`~repro.engine.pool.run_sweep` — a multiprocess sweep runner
@@ -28,7 +28,7 @@ Quickstart::
     from repro.engine.diff import catalog_factory
 
     result = run_algorithm(program, g, execution="fast")
-    result = run_algorithm(program, g, execution=FastEngine(check="off"))
+    result = run_algorithm(program, g, execution=FastEngine(check="full"))
 
     outcomes = run_sweep(
         catalog_factory,

@@ -39,10 +39,10 @@ __all__ = [
 
 #: The one validation vocabulary, shared by every backend:
 #: ``"full"`` reproduces every model check (addressing, duplicates,
-#: empty payloads, bandwidth), ``"bandwidth"`` keeps only the per-link
-#: bit-budget enforcement the paper's cost model is built on, and
-#: ``"off"`` trusts the program entirely.
-CHECK_LEVELS = ("full", "bandwidth", "off")
+#: empty payloads, bandwidth), and ``"bandwidth"`` keeps only the
+#: per-link bit-budget enforcement the paper's cost model is built on.
+#: No level turns the bit budget off.
+CHECK_LEVELS = ("full", "bandwidth")
 
 #: Registry of engine names to engine classes (see :func:`register_engine`).
 ENGINES: dict[str, type["Engine"]] = {}

@@ -700,9 +700,9 @@ class ColumnarEngine(Engine):
     Parameters
     ----------
     check:
-        Validation level (``"full"``, ``"bandwidth"`` — the default, as
-        on the fast engine — or ``"off"``), applied as array comparisons
-        over each round's emission columns.
+        Validation level (``"full"`` or ``"bandwidth"`` — the default, as
+        on the fast engine), applied as array comparisons over each
+        round's emission columns.
     """
 
     name = "columnar"
@@ -957,8 +957,6 @@ def _validate_columns(
     Returns the possibly-deduplicated columns.
     """
     b = bandwidth
-    if check == "off":
-        return bs, bv, bw, us, ud, uv, uw
     # bandwidth: the per-link bit budget, on both segments.
     if bs.size:
         over = bw > b

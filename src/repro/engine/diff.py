@@ -12,7 +12,7 @@ must produce identical outputs, rounds, bits and
 * :func:`catalog_factory` — a picklable sweep factory dispatching on
   ``config["algorithm"]`` (usable directly with
   :func:`~repro.engine.pool.run_sweep`, and the source of the
-  ``catalog/*`` workloads in :mod:`repro.bench`);
+  catalog workloads in :mod:`repro.bench` and ``perfbench/``);
 * :func:`run_matrix` — the one differential gate: catalog entry ×
   engine column × fault plan, with an optional closed-form row, each
   cell run once and checked by :func:`compare` against its row's
@@ -518,7 +518,7 @@ class Cell:
     """One run of the differential matrix and its verdict.
 
     ``column`` names the engine column (``"reference@full"``,
-    ``"columnar@off"``) or ``"symbolic"`` for the closed-form
+    ``"columnar@bandwidth"``) or ``"symbolic"`` for the closed-form
     row; ``plan`` is the fault plan it ran under (``None`` = fault-free).
     ``wrapped`` marks a run of the program wrapped in
     :func:`repro.faults.resilient`.  ``baseline`` is the column this

@@ -12,7 +12,7 @@ throughput:
   check of the reference engine (addressing, duplicates, empty
   payloads, bandwidth); ``check="bandwidth"`` (the default) keeps only
   the per-link bit-budget enforcement — the check the paper's cost
-  model is built on; ``check="off"`` trusts the program entirely.
+  model is built on.
 * **Transcripts off by default.**  Recording is only enabled when the
   clique (or the engine) explicitly asks for it; the hot delivery loop
   carries no per-message recording branches otherwise.
@@ -86,14 +86,12 @@ class _FastNode(Node):
 
     def send(self, dst: int, payload: BitString) -> None:
         """Queue one message for ``dst`` (validation per the check level)."""
-        check = self._check
-        if check == "bandwidth":
-            if len(payload) > self.bandwidth:
-                raise BandwidthExceeded(self.id, dst, len(payload), self.bandwidth)
-        elif check == "full":
+        full = self._check == "full"
+        if full:
             self._check_can_send(dst)
-            if len(payload) > self.bandwidth:
-                raise BandwidthExceeded(self.id, dst, len(payload), self.bandwidth)
+        if len(payload) > self.bandwidth:
+            raise BandwidthExceeded(self.id, dst, len(payload), self.bandwidth)
+        if full:
             if len(payload) == 0:
                 raise ProtocolViolation(
                     f"node {self.id} sent an empty message to {dst}; "
@@ -108,24 +106,17 @@ class _FastNode(Node):
         """Queue the same message for every other node as one flat entry."""
         if self.n == 1:
             return
-        check = self._check
-        if check == "bandwidth":
-            if len(payload) > self.bandwidth:
-                raise BandwidthExceeded(
-                    self.id,
-                    0 if self.id != 0 else 1,
-                    len(payload),
-                    self.bandwidth,
-                )
-        elif check == "full":
+        full = self._check == "full"
+        if full:
             self._check_can_send(0 if self.id != 0 else 1)
-            if len(payload) > self.bandwidth:
-                raise BandwidthExceeded(
-                    self.id,
-                    0 if self.id != 0 else 1,
-                    len(payload),
-                    self.bandwidth,
-                )
+        if len(payload) > self.bandwidth:
+            raise BandwidthExceeded(
+                self.id,
+                0 if self.id != 0 else 1,
+                len(payload),
+                self.bandwidth,
+            )
+        if full:
             if len(payload) == 0:
                 raise ProtocolViolation(
                     f"node {self.id} sent an empty message in a broadcast; "
@@ -158,8 +149,8 @@ class FastEngine(Engine):
     Parameters
     ----------
     check:
-        Validation level: ``"full"``, ``"bandwidth"`` (default) or
-        ``"off"`` (see the module docstring).
+        Validation level: ``"full"`` or ``"bandwidth"`` (default; see
+        the module docstring).
     shuffle_seed:
         If given, deliver each round's messages in a pseudo-random
         order derived from this seed.  Message delivery in the model is

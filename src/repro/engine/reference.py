@@ -10,9 +10,8 @@ is differentially tested against (:mod:`repro.engine.diff`).
 
 The engine speaks the canonical validation vocabulary
 (:data:`repro.engine.base.CHECK_LEVELS`): ``check="bandwidth"`` keeps
-only the per-link bit-budget enforcement, ``check="off"`` trusts the
-program entirely — matching the fast engine's levels so ``check=`` means
-the same thing regardless of backend.
+only the per-link bit-budget enforcement — matching the fast engine's
+levels so ``check=`` means the same thing regardless of backend.
 
 Observability: the engine emits into the :class:`repro.obs.Observer`
 protocol — per-round aggregate stats always, per-message events and
@@ -48,35 +47,21 @@ __all__ = ["ReferenceEngine"]
 
 
 class _LaxNode(Node):
-    """Node with reduced send-time validation for the lower check levels.
+    """Node for ``check="bandwidth"``: only the bit-budget check.
 
-    ``check="bandwidth"`` keeps only the bit-budget check; ``check="off"``
-    performs no validation at all.  Either way a repeated send to the
-    same destination simply overwrites (last write wins), matching the
-    fast engine's behaviour at the same level.
+    A repeated send to the same destination simply overwrites (last
+    write wins), matching the fast engine's behaviour at the same level.
     """
 
-    __slots__ = ("_check",)
-
-    def __init__(
-        self,
-        node_id: int,
-        n: int,
-        bandwidth: int,
-        node_input: Any,
-        aux: Any,
-        check: str,
-    ) -> None:
-        super().__init__(node_id, n, bandwidth, node_input, aux)
-        self._check = check
+    __slots__ = ()
 
     def send(self, dst: int, payload: BitString) -> None:
-        if self._check == "bandwidth" and len(payload) > self.bandwidth:
+        if len(payload) > self.bandwidth:
             raise BandwidthExceeded(self.id, dst, len(payload), self.bandwidth)
         self._outbox[dst] = payload
 
     def send_to_all(self, payload: BitString) -> None:
-        if self._check == "bandwidth" and len(payload) > self.bandwidth:
+        if len(payload) > self.bandwidth:
             raise BandwidthExceeded(
                 self.id, 0 if self.id != 0 else 1, len(payload), self.bandwidth
             )
@@ -108,7 +93,7 @@ class ReferenceEngine(Engine):
     Parameters
     ----------
     check:
-        Validation level (``"full"``, ``"bandwidth"``, ``"off"``); the
+        Validation level (``"full"`` or ``"bandwidth"``); the
         default ``"full"`` is this engine's historical, ground-truth
         behaviour.  Model-variant checks (broadcast-only discipline,
         CONGEST topology edges) are part of the model itself and stay on
@@ -161,7 +146,7 @@ class ReferenceEngine(Engine):
             ]
         else:
             nodes = [
-                _LaxNode(v, n, clique.bandwidth, inputs[v], auxes[v], self.check)
+                _LaxNode(v, n, clique.bandwidth, inputs[v], auxes[v])
                 for v in range(n)
             ]
         gens = spawn_generators(program, nodes)

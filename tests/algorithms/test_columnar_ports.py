@@ -139,8 +139,17 @@ def _outcome(config, engine, plan):
             "duplicate=0.1,seed=1",
             "EncodingError: read of 48 bits at offset 0 overruns 2-bit message",
         ),
+        # Not a replay: a corrupted route length pushes node 4's payload
+        # load past the 32-bit agreement width, and the twin's BitString
+        # raises before the first broadcast; the columnar gather must
+        # not cut the value down to the width instead.
+        (
+            {"algorithm": "matmul", "n": 8, "seed": 0},
+            "drop=0.2,corrupt=0.2,dup=0.3,seed=3",
+            "EncodingError: value 4332733526 does not fit in 32 bits",
+        ),
     ],
-    ids=["routing", "sorting", "matmul"],
+    ids=["routing", "sorting", "matmul", "matmul-agreed-load-overflow"],
 )
 def test_lenzen_replays_are_read_alike_on_every_engine(config, plan, want):
     outcomes = [

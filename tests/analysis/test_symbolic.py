@@ -241,6 +241,6 @@ class TestBenchWorkload:
 
         workload = get_workloads(["symbolic-validate"])[0]
         params = workload.resolved_params(quick=True)
-        info = workload.run(params, {})
+        info = workload.run(params)
         assert info["algorithms"] >= 13
-        assert info == workload.run(params, {})
+        assert info == workload.run(params)

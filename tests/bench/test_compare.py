@@ -165,9 +165,9 @@ class TestSyntheticSlowdownGate:
     def _slowed_suite(self, monkeypatch, factor=2.0):
         original = SUITE[self.NAME]
 
-        def slowed(params, ctx):
+        def slowed(params):
             start = time.perf_counter()
-            info = original.run(params, ctx)
+            info = original.run(params)
             time.sleep((time.perf_counter() - start) * (factor - 1.0))
             return info
 

@@ -16,7 +16,7 @@ from repro.bench import (
 from repro.clique.errors import CliqueError
 
 #: A stable, fast subset for artifact-shape tests.
-SUBSET = ["codec/bool-row", "fanout/fast", "sweep/cached"]
+SUBSET = ["codec/bool-row", "fanout/fast", "bracha-broadcast"]
 
 
 class TestMeasure:
@@ -126,7 +126,7 @@ class TestDeterminism:
         """Same machine, same tree -> the deterministic payloads are
         identical.  (The wall-clock half of this criterion is timed in
         ``benchmarks/test_engine_throughput.py``, outside tier-1.)"""
-        names = ["codec/bool-row", "catalog/kds"]
+        names = ["codec/bool-row", "bracha-broadcast"]
         first = run_suite(names, quick=True, repeats=3)
         second = run_suite(names, quick=True, repeats=3)
         for name in names:

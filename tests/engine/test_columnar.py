@@ -137,17 +137,17 @@ class TestColumnarExecution:
             )
 
     def test_resolve_by_name_and_check(self):
-        engine = resolve_engine("columnar", check="off")
+        engine = resolve_engine("columnar", check="full")
         assert isinstance(engine, ColumnarEngine)
-        assert engine.check == "off"
+        assert engine.check == "full"
         assert engine.describe()["engine"] == "columnar"
 
     def test_describe_is_the_single_instance_cache_key(self):
         # The description is run-cache key material: another key here
         # would turn every warmed columnar cache entry into a miss.
-        assert ColumnarEngine(check="off").describe() == {
+        assert ColumnarEngine(check="full").describe() == {
             "engine": "columnar",
-            "check": "off",
+            "check": "full",
         }
 
     def test_fanout_work_twins_agree(self):
@@ -303,12 +303,11 @@ class TestBulkChecks:
         assert str(err.value) == str(error)
 
     def test_lax_checks_leave_the_batch_alone(self):
-        for check in ("bandwidth", "off"):
-            result = CongestedClique(4).run(
-                _bulk_round([(0, 1), (0, 1)], [(0, 1)]),
-                execution=ColumnarEngine(check=check),
-            )
-            assert result.bulk_bits == 6
+        result = CongestedClique(4).run(
+            _bulk_round([(0, 1), (0, 1)], [(0, 1)]),
+            execution=ColumnarEngine(check="bandwidth"),
+        )
+        assert result.bulk_bits == 6
 
     def test_accounting_matches_a_flow_loop(self):
         from repro.engine.columnar import _sent_accounting

@@ -80,7 +80,7 @@ def _inboxes(spec: str, check: str, collide: bool, per_message: bool):
 
 @pytest.mark.parametrize("spec", PLANS)
 @pytest.mark.parametrize(
-    "check, collide", [("full", False), ("bandwidth", True), ("off", True)]
+    "check, collide", [("full", False), ("bandwidth", True)]
 )
 def test_masked_columns_equal_per_message_columns(spec, check, collide):
     masked, masked_run = _inboxes(spec, check, collide, per_message=False)

@@ -70,7 +70,7 @@ class TestRegistry:
 
 class TestSpec:
     def test_coerce_variants(self):
-        spec = ExecutionSpec(engine="columnar", check="off")
+        spec = ExecutionSpec(engine="columnar", check="full")
         assert ExecutionSpec.coerce(spec) is spec
         assert ExecutionSpec.coerce(None) == ExecutionSpec()
         assert ExecutionSpec.coerce("fast") == ExecutionSpec(engine="fast")
@@ -86,15 +86,15 @@ class TestSpec:
 
     def test_merged_fills_unset_fields(self):
         spec = ExecutionSpec(engine="columnar").merged(
-            check="off", fault_plan="drop=0.1,seed=2"
+            check="full", fault_plan="drop=0.1,seed=2"
         )
         assert spec.engine == "columnar"
-        assert spec.check == "off"
+        assert spec.check == "full"
         assert spec.fault_plan == "drop=0.1,seed=2"
 
     def test_merged_agreeing_values_pass(self):
-        spec = ExecutionSpec(engine="fast", check="off")
-        assert spec.merged(engine="fast", check="off") == spec
+        spec = ExecutionSpec(engine="fast", check="full")
+        assert spec.merged(engine="fast", check="full") == spec
 
     def test_merged_conflicts_raise(self):
         with pytest.raises(CliqueError, match="conflicting execution"):
@@ -150,22 +150,22 @@ class TestSpec:
     def test_describe_matches_legacy_components(self):
         # The three cache-key components are the engine's, the
         # observer's and the fault plan's own descriptions.
-        spec = ExecutionSpec(engine="fast", check="off", observer=None)
+        spec = ExecutionSpec(engine="fast", check="full", observer=None)
         desc = spec.describe()
-        assert desc["engine"] == resolve_engine("fast", check="off").describe()
+        assert desc["engine"] == resolve_engine("fast", check="full").describe()
         assert desc["observer"] == describe_observer(None)
         assert desc["fault_plan"] is None
 
     def test_resolve_execution_bundles_everything(self):
         resolved = resolve_execution(
-            ExecutionSpec(engine="columnar", check="off", fault_plan="drop=0.1,seed=1")
+            ExecutionSpec(engine="columnar", check="full", fault_plan="drop=0.1,seed=1")
         )
         assert resolved.engine.name == "columnar"
-        assert resolved.engine.check == "off"
+        assert resolved.engine.check == "full"
         assert resolved.fault_plan == FaultPlan(drop_rate=0.1, seed=1)
         # Resolution keeps the cache key: same description before and after.
         assert resolved.describe() == ExecutionSpec(
-            engine="columnar", check="off", fault_plan="drop=0.1,seed=1"
+            engine="columnar", check="full", fault_plan="drop=0.1,seed=1"
         ).describe()
 
     def test_resolve_execution_conflict_raises(self):
@@ -173,16 +173,16 @@ class TestSpec:
         # outright instead of being merged.
         assert resolve_execution().engine.name == "reference"
         with pytest.raises(TypeError):
-            resolve_execution(ExecutionSpec(check="full"), check="off")
+            resolve_execution(ExecutionSpec(check="full"), check="bandwidth")
 
     def test_batch_default_fills_only_an_unset_engine(self):
         assert BATCH_ENGINE == "fast"
         assert batch_execution(None) == ExecutionSpec(engine=BATCH_ENGINE)
-        spec = batch_execution({"check": "off", "observer": False})
-        assert spec == ExecutionSpec(engine="fast", check="off", observer=False)
+        spec = batch_execution({"check": "full", "observer": False})
+        assert spec == ExecutionSpec(engine="fast", check="full", observer=False)
         named = ExecutionSpec(engine="reference")
         assert batch_execution(named) is named
-        engine = FastEngine(check="off")
+        engine = FastEngine(check="full")
         assert batch_execution(engine).engine is engine
 
 

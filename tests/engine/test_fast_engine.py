@@ -35,8 +35,10 @@ def one_round(send_phase):
 
 class TestCheckLevels:
     def test_invalid_level_rejected(self):
-        with pytest.raises(CliqueError, match="check must be one of"):
-            FastEngine(check="paranoid")
+        # "off" is gone: no level turns off the <=B-bits-per-link invariant.
+        for level in ("paranoid", "off"):
+            with pytest.raises(CliqueError, match="check must be one of"):
+                FastEngine(check=level)
 
     def test_full_catches_duplicates(self):
         clique = CongestedClique(4)
@@ -112,17 +114,6 @@ class TestCheckLevels:
         # Permissive by design: last write wins, no exception.
         result = clique.run(one_round(phase), execution=FastEngine(check="bandwidth"))
         assert result.rounds == 1
-
-    def test_off_trusts_the_program(self):
-        clique = CongestedClique(4)
-        big = BitString(0, 64)  # way over budget
-
-        def phase(node):
-            if node.id == 0:
-                node.send(1, big)
-
-        result = clique.run(one_round(phase), execution=FastEngine(check="off"))
-        assert result.total_message_bits == 64
 
 
 class TestModelVariants:
@@ -222,7 +213,7 @@ class TestRegistry:
         assert set(ENGINES) >= {"fast", "reference"}
 
     def test_instances_pass_through(self):
-        engine = FastEngine(check="off")
+        engine = FastEngine(check="full")
         assert resolve_engine(engine) is engine
 
     def test_unknown_name_rejected(self):
@@ -230,5 +221,5 @@ class TestRegistry:
             resolve_engine("warp")
 
     def test_describe_is_cache_key_material(self):
-        assert FastEngine().describe() != FastEngine(check="off").describe()
+        assert FastEngine().describe() != FastEngine(check="full").describe()
         assert ReferenceEngine().describe() == {"engine": "reference"}

@@ -155,7 +155,7 @@ class TestObserverSpecs:
 
 class TestCheckVocabulary:
     def test_canonical_levels_pass_through(self):
-        for level in ("full", "bandwidth", "off"):
+        for level in ("full", "bandwidth"):
             assert canonical_check(level) == level
         assert canonical_check(None) is None
 
@@ -167,8 +167,14 @@ class TestCheckVocabulary:
                 CongestedClique(4).run(ring_prog, execution={"check": flag})
 
     def test_unknown_level_rejected(self):
-        with pytest.raises(CliqueError):
-            canonical_check("paranoid")
+        # "off" is gone: no level turns off the per-link bit budget.
+        for level in ("paranoid", "off"):
+            with pytest.raises(CliqueError, match="check must be one of"):
+                canonical_check(level)
+            with pytest.raises(CliqueError, match="check must be one of"):
+                resolve_engine("fast", check=level)
+            with pytest.raises(CliqueError, match="check must be one of"):
+                ExecutionSpec(engine="columnar", check=level)
 
     def test_run_accepts_check(self):
         result = CongestedClique(4).run(
@@ -179,25 +185,25 @@ class TestCheckVocabulary:
 
 class TestEngineResolution:
     def test_check_configures_named_engine(self):
-        engine = resolve_engine("fast", check="off")
-        assert isinstance(engine, FastEngine) and engine.check == "off"
+        engine = resolve_engine("fast", check="full")
+        assert isinstance(engine, FastEngine) and engine.check == "full"
         assert resolve_engine(None, check="bandwidth").check == "bandwidth"
 
     def test_instance_passes_through(self):
-        engine = FastEngine(check="off")
+        engine = FastEngine(check="full")
         assert resolve_engine(engine) is engine
-        assert resolve_engine(engine, check="off") is engine
+        assert resolve_engine(engine, check="full") is engine
 
     def test_conflicting_instance_check_rejected(self):
         with pytest.raises(CliqueError):
-            resolve_engine(FastEngine(check="off"), check="full")
+            resolve_engine(FastEngine(check="full"), check="bandwidth")
 
     def test_reference_describe_is_stable(self):
         # Frozen shape: existing cache entries are keyed on it.
         assert ReferenceEngine().describe() == {"engine": "reference"}
-        assert ReferenceEngine(check="off").describe() == {
+        assert ReferenceEngine(check="bandwidth").describe() == {
             "engine": "reference",
-            "check": "off",
+            "check": "bandwidth",
         }
 
 

@@ -117,6 +117,11 @@ class TestRequests:
                 r"'links'",
             ),
             ({"observer": "metrics"}, r"observer must be None, False"),
+            # No level turns off the one-message-of-<=B-bits invariant.
+            (
+                {"check": "off"},
+                r"check must be one of \('full', 'bandwidth'\), got 'off'",
+            ),
         ],
         ids=[
             "removed-shards",
@@ -125,6 +130,7 @@ class TestRequests:
             "seed-type",
             "observer-key-typo",
             "observer-alias",
+            "check-off",
         ],
     )
     def test_bad_execution_is_an_error_and_the_daemon_keeps_serving(
@@ -375,7 +381,7 @@ class TestLifecycle:
 
 class TestWarmLatency:
     def test_warm_requests_beat_cold_by_5x(self, server):
-        """The acceptance bar behind the service-warm-run workload: a
+        """The acceptance bar behind perfbench's serve-mixed workload: a
         cache-hit request through the daemon is at least 5x faster than
         the cold request that computed the entry."""
         client = ServiceClient(server.socket_path, timeout=120.0)

@@ -379,7 +379,7 @@ class TestCommands:
         assert main(["bench", "list"]) == 0
         out = capsys.readouterr().out
         assert "benchmark suite" in out
-        assert "fanout/fast" in out and "sweep/cached" in out
+        assert "fanout/fast" in out and "columnar-fanout" in out
 
     def test_bench_run_writes_artifact(self, capsys, tmp_path):
         out_path = tmp_path / "BENCH_dev.json"
@@ -422,20 +422,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Benchmark ratchet" in out and "stable" in out
 
-    def test_bench_update_baseline(self, capsys, tmp_path, monkeypatch):
-        from repro.bench import SUITE
-
-        for name in list(SUITE):
-            if name != "codec/bool-row":
-                monkeypatch.delitem(SUITE, name)
-        out_path = tmp_path / "baseline.json"
-        code = main(
-            ["bench", "update-baseline", "--out", str(out_path),
-             "--repeats", "1"]
-        )
-        assert code == 0
-        assert "baseline: 1 workloads (quick mode)" in capsys.readouterr().out
-        assert out_path.exists()
+    def test_bench_update_baseline_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "update-baseline"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_demo_unknown_rejected(self):
         with pytest.raises(SystemExit):
