@@ -46,6 +46,11 @@ observer events are emitted from those columns, and transcripts are
 built from the emission columns, the delivered inbox columns and the
 bulk channel.
 
+The round loop, the termination rule (the program has returned and
+nothing is queued) and all accounting are the shared
+:meth:`repro.engine.base.Engine.execute`; this module owns the array
+program's stepping, the column validation and the round's delivery.
+
 Array programs
 --------------
 
@@ -73,14 +78,10 @@ from ..clique.errors import (
     DuplicateMessage,
     InvalidAddress,
     ProtocolViolation,
-    RoundLimitExceeded,
 )
-from ..clique.network import RunResult
-from ..clique.transcript import RoundRecord, Transcript
-from ..faults import FaultInjector, resolve_fault_plan
-from ..obs import RoundStats, resolve_observer
-from ..obs.profile import PhaseTimer
-from .base import CHECK_LEVELS, Engine, canonical_check, register_engine
+from ..clique.transcript import RoundRecord
+from ..obs import RoundStats
+from .base import Engine, NodeStepper, canonical_check, register_engine
 from .delivery import deliver_columns
 
 __all__ = [
@@ -394,16 +395,7 @@ def adapt_generator(program: Callable) -> Callable:
             Node(v, n, ctx.bandwidth, ctx.inputs[v], ctx.auxes[v])
             for v in range(n)
         ]
-        gens: dict[int, Generator] = {}
-        outputs: dict[int, Any] = {}
-
-        def advance(v: int) -> None:
-            try:
-                next(gens[v])
-            except StopIteration as stop:
-                outputs[v] = stop.value
-                nodes[v]._halted = True
-                del gens[v]
+        steps = NodeStepper(program, nodes)
 
         def flush_outboxes() -> None:
             srcs: list[int] = []
@@ -433,11 +425,8 @@ def adapt_generator(program: Callable) -> Callable:
                 bsrc, bdst, bval, blen = zip(*bulk)
                 ctx.bulk_send(BulkBatch(bsrc, bdst, *int_lanes(bval, blen)))
 
-        for v in range(n):
-            gens[v] = program(nodes[v])
-            advance(v)
-
-        while gens or any(node._outbox for node in nodes):
+        steps.advance(0)
+        while steps.live or any(node._outbox or node._bulk_outbox for node in nodes):
             flush_outboxes()
             yield
             inboxes: list[dict[int, BitString]] = [{} for _ in range(n)]
@@ -455,16 +444,14 @@ def adapt_generator(program: Callable) -> Callable:
                 )
             for src, dst, value, width in ctx.inbox_bulk:
                 inboxes[dst][src] = BitString(value, width)
-            for v in list(gens):
-                nodes[v]._inbox = inboxes[v]
-                nodes[v]._round += 1
-                advance(v)
+            steps.hand_off(ctx.round, inboxes)
+            steps.advance(ctx.round)
 
         for key in sorted({k for node in nodes for k in node.counters}):
             ctx.count(
                 key, [node.counters.get(key, 0) for node in nodes]
             )
-        return outputs
+        return steps.outputs
 
     adapted.__name__ = getattr(program, "__name__", "adapted_generator")
     return adapted
@@ -707,164 +694,67 @@ class ColumnarEngine(Engine):
 
     name = "columnar"
 
-    def __init__(self, check: str = "bandwidth") -> None:
-        check = canonical_check(check)
-        if check not in CHECK_LEVELS:
-            raise CliqueError(f"check must be one of {CHECK_LEVELS}, got {check!r}")
-        self.check = check
+    def __init__(self, check: str | None = None) -> None:
+        self.check = canonical_check(check, "bandwidth")
 
     def describe(self) -> dict:
         """Engine configuration (cache key component)."""
         return {"engine": self.name, "check": self.check}
 
-    def execute(
-        self,
-        clique,
-        program,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-        *,
-        observer: Any = None,
-        transcripts: bool | None = None,
-        fault_plan: Any = None,
-    ) -> RunResult:
-        """Run the array form of ``program`` (see the module docstring)."""
+    def _admit(self, clique, program) -> None:
         if clique.broadcast_only or clique.topology is not None:
             raise CliqueError(
                 "the columnar engine supports the plain congested clique "
                 "only; use the reference engine for broadcast-only cliques "
                 "or CONGEST topologies"
             )
-        array = _array_form(program)
-        n = clique.n
-        bandwidth = clique.bandwidth
-        record = transcripts if transcripts is not None else clique.record_transcripts
-        obs = resolve_observer(observer)
-        plan = resolve_fault_plan(fault_plan)
-        injector = FaultInjector(plan, n, obs) if plan is not None else None
-        per_message = obs is not None and obs.wants_messages
-        track_halts = obs is not None and obs.wants_halts
-        timer = PhaseTimer() if obs is not None and obs.wants_timing else None
+        _array_form(program)
 
-        if timer is not None:
-            timer.start("spawn")
-        ctx = ArrayContext(n, bandwidth, inputs, auxes)
-        gen = array(ctx)
+    def _start(self, clique, program, inputs, auxes, **run) -> "_ColumnarRun":
+        ctx = ArrayContext(clique.n, clique.bandwidth, inputs, auxes)
+        gen = _array_form(program)(ctx)
         if not hasattr(gen, "send"):
             raise CliqueError(
                 "array program must be a generator function "
                 "(use 'yield' for round boundaries)"
             )
-        if obs is not None:
-            obs.on_run_start(n=n, bandwidth=bandwidth, engine=self.name)
+        return _ColumnarRun(ctx, gen, self.check, **run)
 
-        rounds = 0
-        total_bits = 0
-        bulk_total = 0
-        sent_totals = np.zeros(n, dtype=_I64)
-        received_totals = np.zeros(n, dtype=_I64)
-        records: list[list[RoundRecord]] = [[] for _ in range(n)]
-        finished = False
-        out_value: Any = None
 
-        def advance() -> None:
-            nonlocal finished, out_value
-            if timer is not None:
-                timer.start("advance")
-            try:
-                next(gen)
-            except StopIteration as stop:
-                finished = True
-                out_value = stop.value
-                if track_halts:
-                    for v in range(n):
-                        obs.on_halt(round=rounds, node=v)
+class _ColumnarRun:
+    """One columnar run: a whole-clique generator over column outboxes."""
 
-        advance()
-        if timer is not None:
-            obs.on_phases(round=0, seconds=timer.flush())
+    validate = None
 
-        while True:
-            if finished and not ctx._has_pending():
-                break
-            if rounds >= clique.max_rounds:
-                raise RoundLimitExceeded(clique.max_rounds)
-            this_round = rounds + 1
-            if timer is not None:
-                timer.start("deliver")
-            stats = self._deliver(
-                ctx,
-                this_round,
-                injector=injector,
-                obs=obs if per_message else None,
-                records=records if record else None,
-            )
-            total_bits += stats.message_bits
-            bulk_total += stats.bulk_bits
-            sent_totals += stats.sent_bits
-            received_totals += stats.received_bits
-            rounds = this_round
-            ctx.round = rounds
-            if obs is not None:
-                obs.on_round(
-                    RoundStats(
-                        this_round,
-                        stats.unicast_messages,
-                        stats.broadcast_messages,
-                        stats.bulk_messages,
-                        stats.message_bits,
-                        stats.bulk_bits,
-                        stats.sent_bits.tolist(),
-                        stats.received_bits.tolist(),
-                    )
-                )
-            if not finished:
-                advance()
-                if timer is not None:
-                    obs.on_phases(round=this_round, seconds=timer.flush())
-            elif timer is not None:
-                obs.on_phases(round=this_round, seconds=timer.flush())
+    def __init__(self, ctx, gen, check, *, injector, obs, record, on_halt) -> None:
+        self.ctx = ctx
+        self.gen = gen
+        self.check = check
+        self.injector = injector
+        self.obs = obs
+        self.record = record
+        self.on_halt = on_halt
+        self.live = True
+        self.value: Any = None
 
-        outputs = _normalise_outputs(out_value, n)
-        counters = tuple(
-            {key: int(col[v]) for key, col in ctx._counters.items()}
-            for v in range(n)
-        )
-        out_transcripts = None
-        if record:
-            out_transcripts = tuple(
-                Transcript(node=v, n=n, rounds=tuple(records[v]))
-                for v in range(n)
-            )
-        metrics = None
-        if obs is not None:
-            obs.on_run_end(rounds=rounds, counters=counters)
-            metrics = obs.run_metrics()
-        return RunResult(
-            outputs=outputs,
-            rounds=rounds,
-            total_message_bits=total_bits,
-            bulk_bits=bulk_total,
-            sent_bits=tuple(int(x) for x in sent_totals),
-            received_bits=tuple(int(x) for x in received_totals),
-            counters=counters,
-            transcripts=out_transcripts,
-            metrics=metrics,
-        )
+    def pending(self) -> bool:
+        return self.ctx._has_pending()
 
-    # -- delivery --------------------------------------------------------
+    def advance(self, round: int) -> None:
+        """Run the array program to its next round boundary; when it
+        returns, every node halts at once."""
+        try:
+            next(self.gen)
+        except StopIteration as stop:
+            self.live = False
+            self.value = stop.value
+            if self.on_halt is not None:
+                for v in range(self.ctx.n):
+                    self.on_halt(round=round, node=v)
 
-    def _deliver(
-        self,
-        ctx: ArrayContext,
-        this_round: int,
-        *,
-        injector: FaultInjector | None,
-        obs: Any,
-        records: list | None,
-    ) -> RoundStats:
-        """Validate, deliver and account one round's queued traffic;
-        ``obs`` is the per-message observer, if any."""
+    def deliver(self, this_round: int):
+        """Validate, deliver and account one round's queued traffic."""
+        ctx = self.ctx
         n = ctx.n
         bs, bv, bw, us, ud, uv, uw = ctx._collect_outbox()
         bulk = ctx._collect_bulk()
@@ -876,7 +766,8 @@ class ColumnarEngine(Engine):
             n, bs, bw, us, uw, bulk
         )
 
-        if injector is None and obs is None and records is None:
+        records = None
+        if self.injector is None and self.obs is None and not self.record:
             # Fault-free, unobserved: delivery is the identity transpose
             # of the outbox columns; only the accounting needs computing.
             _fast_received(received, bs, bw, ud, uw)
@@ -885,20 +776,21 @@ class ColumnarEngine(Engine):
         else:
             # Explicit delivery: broadcasts land expanded in the COO inbox.
             coo = deliver_columns(
-                injector,
+                self.injector,
                 this_round,
                 n,
                 (bs, bv, bw),
                 (us, ud, uv, uw),
                 bulk,
                 received,
-                obs,
+                self.obs,
             )
             ctx._in_bcast = (_EMPTY_I, _EMPTY_U, _EMPTY_I)
             ctx._in_coo = coo
-            if records is not None:
-                _record_round(records, n, (bs, bv, bw), (us, ud, uv, uw), coo, bulk)
+            if self.record:
+                records = _record_round(n, (bs, bv, bw), (us, ud, uv, uw), coo, bulk)
         ctx._in_bulk = bulk
+        ctx.round = this_round
 
         stats = RoundStats(
             this_round,
@@ -911,19 +803,28 @@ class ColumnarEngine(Engine):
             received,
         )
         ctx._clear_outbox()
-        return stats
+        return stats, records
+
+    def finish(self) -> tuple[dict[int, Any], tuple[dict, ...]]:
+        """Per-node outputs from the program's return value, and counters."""
+        n = self.ctx.n
+        outputs = _normalise_outputs(self.value, n)
+        counters = tuple(
+            {key: int(col[v]) for key, col in self.ctx._counters.items()}
+            for v in range(n)
+        )
+        return outputs, counters
 
 
 def _record_round(
-    records: list[list[RoundRecord]],
     n: int,
     bcast: tuple,
     unicast: tuple,
     inbox: tuple,
     bulk: BulkBatch,
-) -> None:
-    """Append one :class:`RoundRecord` per node: every queued payload as
-    sent (broadcasts expanded, then unicasts, then bulk) and the inbox
+) -> list[RoundRecord]:
+    """One :class:`RoundRecord` per node: every queued payload as sent
+    (broadcasts expanded, then unicasts, then bulk) and the inbox
     columns plus the bulk channel as received."""
     sent: list[dict[int, BitString]] = [{} for _ in range(n)]
     got: list[dict[int, BitString]] = [{} for _ in range(n)]
@@ -941,8 +842,7 @@ def _record_round(
         payload = BitString(value, width)
         sent[src][dst] = payload
         got[dst][src] = payload
-    for v in range(n):
-        records[v].append(RoundRecord(sent=sent[v], received=got[v]))
+    return [RoundRecord(sent=out, received=box) for out, box in zip(sent, got)]
 
 
 def _validate_columns(

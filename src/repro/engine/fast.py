@@ -17,6 +17,13 @@ throughput:
   clique (or the engine) explicitly asks for it; the hot delivery loop
   carries no per-message recording branches otherwise.
 
+The round loop, the termination rule and all accounting are the shared
+:meth:`repro.engine.base.Engine.execute`; this module owns the node
+class (its send-time validation) and the round's delivery: the batched
+hot path, or :func:`repro.engine.delivery.deliver_rows` whenever a
+fault plan, transcripts, a per-message observer or ``shuffle_seed``
+needs every message.
+
 The fast engine supports the plain congested clique only; the
 broadcast-only variant and restricted CONGEST topologies need the
 per-message validation of the reference engine and raise
@@ -28,9 +35,7 @@ enforced by :mod:`repro.engine.diff`.
 from __future__ import annotations
 
 import random
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Any
 
 from ..clique.bits import BitString
 from ..clique.errors import (
@@ -38,21 +43,10 @@ from ..clique.errors import (
     CliqueError,
     DuplicateMessage,
     ProtocolViolation,
-    RoundLimitExceeded,
 )
-from ..clique.network import NodeProgram, RunResult
 from ..clique.node import Node
-from ..clique.transcript import RoundRecord, Transcript
-from ..faults import FaultInjector, resolve_fault_plan
-from ..obs import MetricsCollector, RoundStats, resolve_observer
-from ..obs.profile import PhaseTimer
-from .base import (
-    CHECK_LEVELS,
-    Engine,
-    canonical_check,
-    register_engine,
-    spawn_generators,
-)
+from ..obs import RoundStats
+from .base import CHECK_LEVELS, Engine, NodeStepper, canonical_check, register_engine
 from .delivery import BROADCAST as _BROADCAST
 from .delivery import deliver_rows, drain_entries, sender_rows
 
@@ -162,13 +156,10 @@ class FastEngine(Engine):
 
     def __init__(
         self,
-        check: str = "bandwidth",
+        check: str | None = None,
         shuffle_seed: int | None = None,
     ) -> None:
-        check = canonical_check(check)
-        if check not in CHECK_LEVELS:
-            raise CliqueError(f"check must be one of {CHECK_LEVELS}, got {check!r}")
-        self.check = check
+        self.check = canonical_check(check, "bandwidth")
         self.shuffle_seed = shuffle_seed
 
     def describe(self) -> dict:
@@ -179,224 +170,93 @@ class FastEngine(Engine):
             "shuffle_seed": self.shuffle_seed,
         }
 
-    def execute(
-        self,
-        clique,
-        program: NodeProgram,
-        inputs: Sequence[Any],
-        auxes: Sequence[Any],
-        *,
-        observer: Any = None,
-        transcripts: bool | None = None,
-        fault_plan: Any = None,
-    ) -> RunResult:
-        """Run ``program`` on all nodes with batched message delivery."""
+    def _admit(self, clique, program) -> None:
         if clique.broadcast_only or clique.topology is not None:
             raise CliqueError(
                 "the fast engine supports the plain congested clique only; "
                 "use the reference engine for broadcast-only cliques or "
                 "CONGEST topologies"
             )
-        n = clique.n
-        check = self.check
-        full_check = check == "full"
-        record = transcripts if transcripts is not None else clique.record_transcripts
-        obs = resolve_observer(observer)
-        plan = resolve_fault_plan(fault_plan)
-        injector = (FaultInjector(plan, n, obs) if plan is not None else None)
-        per_message = obs is not None and obs.wants_messages
-        track_halts = obs is not None and obs.wants_halts
-        timer = (PhaseTimer() if obs is not None and obs.wants_timing else None)
-        if timer is not None:
-            timer.start("spawn")
-        rng = (
-            random.Random(self.shuffle_seed)
-            if self.shuffle_seed is not None
-            else None
-        )
+
+    def _start(self, clique, program, inputs, auxes, **run) -> "_FastRun":
         nodes = [
-            _FastNode(v, n, clique.bandwidth, inputs[v], auxes[v], check)
-            for v in range(n)
+            _FastNode(v, clique.n, clique.bandwidth, inputs[v], auxes[v], self.check)
+            for v in range(clique.n)
         ]
-        gens = spawn_generators(program, nodes)
-        outputs: dict[int, Any] = {}
-        records: list[list[RoundRecord]] = [[] for _ in range(n)]
+        return _FastRun(program, nodes, self.check, self.shuffle_seed, **run)
 
-        live = set(range(n))
-        rounds = 0
-        total_bits = 0
-        bulk_bits = 0
-        sent_bits = [0] * n
-        received_bits = [0] * n
-        # The default collector computes the same per-node totals the
-        # engine needs for RunResult (vectorised at run end); reuse them
-        # instead of keeping a duplicate per-round log.  Custom
-        # observers cannot be trusted for engine accounting.
-        reuse_totals = type(obs) is MetricsCollector
-        round_sent_log: list[list[int]] = []
-        round_received_log: list[list[int]] = []
-        intern: dict[BitString, BitString] = {}
-        if obs is not None:
-            obs.on_run_start(n=n, bandwidth=clique.bandwidth, engine=self.name)
 
-        def advance(v: int) -> None:
-            try:
-                next(gens[v])
-            except StopIteration as stop:
-                outputs[v] = stop.value
-                nodes[v]._halted = True
-                live.discard(v)
-                if track_halts:
-                    obs.on_halt(round=rounds, node=v)
+class _FastRun(NodeStepper):
+    """One fast-engine run: flat outboxes, batched or row-wise delivery."""
 
-        # Initial local-computation phase (before the first round).
-        if timer is not None:
-            timer.start("advance")
-        for v in range(n):
-            advance(v)
-        if timer is not None:
-            obs.on_phases(round=0, seconds=timer.flush())
+    validate = None
 
-        while True:
-            if not live and not any(
-                node._flat_out or node._flat_bulk for node in nodes
-            ):
-                break
-            if rounds >= clique.max_rounds:
-                raise RoundLimitExceeded(clique.max_rounds)
-            this_round = rounds + 1
-
-            if timer is not None:
-                timer.start("deliver")
-            inboxes: list[dict[int, BitString]] = [{} for _ in range(n)]
-            # When an observer is attached, deliver into round-local
-            # accounting arrays so per-round deltas come for free; the
-            # unobserved hot path accumulates in place.
-            if obs is not None:
-                round_sent = [0] * n
-                round_received = [0] * n
-            else:
-                round_sent = sent_bits
-                round_received = received_bits
-            if rng is not None or record or per_message or injector is not None:
-                # Something needs every message: the shared core.
-                rows, bits = sender_rows(
-                    drain_entries(enumerate(nodes)), n, round_sent
-                )
-                sent_records = [{} for _ in range(n)] if record else None
-                deliver_rows(
-                    this_round,
-                    rows,
-                    inboxes,
-                    round_received,
-                    injector=injector,
-                    sent_records=sent_records,
-                    obs=obs if per_message else None,
-                    rng=rng,
-                )
-            else:
-                sent_records = None
-                bits = self._deliver_batched(
-                    nodes, inboxes, round_sent, round_received, intern
-                )
-            total_bits += bits[0]
-            bulk_bits += bits[1]
-            if full_check:
-                for node in nodes:
-                    node._sent_to.clear()
-            rounds = this_round
-            if obs is not None:
-                # Totals are summed once at run end (numpy column sum)
-                # instead of per round, keeping the observed path close
-                # to the unobserved one.
-                if not reuse_totals:
-                    round_sent_log.append(round_sent)
-                    round_received_log.append(round_received)
-                # Positional construction: the dataclass ctor is ~2x
-                # faster without keyword matching, and this runs once
-                # per round on the observed hot path.  Field order is
-                # (round, unicast, broadcast, bulk, message_bits,
-                # bulk_bits, sent_bits, received_bits).
-                obs.on_round(
-                    RoundStats(
-                        this_round,
-                        bits[2],
-                        bits[3],
-                        bits[4],
-                        bits[0],
-                        bits[1],
-                        round_sent,
-                        round_received,
-                    )
-                )
-
-            for v in range(n):
-                nodes[v]._inbox = inboxes[v]
-                nodes[v]._round = rounds
-                if record:
-                    records[v].append(
-                        RoundRecord(sent=sent_records[v], received=dict(inboxes[v]))
-                    )
-
-            if timer is not None:
-                timer.start("advance")
-            for v in sorted(live):
-                advance(v)
-            if timer is not None:
-                obs.on_phases(round=this_round, seconds=timer.flush())
-
-        out_transcripts = None
-        if record:
-            out_transcripts = tuple(
-                Transcript(node=v, n=n, rounds=tuple(records[v]))
-                for v in range(n)
-            )
-        counters = tuple(dict(nodes[v].counters) for v in range(n))
-        metrics = None
-        if obs is not None:
-            if round_sent_log:
-                try:
-                    sent_bits = (
-                        np.asarray(round_sent_log, dtype=np.int64)
-                        .sum(axis=0)
-                        .tolist()
-                    )
-                    received_bits = (
-                        np.asarray(round_received_log, dtype=np.int64)
-                        .sum(axis=0)
-                        .tolist()
-                    )
-                except OverflowError:  # pragma: no cover - >int64 bits
-                    for row in round_sent_log:
-                        sent_bits = [a + b for a, b in zip(sent_bits, row)]
-                    for row in round_received_log:
-                        received_bits = [
-                            a + b for a, b in zip(received_bits, row)
-                        ]
-            obs.on_run_end(rounds=rounds, counters=counters)
-            metrics = obs.run_metrics()
-            if reuse_totals and metrics is not None and rounds:
-                sent_bits = list(metrics.sent_bits)
-                received_bits = list(metrics.received_bits)
-        return RunResult(
-            outputs=outputs,
-            rounds=rounds,
-            total_message_bits=total_bits,
-            bulk_bits=bulk_bits,
-            sent_bits=tuple(sent_bits),
-            received_bits=tuple(received_bits),
-            counters=counters,
-            transcripts=out_transcripts,
-            metrics=metrics,
+    def __init__(
+        self, program, nodes, check, shuffle_seed, *, injector, obs, record, on_halt
+    ) -> None:
+        super().__init__(program, nodes, on_halt)
+        self.full_check = check == "full"
+        self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+        self.injector = injector
+        self.obs = obs
+        self.record = record
+        # Something needs every message: the shared row core.
+        self.explicit = (
+            self.rng is not None or record or obs is not None or injector is not None
         )
+        self.intern: dict[BitString, BitString] = {}
 
-    @staticmethod
+    def pending(self) -> bool:
+        return any(node._flat_out or node._flat_bulk for node in self.nodes)
+
+    def deliver(self, this_round: int):
+        """Drain the flat outboxes into the inboxes of ``this_round``."""
+        nodes = self.nodes
+        n = len(nodes)
+        inboxes: list[dict[int, BitString]] = [{} for _ in range(n)]
+        round_sent = [0] * n
+        round_received = [0] * n
+        sent_records = None
+        if self.explicit:
+            rows, bits = sender_rows(drain_entries(enumerate(nodes)), n, round_sent)
+            if self.record:
+                sent_records = [{} for _ in range(n)]
+            deliver_rows(
+                this_round,
+                rows,
+                inboxes,
+                round_received,
+                injector=self.injector,
+                sent_records=sent_records,
+                obs=self.obs,
+                rng=self.rng,
+            )
+        else:
+            bits = self._deliver_batched(inboxes, round_sent, round_received)
+        if self.full_check:
+            for node in nodes:
+                node._sent_to.clear()
+        # Positional construction: the dataclass ctor is ~2x faster
+        # without keyword matching, and this runs once per round.  Field
+        # order is (round, unicast, broadcast, bulk, message_bits,
+        # bulk_bits, sent_bits, received_bits).
+        stats = RoundStats(
+            this_round,
+            bits[2],
+            bits[3],
+            bits[4],
+            bits[0],
+            bits[1],
+            round_sent,
+            round_received,
+        )
+        return stats, self.hand_off(this_round, inboxes, sent_records)
+
     def _deliver_batched(
-        nodes: list[_FastNode],
+        self,
         inboxes: list[dict[int, BitString]],
         sent_bits: list[int],
         received_bits: list[int],
-        intern: dict[BitString, BitString],
     ) -> tuple[int, int, int, int, int]:
         """Hot path: drain all flat outboxes into the inboxes.
 
@@ -414,6 +274,8 @@ class FastEngine(Engine):
         broadcast_messages, bulk_messages)`` where broadcast messages
         are counted per recipient.
         """
+        nodes = self.nodes
+        intern = self.intern
         n = len(nodes)
         total_bits = 0
         bulk_bits = 0

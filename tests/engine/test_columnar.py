@@ -30,6 +30,7 @@ from repro.engine.diff import (
     catalog_factory,
 )
 from repro.engine.pool import run_spec
+from repro.obs import Observer
 
 
 class TestDiffGate:
@@ -125,16 +126,34 @@ class TestColumnarExecution:
         assert ref.outputs == fast.outputs
 
     def test_round_limit_is_enforced(self):
+        # The same limit, error and reported rounds on every engine and
+        # check level: the round loop is shared.
         cfg = {"algorithm": "fanout", "n": 6, "rounds": 5, "seed": 0}
         spec = catalog_factory(dict(cfg))
         clique = CongestedClique(6, bandwidth_multiplier=2, max_rounds=2)
-        with pytest.raises(RoundLimitExceeded):
-            clique.run(
-                spec.program,
-                spec.node_input,
-                aux=spec.aux,
-                execution="columnar",
-            )
+
+        class Rounds(Observer):
+            def __init__(self):
+                self.seen = []
+
+            def on_round(self, stats):
+                self.seen.append(stats.round)
+
+        for engine in ("reference", "fast", "columnar"):
+            for check in CHECK_LEVELS:
+                rounds = Rounds()
+                execution = ExecutionSpec(engine=engine, check=check, observer=rounds)
+                with pytest.raises(
+                    RoundLimitExceeded,
+                    match=r"^algorithm did not halt within 2 rounds$",
+                ):
+                    clique.run(
+                        spec.program,
+                        spec.node_input,
+                        aux=spec.aux,
+                        execution=execution,
+                    )
+                assert rounds.seen == [1, 2], (engine, check)
 
     def test_resolve_by_name_and_check(self):
         engine = resolve_engine("columnar", check="full")
