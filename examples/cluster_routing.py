@@ -10,9 +10,8 @@ must compute global routing state.
 The pipeline below computes, entirely by message passing under the
 O(log n)-bit budget:
 
-1. a minimum spanning tree of the overlay (Boruvka, O(log n) rounds),
-2. single-source shortest paths from a coordinator (Bellman-Ford),
-3. all-pairs shortest paths via distributed (min,+) squaring
+1. single-source shortest paths from a coordinator (Bellman-Ford),
+2. all-pairs shortest paths via distributed (min,+) squaring
    (O(n^(1/3) log n) entry-loads per link — the Figure 1 bound).
 
 Run:  python examples/cluster_routing.py
@@ -20,7 +19,7 @@ Run:  python examples/cluster_routing.py
 
 import numpy as np
 
-from repro.algorithms import apsp_minplus, bellman_ford_sssp, boruvka_mst
+from repro.algorithms import apsp_minplus, bellman_ford_sssp
 from repro.clique import INF, run_algorithm
 from repro.problems import generators as gen
 from repro.problems import reference as ref
@@ -31,19 +30,7 @@ def main() -> None:
     overlay = gen.random_weighted_graph(n, 0.25, max_weight=max_w, seed=11)
     print(f"overlay: {overlay}")
 
-    # --- 1. MST --------------------------------------------------------
-    def mst_prog(node):
-        return (yield from boruvka_mst(node))
-
-    result = run_algorithm(
-        mst_prog, overlay, aux=lambda v: {"max_weight": max_w}
-    )
-    mst = result.common_output()
-    weight = sum(overlay.weight(u, v) for u, v in mst)
-    print(f"MST: {len(mst)} edges, total weight {weight}, "
-          f"rounds={result.rounds}")
-
-    # --- 2. SSSP from the coordinator (node 0) --------------------------
+    # --- 1. SSSP from the coordinator (node 0) --------------------------
     def sssp_prog(node):
         return (yield from bellman_ford_sssp(node))
 
@@ -58,7 +45,7 @@ def main() -> None:
           f"max finite distance {dist[dist < INF].max()}, "
           f"rounds={result.rounds}")
 
-    # --- 3. APSP (routing tables) ---------------------------------------
+    # --- 2. APSP (routing tables) ---------------------------------------
     def apsp_prog(node):
         row = yield from apsp_minplus(node)
         return row

@@ -16,7 +16,7 @@ The package layers:
   honest round/bit cost,
 * :mod:`repro.algorithms` — every distributed upper bound the paper
   states or uses (Theorems 9 and 11, Dolev et al. subgraph detection,
-  matrix multiplication, APSP/SSSP/BFS, MST, k-path),
+  matrix multiplication, APSP/SSSP/BFS, k-path),
 * :mod:`repro.core` — the complexity theory itself (Lemma 1 counting,
   the Theorem 2/4/8 hierarchies, Theorem 3 normal form, the Theorem 7
   collapse, Theorem 6 edge labellings, the Figure 1 exponent registry),

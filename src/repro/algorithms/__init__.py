@@ -31,9 +31,6 @@ from .matmul import (
     distributed_matmul,
     run_matmul,
 )
-from .mis import connected_components, luby_mis
-from .mst import boruvka_mst
-from .selection import distributed_median, distributed_select
 from .spanner import approx_apsp_via_spanner, baswana_sen_3_spanner
 from .sssp import bellman_ford_sssp, dist_width_for
 from .subgraph import (
@@ -60,18 +57,14 @@ __all__ = [
     "bellman_ford_sssp",
     "bfs_distances",
     "bfs_tree",
-    "boruvka_mst",
     "bracha_broadcast",
     "congest_bfs",
     "congest_flood_max",
-    "connected_components",
     "decide_by_gathering",
     "decide_k_colouring",
     "detect_pattern",
     "dist_width_for",
     "distributed_matmul",
-    "distributed_median",
-    "distributed_select",
     "dolev_broadcast",
     "find_k_colouring",
     "gather_graph",
@@ -90,7 +83,6 @@ __all__ = [
     "label_union",
     "learn_subclique_edges",
     "local_dominating_check",
-    "luby_mis",
     "max_independent_set",
     "min_vertex_cover",
     "node_label",

@@ -5,7 +5,8 @@ Commands
 ``figure1``     print the Figure 1 exponent table and reduction arrows
 ``miniature``   run the Theorem 2 time-hierarchy miniature end to end
 ``counting``    print the Lemma 1 / Theorem 2/4/8 counting tables
-``run``         run a distributed algorithm on a random input graph
+``run``         run one catalog algorithm and print its output, rounds
+                and bits (in-process, or on a daemon with ``--remote``)
 ``sweep``       run an (algorithm, n, seed) grid through the parallel
                 sweep engine and fit round/load exponents
 ``stats``       run one catalog algorithm and print its per-round
@@ -21,9 +22,9 @@ Commands
                 and ``--stop`` talk to a running daemon
 ``demo``        run one of the bundled example scenarios
 
-``repro run --remote`` sends the run to a ``repro serve`` daemon instead
-of executing in-process, skipping interpreter cold-start and reusing the
-daemon's cache.
+``repro run --remote`` sends the same catalog point to a ``repro serve``
+daemon instead of executing in-process, skipping interpreter cold-start
+and reusing the daemon's cache.
 """
 
 from __future__ import annotations
@@ -86,6 +87,17 @@ def _catalog_choices() -> "list[str]":
     return sorted(CATALOG)
 
 
+#: ``repro demo`` names -> the example script each one runs.
+_DEMOS = {
+    "quickstart": "quickstart.py",
+    "landscape": "fine_grained_landscape.py",
+    "nondeterminism": "nondeterminism_demo.py",
+    "routing": "cluster_routing.py",
+    "hierarchy": "time_hierarchy_miniature.py",
+    "search": "search_problems_and_broadcast.py",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (see the module docstring)."""
     from .engine.spec import BATCH_ENGINE
@@ -118,29 +130,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", type=int, nargs="+", default=[64, 256, 1024]
     )
 
-    p_run = sub.add_parser("run", help="run an algorithm on G(n, p)")
-    p_run.add_argument(
-        "algorithm",
-        choices=[
-            "triangle",
-            "kds",
-            "kvc",
-            "kis",
-            "mst",
-            "bfs",
-            "maxis",
-            "median",
-        ],
+    # Derived from repro.engine.diff.CATALOG on first use, so new
+    # catalog entries appear here without any CLI change.
+    catalog_names = _LazyChoices(_catalog_choices)
+    batch_engine_help = f"execution backend (default: {BATCH_ENGINE})"
+
+    p_run = sub.add_parser(
+        "run", help="run one catalog algorithm and print its output"
     )
+    p_run.add_argument("algorithm", choices=catalog_names)
     p_run.add_argument("--n", type=int, default=32)
-    p_run.add_argument("--p", type=float, default=0.3)
-    p_run.add_argument("--k", type=int, default=2)
+    p_run.add_argument("--p", type=float, default=None)
+    p_run.add_argument("--k", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
         "--engine",
         choices=_LazyChoices(_engine_choices),
         default=None,
-        help="execution backend (default: reference)",
+        help=(
+            f"execution backend (default: reference; with --remote, the "
+            f"daemon's {BATCH_ENGINE})"
+        ),
     )
     p_run.add_argument(
         "--check",
@@ -152,18 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--remote", action="store_true",
         help=(
             "send the run to a 'repro serve' daemon instead of executing "
-            "in-process (catalog algorithms only)"
+            "in-process"
         ),
     )
     p_run.add_argument(
         "--socket", default=None, metavar="PATH",
         help="daemon socket for --remote (default: the serve default)",
     )
-
-    # Derived from repro.engine.diff.CATALOG on first use, so new
-    # catalog entries appear here without any CLI change.
-    catalog_names = _LazyChoices(_catalog_choices)
-    batch_engine_help = f"execution backend (default: {BATCH_ENGINE})"
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -436,17 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_demo = sub.add_parser("demo", help="run a bundled example scenario")
-    p_demo.add_argument(
-        "name",
-        choices=[
-            "quickstart",
-            "landscape",
-            "nondeterminism",
-            "routing",
-            "hierarchy",
-            "search",
-        ],
-    )
+    p_demo.add_argument("name", choices=list(_DEMOS))
     return parser
 
 
@@ -512,45 +507,34 @@ def _cmd_counting(args) -> int:
     return 0
 
 
-#: ``repro run`` algorithm names -> diff-catalog names for ``--remote``
-#: (the daemon speaks the catalog; algorithms without a catalog entry
-#: cannot run remotely).
-_REMOTE_ALGORITHMS = {
-    "triangle": "subgraph",
-    "kds": "kds",
-    "kvc": "kvc",
-    "kis": "kis",
-    "bfs": "bfs",
-}
-
-
-def _cmd_run_remote(args) -> int:
+def _cmd_run(args) -> int:
     from .engine import ExecutionSpec
+    from .engine.diff import catalog_factory
+    from .engine.pool import run_spec
     from .service import ServiceClient, ServiceError
+    from .service.server import _json_safe
 
-    catalog_name = _REMOTE_ALGORITHMS.get(args.algorithm)
-    if catalog_name is None:
-        print(
-            f"repro run --remote: {args.algorithm!r} has no catalog entry; "
-            f"remote-capable algorithms: {sorted(_REMOTE_ALGORITHMS)}",
-            file=sys.stderr,
-        )
-        return 2
-    config = {"n": args.n, "p": args.p, "seed": args.seed}
-    if args.algorithm in ("kds", "kvc", "kis"):
-        config["k"] = args.k
-    client = ServiceClient(args.socket)
-    try:
-        reply = client.run(
-            catalog_name,
-            config,
-            execution=ExecutionSpec(engine=args.engine, check=args.check),
-        )
-    except ServiceError as exc:
-        print(f"repro run --remote: {exc}", file=sys.stderr)
-        return 2
-    print(f"daemon: {client.socket_path}")
-    print(f"cached: {'yes' if reply['cached'] else 'no'}")
+    config = _catalog_config(args, algorithm=args.algorithm, n=args.n, seed=args.seed)
+    execution = ExecutionSpec(engine=args.engine, check=args.check)
+    if args.remote:
+        client = ServiceClient(args.socket)
+        try:
+            reply = client.run(args.algorithm, config, execution=execution)
+        except ServiceError as exc:
+            print(f"repro run --remote: {exc}", file=sys.stderr)
+            return 2
+        print(f"daemon: {client.socket_path}")
+        print(f"cached: {'yes' if reply['cached'] else 'no'}")
+    else:
+        result, _ = run_spec(catalog_factory(config), execution=execution)
+        try:
+            common = result.common_output()
+        except CliqueError:
+            common = None  # per-node outputs (e.g. apsp distance rows)
+        # The reply fields the daemon's run op sends, converted alike.
+        reply = {"rounds": result.rounds, "common_output": _json_safe(common)}
+        if result.metrics is not None:
+            reply["metrics"] = result.metrics.summary()
     print(f"output: {reply['common_output']}")
     print(f"rounds: {reply['rounds']}")
     if "metrics" in reply:
@@ -559,100 +543,6 @@ def _cmd_run_remote(args) -> int:
             f"bits: {m['total_bits']} total "
             f"(max node load {m['max_load_bits']})"
         )
-    return 0
-
-
-def _cmd_run(args) -> int:
-    from .clique.algorithm import run_algorithm
-    from .engine import ExecutionSpec
-    from .problems import generators as gen
-
-    if args.remote:
-        return _cmd_run_remote(args)
-    execution = ExecutionSpec(engine=args.engine, check=args.check)
-
-    g = gen.random_graph(args.n, args.p, args.seed)
-    k = args.k
-
-    if args.algorithm == "triangle":
-        from .algorithms import triangle_detection
-
-        def prog(node):
-            return (yield from triangle_detection(node))
-
-    elif args.algorithm == "kds":
-        from .algorithms import k_dominating_set
-
-        def prog(node):
-            return (yield from k_dominating_set(node, k))
-
-    elif args.algorithm == "kvc":
-        from .algorithms import k_vertex_cover
-
-        def prog(node):
-            return (yield from k_vertex_cover(node, k))
-
-    elif args.algorithm == "kis":
-        from .algorithms import k_independent_set_detection
-
-        def prog(node):
-            return (yield from k_independent_set_detection(node, k))
-
-    elif args.algorithm == "mst":
-        from .algorithms import boruvka_mst
-
-        g = gen.random_weighted_graph(args.n, args.p, 50, args.seed)
-
-        def prog(node):
-            return (yield from boruvka_mst(node))
-
-        result = run_algorithm(
-            prog, g, aux=lambda v: {"max_weight": 50}, execution=execution
-        )
-        mst = result.common_output()
-        print(f"graph: {g}")
-        print(f"MST edges: {sorted(mst)}")
-        print(f"rounds: {result.rounds}")
-        return 0
-
-    elif args.algorithm == "bfs":
-        from .algorithms import bfs_distances
-
-        def prog(node):
-            d = yield from bfs_distances(node)
-            return d.tolist()
-
-        result = run_algorithm(prog, g, aux=0, execution=execution)
-        print(f"graph: {g}")
-        print(f"distances from node 0: {result.common_output()}")
-        print(f"rounds: {result.rounds}")
-        return 0
-
-    elif args.algorithm == "maxis":
-        from .algorithms import max_independent_set
-
-        def prog(node):
-            return (yield from max_independent_set(node))
-
-    elif args.algorithm == "median":
-        from .algorithms import distributed_median
-        from .problems.generators import rng_from
-
-        rng = rng_from(args.seed)
-        keys = {
-            v: rng.integers(0, 256, size=4).tolist() for v in range(args.n)
-        }
-
-        def prog(node):
-            return (yield from distributed_median(node, keys[node.id], 8))
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.algorithm)
-
-    result = run_algorithm(prog, g, bandwidth_multiplier=2, execution=execution)
-    print(f"graph: {g}")
-    print(f"output: {result.common_output()}")
-    print(f"rounds: {result.rounds}")
     return 0
 
 
@@ -669,8 +559,8 @@ def _measured_load(result) -> int:
 
 
 def _catalog_config(args, **point) -> dict:
-    """The diff-catalog config of ``stats``, ``trace``, ``sweep`` and
-    ``predict``: ``point`` plus whichever of ``--k``/``--p``/``--f``/
+    """The diff-catalog config of ``run``, ``stats``, ``trace``, ``sweep``
+    and ``predict``: ``point`` plus whichever of ``--k``/``--p``/``--f``/
     ``--resilient`` the command has and was given.  One builder, so the
     commands that share a cache also share its keys."""
     for name in ("k", "p", "f"):
@@ -1120,18 +1010,10 @@ def _cmd_demo(args) -> int:
     import pathlib
     import runpy
 
-    mapping = {
-        "quickstart": "quickstart.py",
-        "landscape": "fine_grained_landscape.py",
-        "nondeterminism": "nondeterminism_demo.py",
-        "routing": "cluster_routing.py",
-        "hierarchy": "time_hierarchy_miniature.py",
-        "search": "search_problems_and_broadcast.py",
-    }
     script = (
         pathlib.Path(__file__).resolve().parent.parent.parent
         / "examples"
-        / mapping[args.name]
+        / _DEMOS[args.name]
     )
     if not script.exists():
         print(

@@ -237,7 +237,9 @@ def resolve_observer(spec: Any) -> Observer | None:
                 f"known: {list(keys)}{hint}"
             )
     for key in keys[1:]:
-        if not isinstance(spec.get(key), bool):
+        if key not in spec:
+            raise CliqueError(f"observer spec {spec!r} is missing the {key!r} key")
+        if not isinstance(spec[key], bool):
             raise CliqueError(f"observer spec {key!r} must be a bool, not {spec!r}")
     if kind == "off":
         return None

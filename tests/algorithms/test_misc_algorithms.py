@@ -1,12 +1,10 @@
-"""Tests for MaxIS/MinVC, colouring, k-path colour coding, and MST."""
+"""Tests for MaxIS/MinVC, colouring and k-path colour coding."""
 
-import networkx as nx
 import pytest
 
 from repro.algorithms.coloring import decide_k_colouring, find_k_colouring
 from repro.algorithms.independent_set import max_independent_set, min_vertex_cover
 from repro.algorithms.kpath import k_path_detection, trials_for
-from repro.algorithms.mst import boruvka_mst
 from repro.clique.algorithm import run_algorithm
 from repro.clique.graph import CliqueGraph
 from repro.problems import generators as gen
@@ -115,50 +113,3 @@ class TestKPath:
         # Larger n means larger bandwidth, so rounds may even decrease.
         assert rounds[1] <= rounds[0] + 2
 
-
-class TestMST:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_networkx(self, seed):
-        g = gen.random_weighted_graph(10, 0.5, 20, seed)
-
-        def prog(node):
-            return (yield from boruvka_mst(node))
-
-        mst = run_algorithm(
-            prog, g, aux=lambda v: {"max_weight": 20}
-        ).common_output()
-        gx = g.to_networkx()
-        want = nx.minimum_spanning_tree(gx)
-        got_weight = sum(g.weight(u, v) for u, v in mst)
-        want_weight = sum(d["weight"] for _, _, d in want.edges(data=True))
-        assert got_weight == want_weight
-        assert len(mst) == want.number_of_edges()
-        # got edges must form a spanning forest
-        forest = nx.Graph(list(mst))
-        assert not list(nx.cycle_basis(forest))
-
-    def test_disconnected_forest(self):
-        g = CliqueGraph.from_weighted_edges(
-            6, [(0, 1, 3), (1, 2, 1), (3, 4, 2)]
-        )
-
-        def prog(node):
-            return (yield from boruvka_mst(node))
-
-        mst = run_algorithm(
-            prog, g, aux=lambda v: {"max_weight": 3}
-        ).common_output()
-        assert mst == frozenset({(0, 1), (1, 2), (3, 4)})
-
-    def test_rounds_logarithmic(self):
-        rounds = {}
-        for n in (8, 64):
-            g = gen.random_weighted_graph(n, 0.6, 15, 2)
-
-            def prog(node):
-                return (yield from boruvka_mst(node))
-
-            rounds[n] = run_algorithm(
-                prog, g, aux=lambda v: {"max_weight": 15}
-            ).rounds
-        assert rounds[64] <= 4 * rounds[8]

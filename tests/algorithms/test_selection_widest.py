@@ -1,81 +1,14 @@
-"""Tests for selection/median and widest-path (max,min) APSP."""
+"""Tests for widest-path (max,min) APSP."""
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms.apsp import widest_paths_distributed
 from repro.algorithms.matmul import MAXMIN, run_matmul
-from repro.algorithms.selection import distributed_median, distributed_select
 from repro.clique.algorithm import run_algorithm
-from repro.clique.errors import ProtocolViolation
 from repro.clique.graph import INF, CliqueGraph
-from repro.clique.network import CongestedClique
 from repro.problems import generators as gen
-
-
-def run_select(n, key_table, width, rank):
-    def prog(node):
-        return (
-            yield from distributed_select(
-                node, key_table.get(node.id, []), width, rank
-            )
-        )
-
-    return CongestedClique(n, bandwidth_multiplier=2).run(prog)
-
-
-class TestSelection:
-    def test_simple_rank(self):
-        keys = {0: [9, 1], 1: [5], 2: [3, 7]}
-        result = run_select(3, keys, 8, 2)
-        assert result.common_output() == 5
-
-    def test_min_and_max(self):
-        keys = {v: [v * 10 + 3] for v in range(4)}
-        assert run_select(4, keys, 8, 0).common_output() == 3
-        assert run_select(4, keys, 8, 3).common_output() == 33
-
-    def test_out_of_range(self):
-        with pytest.raises(ProtocolViolation):
-            run_select(3, {0: [1]}, 4, 5)
-
-    @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_property_matches_sorted(self, data):
-        n = data.draw(st.integers(2, 5))
-        keys = {
-            v: data.draw(st.lists(st.integers(0, 200), max_size=6))
-            for v in range(n)
-        }
-        union = sorted(k for ks in keys.values() for k in ks)
-        if not union:
-            return
-        rank = data.draw(st.integers(0, len(union) - 1))
-        result = run_select(n, keys, 8, rank)
-        assert result.common_output() == union[rank]
-
-    def test_median(self):
-        keys = {0: [1, 9], 1: [5], 2: [2, 8]}
-
-        def prog(node):
-            return (
-                yield from distributed_median(
-                    node, keys.get(node.id, []), 8
-                )
-            )
-
-        result = CongestedClique(3, bandwidth_multiplier=2).run(prog)
-        assert result.common_output() == 5
-
-    def test_median_empty_rejected(self):
-        def prog(node):
-            return (yield from distributed_median(node, [], 8))
-
-        with pytest.raises(ProtocolViolation):
-            CongestedClique(3, bandwidth_multiplier=2).run(prog)
 
 
 def reference_widest(graph: CliqueGraph, max_cap: int) -> np.ndarray:

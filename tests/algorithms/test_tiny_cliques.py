@@ -9,7 +9,6 @@ import pytest
 
 from repro.algorithms import (
     bfs_distances,
-    boruvka_mst,
     gather_graph,
     k_dominating_set,
     k_vertex_cover,
@@ -70,17 +69,6 @@ class TestTwoNodes:
             prog, g, bandwidth_multiplier=2
         ).common_output()
         assert found and ref.is_dominating_set(g, witness)
-
-    def test_mst(self):
-        g = CliqueGraph.from_weighted_edges(2, [(0, 1, 5)])
-
-        def prog(node):
-            return (yield from boruvka_mst(node))
-
-        mst = run_algorithm(
-            prog, g, aux=lambda v: {"max_weight": 5}
-        ).common_output()
-        assert mst == frozenset({(0, 1)})
 
 
 class TestThreeNodes:

@@ -302,18 +302,18 @@ class TestDefaultEngine:
             run_algorithm(spec.program, spec.node_input, aux=spec.aux),
         ]
         assert [r.metrics.engine for r in runs] == ["reference"] * 3
-        import repro.clique.algorithm as algorithm_module
+        import repro.engine.pool as pool_module
 
         seen = []
-        real = algorithm_module.run_algorithm
+        real = pool_module.run_spec
 
         def spy(*args, **kwargs):
-            result = real(*args, **kwargs)
+            result, value = real(*args, **kwargs)
             seen.append(result.metrics.engine)
-            return result
+            return result, value
 
-        monkeypatch.setattr(algorithm_module, "run_algorithm", spy)
-        assert main(["run", "triangle", "--n", "8"]) == 0
+        monkeypatch.setattr(pool_module, "run_spec", spy)
+        assert main(["run", "subgraph", "--n", "8"]) == 0
         assert seen == ["reference"]
 
     def test_batch_runs_default_to_the_batch_engine(

@@ -91,7 +91,11 @@ class TestObserverSpecs:
             ),
             (
                 {"observer": "metrics", "links": True},
-                r"'profile' must be a bool",
+                r"is missing the 'profile' key$",
+            ),
+            (
+                {"observer": "metrics", "profile": True},
+                r"is missing the 'links' key$",
             ),
             (
                 {"observer": "off", "links": True},
@@ -105,6 +109,7 @@ class TestObserverSpecs:
             "key-typo",
             "non-bool",
             "missing-key",
+            "missing-links",
             "off-key",
             "no-kind",
             "unhashable-kind",

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
+from repro.engine import CATALOG
 from repro.service import ServiceClient
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -74,11 +76,11 @@ class TestServeCLI:
     def test_full_cycle(self, daemon):
         sock, proc = daemon
 
-        cold = _repro("run", "triangle", "--remote", "--socket", sock, "--n", "12")
+        cold = _repro("run", "subgraph", "--remote", "--socket", sock, "--n", "12")
         assert cold.returncode == 0, cold.stderr
         assert "cached: no" in cold.stdout
 
-        warm = _repro("run", "triangle", "--remote", "--socket", sock, "--n", "12")
+        warm = _repro("run", "subgraph", "--remote", "--socket", sock, "--n", "12")
         assert warm.returncode == 0, warm.stderr
         assert "cached: yes" in warm.stdout
 
@@ -94,9 +96,25 @@ class TestServeCLI:
 
     def test_remote_rejects_non_catalog_algorithm(self, daemon):
         sock, _ = daemon
-        bad = _repro("run", "mst", "--remote", "--socket", sock)
+        bad = _repro("run", "nonsense", "--remote", "--socket", sock)
         assert bad.returncode == 2
-        assert "no catalog entry" in bad.stderr
+        assert "invalid choice: 'nonsense'" in bad.stderr
+
+    def test_remote_and_local_runs_print_the_same_lines(self, daemon, capsys):
+        # One printer for both replies: the daemon runs on the batch
+        # engine, the local run on the reference engine, and every
+        # catalog entry prints the same output and rounds either way.
+        sock, _ = daemon
+
+        def printed(*extra):
+            assert main(["run", name, "--n", "12", *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [ln for ln in lines if ln.startswith(("output:", "rounds:"))]
+
+        for name in sorted(CATALOG):
+            local = printed()
+            assert len(local) == 2, name
+            assert printed("--remote", "--socket", sock) == local, name
 
     def test_status_without_daemon_fails_cleanly(self, tmp_path):
         result = _repro("serve", "--status", "--socket", str(tmp_path / "nobody.sock"))

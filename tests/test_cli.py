@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import CATALOG
 
 
 class TestParser:
@@ -25,8 +26,6 @@ class TestParser:
             build_parser().parse_args(["run", "nonsense"])
 
     def test_sweep_choices_match_catalog(self):
-        from repro.engine import CATALOG
-
         action = next(
             a
             for a in build_parser()._subparsers._group_actions[0]
@@ -55,9 +54,7 @@ class TestParser:
         assert args.jsonl is None
 
     def test_stats_choices_match_catalog(self):
-        from repro.engine import CATALOG
-
-        for command in ("stats", "trace"):
+        for command in ("run", "stats", "trace"):
             action = next(
                 a
                 for a in build_parser()._subparsers._group_actions[0]
@@ -85,24 +82,51 @@ class TestCommands:
         assert main(["counting", "--theorem", theorem, "--sizes", "256"]) == 0
         assert "yes" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "algo", ["triangle", "kvc", "kis", "bfs", "maxis", "median"]
-    )
+    @pytest.mark.parametrize("algo", sorted(CATALOG))
     def test_run_algorithms(self, algo, capsys):
         assert main(["run", algo, "--n", "12", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "rounds:" in out
+        assert "output:" in out and "rounds:" in out
+
+    @pytest.mark.parametrize(
+        "algo, output, rounds",
+        [
+            ("subgraph", "[True, [21, 1, 0]]", 14),
+            ("kds", "[False, None]", 12),
+            ("kvc", "[False, None]", 1),
+            ("kis", "[True, [0, 4]]", 11),
+            (
+                "bfs",
+                "[0, 1, 1, 1, 2, 2, 2, 3, 2, 3, 2, 1, 2, 1, 2, 1, "
+                "2, 2, 1, 2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]",
+                5,
+            ),
+        ],
+    )
+    def test_run_keeps_the_hand_dispatched_numbers(
+        self, algo, output, rounds, capsys
+    ):
+        # What `repro run` printed at this point before it ran catalog
+        # points (subgraph was spelled triangle, tuples were not lists).
+        assert main(
+            ["run", algo, "--n", "32", "--p", "0.3", "--k", "2", "--seed", "0"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"output: {output}", f"rounds: {rounds}"]
+
+    @pytest.mark.parametrize("algo", ["mst", "maxis", "median"])
+    def test_run_without_a_catalog_entry_exits_2(self, algo, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", algo])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_run_kds(self, capsys):
         assert main(["run", "kds", "--n", "10", "--k", "2"]) == 0
         assert "rounds:" in capsys.readouterr().out
 
-    def test_run_mst(self, capsys):
-        assert main(["run", "mst", "--n", "10", "--p", "0.5"]) == 0
-        assert "MST edges" in capsys.readouterr().out
-
     def test_run_with_fast_engine(self, capsys):
-        assert main(["run", "triangle", "--n", "12", "--engine", "fast"]) == 0
+        assert main(["run", "subgraph", "--n", "12", "--engine", "fast"]) == 0
         assert "rounds:" in capsys.readouterr().out
 
     def test_predict_prints_extrapolation_table(self, capsys):
