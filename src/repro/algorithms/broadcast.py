@@ -12,12 +12,24 @@ from typing import Callable, Generator
 
 import numpy as np
 
+from ..clique.bits import decode_uint_array, encode_uint_array
 from ..clique.graph import INF, CliqueGraph
 from ..clique.node import Node
-from ..clique.primitives import all_broadcast
-from .common import decode_bool_row, decode_uint_row, encode_bool_row, encode_uint_row
+from ..clique.primitives import all_broadcast_concat
+from .common import decode_bool_row, encode_bool_row
 
 __all__ = ["gather_graph", "gather_weighted_graph", "decide_by_gathering"]
+
+
+def _input_row(node: Node) -> np.ndarray:
+    """``node.input`` as a row of the n x n matrix the gathers rebuild."""
+    row = np.asarray(node.input)
+    if row.shape != (node.n,):
+        raise ValueError(
+            f"node {node.id}: input row has shape {row.shape}, expected "
+            f"({node.n},)"
+        )
+    return row
 
 
 def gather_graph(node: Node) -> Generator[None, None, np.ndarray]:
@@ -28,8 +40,9 @@ def gather_graph(node: Node) -> Generator[None, None, np.ndarray]:
     run on a :class:`CliqueGraph`).
     """
     n = node.n
-    rows = yield from all_broadcast(node, encode_bool_row(node.input))
-    adj = np.stack([decode_bool_row(r, n) for r in rows])
+    row = encode_bool_row(_input_row(node))
+    rows = yield from all_broadcast_concat(node, row)
+    adj = decode_bool_row(rows, n * n).reshape(n, n)
     # Symmetrise: each unordered pair was reported by both endpoints.
     return adj | adj.T
 
@@ -44,22 +57,18 @@ def gather_weighted_graph(
     """
     n = node.n
     sentinel = (1 << weight_width) - 1
-    row = [
-        sentinel if int(x) >= INF else int(x) for x in np.asarray(node.input)
-    ]
+    row = [sentinel if int(x) >= INF else int(x) for x in _input_row(node)]
     for x in row:
         if x != sentinel and x >= sentinel:
             raise ValueError(
                 f"weight {x} does not fit in {weight_width}-bit encoding"
             )
-    payloads = yield from all_broadcast(
-        node, encode_uint_row(row, weight_width)
+    rows = yield from all_broadcast_concat(
+        node, encode_uint_array(row, weight_width)
     )
-    out = np.full((n, n), INF, dtype=np.int64)
-    for v in range(n):
-        vals = decode_uint_row(payloads[v], n, weight_width)
-        for u, x in enumerate(vals):
-            out[v, u] = INF if x == sentinel else x
+    # An object array: the sentinel of a width >= 64 does not fit int64.
+    codes = np.array(decode_uint_array(rows, n * n, weight_width), dtype=object)
+    out = np.where(codes == sentinel, INF, codes).astype(np.int64).reshape(n, n)
     np.fill_diagonal(out, 0)
     return np.minimum(out, out.T)
 

@@ -16,8 +16,6 @@ from ..clique.bits import (
     BitReader,
     BitString,
     BitWriter,
-    decode_uint_array,
-    encode_uint_array,
     uint_width,
 )
 from ..clique.errors import CliqueError
@@ -31,8 +29,6 @@ __all__ = [
     "label_union",
     "encode_bool_row",
     "decode_bool_row",
-    "encode_uint_row",
-    "decode_uint_row",
     "agree_on_witness",
     "int_ceil_root",
 ]
@@ -112,14 +108,6 @@ def decode_bool_row(bits: BitString, n: int) -> np.ndarray:
     value = head.value << (8 * nbytes - n)
     raw = np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
     return np.unpackbits(raw)[:n].astype(bool)
-
-
-def encode_uint_row(row: Sequence[int], width: int) -> BitString:
-    return encode_uint_array(row, width)
-
-
-def decode_uint_row(bits: BitString, count: int, width: int) -> list[int]:
-    return decode_uint_array(bits, count, width)
 
 
 # ---------------------------------------------------------------------------

@@ -196,15 +196,23 @@ def distributed_matmul(
         return min(i // size, g - 1)
 
     # ---- Phase 1: distribute input blocks to the cube nodes.
+    # Each A/B block goes to g cube nodes; encode it once, at its first
+    # use in t order (so an unencodable entry fails where it always did).
     my_block = block_of(me)
+    a_bits: dict[int, BitString] = {}
+    b_bits: dict[int, BitString] = {}
     flows: dict[int, BitString] = {}
     for t in range(g**3):
         a, b, c = _triple_of(t, g)
         w = BitWriter()
         if a == my_block:  # t needs our A row restricted to Bb
-            w.write_bits(semiring.encode_entries(a_row[blocks[b]], in_w))
+            if b not in a_bits:
+                a_bits[b] = semiring.encode_entries(a_row[blocks[b]], in_w)
+            w.write_bits(a_bits[b])
         if b == my_block:  # t needs our B row restricted to Bc
-            w.write_bits(semiring.encode_entries(b_row[blocks[c]], in_w))
+            if c not in b_bits:
+                b_bits[c] = semiring.encode_entries(b_row[blocks[c]], in_w)
+            w.write_bits(b_bits[c])
         payload = w.finish()
         if len(payload) > 0:
             flows[t] = payload

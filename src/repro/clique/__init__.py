@@ -28,6 +28,7 @@ from .node import Node
 from .primitives import (
     agree_uint_max,
     all_broadcast,
+    all_broadcast_concat,
     all_gather_bits,
     all_gather_uint,
     broadcast_from,
@@ -66,6 +67,7 @@ __all__ = [
     "VirtualNode",
     "agree_uint_max",
     "all_broadcast",
+    "all_broadcast_concat",
     "all_gather_bits",
     "all_gather_uint",
     "broadcast_from",

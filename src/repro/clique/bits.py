@@ -15,7 +15,7 @@ and ``len()`` is exact.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ __all__ = [
     "decode_uint",
     "encode_uint_array",
     "decode_uint_array",
+    "concat_uints",
+    "fold_inbox",
 ]
 
 #: Widest lane the numpy bulk kernels handle; wider values take the
@@ -240,9 +242,13 @@ _EMPTY = BitString(0, 0)
 def _merge_uints(values: Sequence[int], lo: int, hi: int, width: int) -> int:
     """Concatenate ``values[lo:hi]`` (each ``width`` bits) into one int
     by divide and conquer, so total work is O(L log m) big-int bit ops
-    instead of the O(L * m) of a shift-per-value loop."""
-    if hi - lo == 1:
-        return int(values[lo])
+    instead of the O(L * m) of a shift-per-value loop (kept for runs of
+    at most ``_SMALL_COUNT`` values, where it is cheaper)."""
+    if hi - lo <= _SMALL_COUNT:
+        value = 0
+        for i in range(lo, hi):
+            value = (value << width) | int(values[i])
+        return value
     mid = (lo + hi) // 2
     return (_merge_uints(values, lo, mid, width) << ((hi - mid) * width)) | (
         _merge_uints(values, mid, hi, width)
@@ -279,9 +285,40 @@ def _encode_uint_seq_scalar(values: Sequence[int], width: int) -> BitString:
     for v in vals:
         if v < 0 or v.bit_length() > width:
             raise EncodingError(f"value {v} does not fit in {width} bits")
-    if not vals:
+    return concat_uints(vals, width)
+
+
+def concat_uints(values: Sequence[int], width: int) -> BitString:
+    """Concatenate unsigned ints of ``width`` bits each, MSB first.
+
+    Unchecked: the caller guarantees every value fits in ``width`` bits
+    (see :func:`encode_uint_array` for the checked form).
+    """
+    if not values:
         return _EMPTY
-    return BitString(_merge_uints(vals, 0, len(vals), width), len(vals) * width)
+    count = len(values)
+    return BitString(_merge_uints(values, 0, count, width), count * width)
+
+
+def fold_inbox(
+    values: list[int] | dict[int, int],
+    lengths: list[int] | dict[int, int],
+    inbox: Mapping[int, BitString],
+) -> None:
+    """Append each message of ``inbox`` (``{src: BitString}``) to its
+    sender's int, in place.
+
+    ``values[src]`` gains the message's bits at its low end and
+    ``lengths[src]`` its width, so over several rounds ``values[src]``
+    becomes what :meth:`BitString.concat` of that sender's messages would
+    hold.  Both containers are indexed by sender: lists of ``n`` ints, or
+    ``defaultdict(int)``.  Callers make one call per round, which keeps
+    the per-message loop free of call overhead.
+    """
+    for src, msg in inbox.items():
+        width = msg._length
+        values[src] = (values[src] << width) | msg._value
+        lengths[src] += width
 
 
 def encode_uint_array(values: Sequence[int], width: int) -> BitString:

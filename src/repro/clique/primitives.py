@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Generator
 
-from .bits import BitString
+from .bits import BitString, concat_uints, fold_inbox
 from .errors import ProtocolViolation
 from .node import Node
 
@@ -23,6 +23,7 @@ __all__ = [
     "exchange",
     "all_gather_uint",
     "all_broadcast",
+    "all_broadcast_concat",
     "broadcast_from",
     "all_gather_bits",
     "agree_uint_max",
@@ -64,9 +65,7 @@ def all_gather_uint(
     Takes ``ceil(width / B)`` rounds (the value is chunked if needed).
     Returns the list indexed by node id (own value included).
     """
-    bits = BitString(value, width)
-    received = yield from all_broadcast(node, bits)
-    return [chunk.value for chunk in received]
+    return (yield from _broadcast_ints(node, BitString(value, width)))
 
 
 def all_broadcast(
@@ -79,28 +78,54 @@ def all_broadcast(
     Takes ``ceil(k / B)`` rounds.  Returns the payload list indexed by
     node id (own payload included).
     """
+    k = len(payload)
+    values = yield from _broadcast_ints(node, payload)
+    return [BitString(value, k) for value in values]
+
+
+def all_broadcast_concat(
+    node: Node, payload: BitString
+) -> Generator[None, None, BitString]:
+    """:func:`all_broadcast` returning the payloads concatenated in node-id
+    order (``n * k`` bits), for decoders that read every payload at once.
+
+    Same rounds, messages and errors as :func:`all_broadcast`; builds no
+    per-sender :class:`BitString`.
+    """
+    values = yield from _broadcast_ints(node, payload)
+    return concat_uints(values, len(payload))
+
+
+def _broadcast_ints(
+    node: Node, payload: BitString
+) -> Generator[None, None, list[int]]:
+    """:func:`all_broadcast` returning each sender's payload as an int.
+
+    Each arriving chunk is folded straight into its sender's int (the
+    value ``BitString.concat`` of that sender's chunks would have), so
+    reassembly builds no per-chunk lists.
+    """
     b = node.bandwidth
     k = len(payload)
     rounds = chunks_needed(k, b)
     chunks = payload.split(b)
-    collected: dict[int, list[BitString]] = {v: [] for v in range(node.n)}
+    me = node.id
+    values = [0] * node.n
+    lengths = [0] * node.n
     for r in range(rounds):
         chunk = chunks[r]
         node.send_to_all(chunk)
         yield
-        for src, msg in node.inbox.items():
-            collected[src].append(msg)
-        collected[node.id].append(chunk)
-    result = []
-    for v in range(node.n):
-        got = BitString.concat(collected[v])
-        if len(got) != k:
+        fold_inbox(values, lengths, node.inbox)
+        values[me] = (values[me] << len(chunk)) | chunk.value
+        lengths[me] += len(chunk)
+    for v, got in enumerate(lengths):
+        if got != k:
             raise ProtocolViolation(
-                f"all_broadcast: node {node.id} reassembled {len(got)} bits "
+                f"all_broadcast: node {node.id} reassembled {got} bits "
                 f"from node {v}, expected {k}"
             )
-        result.append(got)
-    return result
+    return values
 
 
 def broadcast_from(

@@ -39,10 +39,10 @@ budget where needed.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from typing import Generator
 
-from .bits import BitString, uint_width
+from .bits import BitString, fold_inbox, uint_width
 from .errors import ProtocolViolation
 from .node import Node
 from .primitives import agree_uint_max, chunks_needed
@@ -96,17 +96,26 @@ def route(
     # "no flow", so sparse instances do not pay Theta(n) header bits per
     # node (which would otherwise swamp sub-linear load profiles).
     b = node.bandwidth
+    # Every header is ``hdr_rounds`` chunks long; flows of equal length
+    # share one split.  Arriving chunks fold straight into ints.
     hdr_rounds = chunks_needed(_LEN_WIDTH, b)
-    headers = {d: BitString(len(p), _LEN_WIDTH).split(b) for d, p in flows.items()}
-    in_len: dict[int, list[BitString]] = {}
+    split_by_length: dict[int, list[BitString]] = {}
+    headers: dict[int, list[BitString]] = {}
+    for d, p in flows.items():
+        length = len(p)
+        hdr_chunks = split_by_length.get(length)
+        if hdr_chunks is None:
+            hdr_chunks = BitString(length, _LEN_WIDTH).split(b)
+            split_by_length[length] = hdr_chunks
+        headers[d] = hdr_chunks
+    in_values: defaultdict[int, int] = defaultdict(int)
+    in_widths: defaultdict[int, int] = defaultdict(int)
     for r in range(hdr_rounds):
         for d, hdr_chunks in headers.items():
-            if r < len(hdr_chunks):
-                node.send(d, hdr_chunks[r])
+            node.send(d, hdr_chunks[r])
         yield
-        for s, msg in node.inbox.items():
-            in_len.setdefault(s, []).append(msg)
-    in_lengths = {s: BitString.concat(parts).value for s, parts in in_len.items()}
+        fold_inbox(in_values, in_widths, node.inbox)
+    in_lengths = dict(in_values)
 
     # Record the payload load profile — the quantity the routing
     # theorems bound (headers and agreement bits excluded).

@@ -27,7 +27,7 @@ from typing import Generator
 from .bits import BitReader, BitString, BitWriter
 from .errors import ProtocolViolation
 from .node import Node
-from .primitives import all_broadcast, all_gather_uint
+from .primitives import all_broadcast_concat, all_gather_uint
 from .routing import route
 
 __all__ = ["distributed_sort"]
@@ -80,12 +80,8 @@ def distributed_sort(
     else:
         samples = [pad] * n
     sample_payload = BitWriter().write_uints(samples, key_width).finish()
-    all_samples_bits = yield from all_broadcast(node, sample_payload)
-    all_samples = sorted(
-        s
-        for bits in all_samples_bits
-        for s in BitReader(bits).read_uints(n, key_width)
-    )
+    all_samples_bits = yield from all_broadcast_concat(node, sample_payload)
+    all_samples = sorted(BitReader(all_samples_bits).read_uints(n * n, key_width))
     # n-1 splitters: every n-th order statistic.
     splitters = [all_samples[(j + 1) * n - 1] for j in range(n - 1)]
 

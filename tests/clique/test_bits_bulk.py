@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 
 from repro.clique.bits import (
     BitReader,
+    BitString,
     BitWriter,
+    concat_uints,
     decode_uint_array,
     encode_uint_array,
+    fold_inbox,
 )
 from repro.clique.errors import EncodingError
 
@@ -144,3 +147,40 @@ class TestWidthZeroRejection:
             decode_uint_array(bits, 4, 4)
         with pytest.raises(EncodingError, match="negative decode count"):
             decode_uint_array(bits, -1, 4)
+
+
+class TestJoins:
+    """The unchecked joins the collectives use: bit-exact with the
+    checked encoder and with :meth:`BitString.concat`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lanes())
+    def test_concat_uints_matches_scalar(self, case):
+        values, width = case
+        assert concat_uints(values, width) == scalar_encode(values, width)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.integers(0, 4),
+                st.integers(1, 70).flatmap(
+                    lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))
+                ),
+            ),
+            max_size=6,
+        )
+    )
+    def test_fold_inbox_matches_concat(self, rounds):
+        inboxes = [
+            {src: BitString(v, w) for src, (v, w) in inbox.items()}
+            for inbox in rounds
+        ]
+        values, lengths = [0] * 5, [0] * 5
+        for inbox in inboxes:
+            fold_inbox(values, lengths, inbox)
+        for src in range(5):
+            joined = BitString.concat(
+                [inbox[src] for inbox in inboxes if src in inbox]
+            )
+            assert (values[src], lengths[src]) == (joined.value, len(joined))

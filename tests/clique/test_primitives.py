@@ -12,12 +12,14 @@ from repro.clique.network import CongestedClique
 from repro.clique.primitives import (
     agree_uint_max,
     all_broadcast,
+    all_broadcast_concat,
     all_gather_uint,
     broadcast_from,
     chunks_needed,
     exchange,
     idle,
 )
+from repro.engine import ExecutionSpec
 
 
 class TestChunksNeeded:
@@ -121,6 +123,134 @@ class TestAllBroadcast:
 
         with pytest.raises(ProtocolViolation):
             CongestedClique(3).run(prog)
+
+
+def _concat_broadcast(node, payload):
+    """``all_broadcast`` reassembled the pre-fold way: per-sender chunk
+    lists joined by ``BitString.concat`` (the property tests' oracle)."""
+    k = len(payload)
+    collected = {v: [] for v in range(node.n)}
+    for chunk in payload.split(node.bandwidth):
+        node.send_to_all(chunk)
+        yield
+        for src, msg in node.inbox.items():
+            collected[src].append(msg)
+        collected[node.id].append(chunk)
+    result = []
+    for v in range(node.n):
+        got = BitString.concat(collected[v])
+        if len(got) != k:
+            raise ProtocolViolation(
+                f"all_broadcast: node {node.id} reassembled {len(got)} bits "
+                f"from node {v}, expected {k}"
+            )
+        result.append(got)
+    return result
+
+
+def _pattern(v, length, seed):
+    return BitString((seed * 2654435761 * (v + 3)) % (1 << length), length)
+
+
+def _outcome(n, mult, prog, plan=None, engine="reference"):
+    """Outputs, rounds and transcripts of a run, or its error text."""
+    clique = CongestedClique(n, bandwidth_multiplier=mult, record_transcripts=True)
+    try:
+        result = clique.run(
+            prog, execution=ExecutionSpec(engine=engine, fault_plan=plan)
+        )
+    except ProtocolViolation as exc:
+        return str(exc)
+    return result.outputs, result.rounds, result.transcripts
+
+
+class TestFoldMatchesConcat:
+    """The folding collectives against per-chunk ``BitString.concat``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        mult=st.integers(1, 3),
+        length=st.integers(0, 70),
+        seed=st.integers(1, 1 << 16),
+    )
+    def test_all_broadcast(self, n, mult, length, seed):
+        def run(collective):
+            def prog(node):
+                got = yield from collective(node, _pattern(node.id, length, seed))
+                return [(len(b), b.value) for b in got]
+
+            return _outcome(n, mult, prog)
+
+        assert run(all_broadcast) == run(_concat_broadcast)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        mult=st.integers(1, 3),
+        length=st.integers(0, 70),
+        seed=st.integers(1, 1 << 16),
+    )
+    def test_all_broadcast_concat(self, n, mult, length, seed):
+        def folded(node):
+            got = yield from all_broadcast_concat(
+                node, _pattern(node.id, length, seed)
+            )
+            return len(got), got.value
+
+        def oracle(node):
+            got = yield from _concat_broadcast(node, _pattern(node.id, length, seed))
+            joined = BitString.concat(got)
+            return len(joined), joined.value
+
+        assert _outcome(n, mult, folded) == _outcome(n, mult, oracle)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        mult=st.integers(1, 3),
+        width=st.integers(1, 70),
+        seed=st.integers(1, 1 << 16),
+    )
+    def test_all_gather_uint(self, n, mult, width, seed):
+        def folded(node):
+            value = _pattern(node.id, width, seed).value
+            return (yield from all_gather_uint(node, value, width))
+
+        def oracle(node):
+            got = yield from _concat_broadcast(node, _pattern(node.id, width, seed))
+            return [b.value for b in got]
+
+        assert _outcome(n, mult, folded) == _outcome(n, mult, oracle)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(3, 9),
+        length=st.integers(1, 40),
+        plan_seed=st.integers(0, 1000),
+        engine=st.sampled_from(["reference", "fast"]),
+    )
+    def test_drop_plan_names_the_same_node(self, n, length, plan_seed, engine):
+        plan = f"drop=0.2,seed={plan_seed}"
+
+        def run(collective):
+            def prog(node):
+                got = yield from collective(node, _pattern(node.id, length, 7))
+                return [b.value for b in got]
+
+            return _outcome(n, 1, prog, plan, engine)
+
+        assert run(all_broadcast) == run(_concat_broadcast)
+
+    @pytest.mark.parametrize("collective", [all_broadcast, all_broadcast_concat])
+    def test_drop_plan_error_text(self, collective):
+        def prog(node):
+            got = yield from collective(node, _pattern(node.id, 24, 7))
+            return got
+
+        assert _outcome(6, 1, prog, "drop=0.3,seed=1") == (
+            "all_broadcast: node 0 reassembled 12 bits from node 1, expected 24"
+        )
 
 
 class TestBroadcastFrom:

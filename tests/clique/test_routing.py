@@ -1,5 +1,6 @@
 """Tests for the routing schemes (direct, relay, lenzen cost model)."""
 
+import hashlib
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from repro.clique.bits import BitString
 from repro.clique.errors import ProtocolViolation
 from repro.clique.network import CongestedClique
 from repro.clique.routing import ROUTE_SCHEMES, relay_min_bandwidth, route
+from repro.engine import ExecutionSpec
 
 
 def run_route(n, flow_table, scheme, bandwidth_multiplier=2, max_rounds=None):
@@ -185,3 +187,77 @@ class TestSchemeSpecifics:
         flows = {0: {1: pattern_bits(100, 1)}}
         result = run_route(5, flows, "lenzen")
         assert result.bulk_bits == 100
+
+
+def _header_instance(n):
+    """Flows of three lengths, so most nodes send several equal-length flows."""
+    return {
+        s: {
+            d: pattern_bits(20 + 13 * ((s + d) % 3), s + 1)
+            for d in range(n)
+            if d != s
+        }
+        for s in range(n)
+    }
+
+
+def _transcript_digest(n, scheme, plan):
+    """SHA-256 of every node's encoded transcript, or the error text."""
+    flow_table = _header_instance(n)
+
+    def prog(node):
+        got = yield from route(node, flow_table[node.id], scheme=scheme)
+        return {s: b.to_str() for s, b in got.items()}
+
+    clique = CongestedClique(n, bandwidth_multiplier=2, record_transcripts=True)
+    try:
+        result = clique.run(prog, execution=ExecutionSpec(fault_plan=plan))
+    except ProtocolViolation as exc:
+        return str(exc)
+    text = "|".join(t.encode().to_str() for t in result.transcripts)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestHeaderPhase:
+    """The length exchange folds headers into ints and shares equal splits."""
+
+    @pytest.mark.parametrize("scheme", ROUTE_SCHEMES)
+    def test_equal_length_flows_send_identical_header_chunks(self, scheme):
+        n = 7
+        flow_table = _header_instance(n)
+
+        def prog(node):
+            yield from route(node, flow_table[node.id], scheme=scheme)
+            return None
+
+        clique = CongestedClique(n, bandwidth_multiplier=2, record_transcripts=True)
+        result = clique.run(prog)
+        b = clique.bandwidth
+        hdr_rounds = math.ceil(32 / b)
+        for t in result.transcripts:
+            flows = flow_table[t.node]
+            for r in range(hdr_rounds):
+                sent = t.rounds[r].sent
+                assert sorted(sent) == sorted(flows)
+                for d, msg in sent.items():
+                    assert msg == BitString(len(flows[d]), 32).split(b)[r]
+
+    # Pinned before the header phase folded its chunks into ints.
+    PINNED = {
+        ("direct", None): "f71cedac0e373ba3",
+        ("relay", None): "bec829c3e902c87b",
+        ("lenzen", None): "c5eaa1149cee444e",
+        ("direct", "drop=0.05,seed=4"): (
+            "all_broadcast: node 0 reassembled 20 bits from node 1, expected 32"
+        ),
+        ("relay", "drop=0.05,seed=4"): (
+            "route(relay): node 0 got chunk index 3 beyond expected 3 from 3"
+        ),
+        ("lenzen", "drop=0.05,seed=4"): (
+            "all_broadcast: node 0 reassembled 20 bits from node 1, expected 32"
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme, plan", sorted(PINNED, key=str))
+    def test_transcripts_match_the_pinned_digest(self, scheme, plan):
+        assert _transcript_digest(7, scheme, plan) == self.PINNED[scheme, plan]
