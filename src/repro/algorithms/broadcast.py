@@ -53,16 +53,19 @@ def gather_weighted_graph(
     """All nodes learn the full weighted adjacency matrix.
 
     Weights (and the INF no-edge sentinel) are transported as
-    ``weight_width``-bit values; INF maps to the all-ones code.
+    ``weight_width``-bit values; INF maps to the all-ones code, so a
+    finite weight must stay below it.
     """
     n = node.n
     sentinel = (1 << weight_width) - 1
-    row = [sentinel if int(x) >= INF else int(x) for x in _input_row(node)]
+    row = [int(x) for x in _input_row(node)]
     for x in row:
-        if x != sentinel and x >= sentinel:
+        if sentinel <= x < INF:
             raise ValueError(
-                f"weight {x} does not fit in {weight_width}-bit encoding"
+                f"finite weight {x} collides with the {weight_width}-bit "
+                f"INF sentinel"
             )
+    row = [sentinel if x >= INF else x for x in row]
     rows = yield from all_broadcast_concat(
         node, encode_uint_array(row, weight_width)
     )

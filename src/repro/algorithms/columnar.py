@@ -1,8 +1,11 @@
 """Array-program ports of the hottest catalog algorithms.
 
 These are the columnar (:class:`repro.engine.columnar.ArrayContext`)
-forms of fan-out broadcasting, :func:`repro.clique.routing.route` (all
-three schemes), cube-partitioned matrix multiplication and PSRS sorting.
+forms of fan-out broadcasting, :func:`repro.clique.routing.route` (the
+``lenzen`` and ``relay`` schemes), cube-partitioned matrix
+multiplication and PSRS sorting.  Direct delivery has no port: a
+program that routes with it runs as its generator twin, through the
+columnar engine's generator bridge.
 Each port mirrors its generator twin *round for round and bit for bit*:
 the same chunking (MSB-first at the per-link budget ``B``), the same
 header exchanges, the same privileged bulk-channel usage — so
@@ -25,8 +28,8 @@ columns.  matmul and sorting write one matrix entry or key per lane,
 which is the codec's bit layout with no packing, hand the batch to the
 ``lenzen`` bulk channel as is, and read the received lanes back by
 index arithmetic.  A received flow whose lanes are not one field each
-(a replayed message under faults, or a payload the ``direct``/``relay``
-schemes reassembled) is read through its payload int instead, in the
+(a replayed message under faults, or a payload the ``relay`` scheme
+reassembled) is read through its payload int instead, in the
 generator twin's node order, so errors match the twin's.  Relay
 routing keeps a queue only for links that carry traffic, so its state
 grows with the flows, not with ``n**2``.
@@ -43,7 +46,6 @@ import numpy as np
 
 from ..clique.bits import BitString, uint_width
 from ..clique.errors import CliqueError, EncodingError, ProtocolViolation
-from ..clique.primitives import chunks_needed
 from ..clique.routing import (
     _LEN_WIDTH,
     _STATUS_PERIOD,
@@ -52,7 +54,6 @@ from ..clique.routing import (
     _relay_bad_width,
     _relay_of,
     _relay_position,
-    _unannounced_chunk,
     relay_min_bandwidth,
 )
 from ..engine.columnar import BulkBatch, array_program, int_lanes, segment_ranges
@@ -250,7 +251,8 @@ def array_agree_uint_max(
 
 
 def array_route(ctx, flows: BulkBatch, scheme: str = "lenzen"):
-    """Columnar :func:`repro.clique.routing.route` — all three schemes.
+    """Columnar :func:`repro.clique.routing.route` — ``lenzen`` and
+    ``relay`` on three or more nodes.
 
     ``flows`` lists each source's flows together, sources ascending and
     each source's flows in the order of its generator twin's ``flows``
@@ -260,18 +262,26 @@ def array_route(ctx, flows: BulkBatch, scheme: str = "lenzen"):
     destinations interleave), and ``(node, error)`` for the first node
     whose ``lenzen`` route fails its delivery check, or ``None``.  The
     twins of the nodes below run on past the route, so the caller raises
-    ``error`` only after what their code raises first; ``direct`` and
-    ``relay`` raise their errors themselves.
+    ``error`` only after what their code raises first; ``relay`` raises
+    its errors itself.
 
     Mirrors the generator collective exactly: a sparse 32-bit length
     exchange on flow links, the per-node payload-load counters, then the
-    scheme phase (``direct`` chunking, the ``lenzen`` cost-model bulk
-    channel, or the executable ``relay`` store-and-forward protocol).
+    scheme phase (the ``lenzen`` cost-model bulk channel, or the
+    executable ``relay`` store-and-forward protocol).  Direct delivery
+    (``direct``, and ``relay`` on two nodes) is left to the generator
+    twin and raises :class:`CliqueError` here.
     """
     if scheme not in ROUTE_SCHEMES:
         raise ProtocolViolation(f"unknown routing scheme {scheme!r}")
     _require_narrow_links(ctx)
     n, b = ctx.n, ctx.bandwidth
+    if scheme == "direct" or (scheme == "relay" and n == 2):
+        raise CliqueError(
+            f"array_route routes with 'lenzen' and with 'relay' on three or "
+            f"more nodes, not {scheme!r} at n={n}; direct delivery runs as "
+            f"the generator twin"
+        )
     if not flows.nbits.all():
         flows = flows.take(flows.nbits > 0)
     own = flows.src == flows.dst
@@ -333,8 +343,7 @@ def array_route(ctx, flows: BulkBatch, scheme: str = "lenzen"):
         for d, s, length in zip(in_dst.tolist(), in_src.tolist(), in_len.tolist()):
             in_lengths[d][s] = length
         boxes: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
-        phase = _array_route_direct if scheme == "direct" else _array_route_relay
-        yield from phase(ctx, live, in_lengths, boxes)
+        yield from _array_route_relay(ctx, live, in_lengths, boxes)
         items = [
             (s, d, *item) for d, box in enumerate(boxes) for s, item in box.items()
         ]
@@ -344,81 +353,6 @@ def array_route(ctx, flows: BulkBatch, scheme: str = "lenzen"):
     if len(self_flows):
         result = BulkBatch.concat([result, self_flows])
     return result, failure
-
-
-def _array_route_direct(
-    ctx, live, in_lengths, result
-) -> Generator[None, None, None]:
-    n, b = ctx.n, ctx.bandwidth
-    my_rounds = [
-        max(
-            (
-                chunks_needed(length, b)
-                for length in (
-                    list(in_lengths[v].values())
-                    + [nb for _val, nb in live[v].values()]
-                )
-            ),
-            default=0,
-        )
-        for v in range(n)
-    ]
-    totals = yield from array_agree_uint_max(ctx, my_rounds, _LEN_WIDTH)
-    total_rounds = totals[0]
-
-    chunked: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s in range(n):
-        for d, (value, nbits) in live[s].items():
-            chunked[(s, d)] = [
-                (c.value, len(c)) for c in BitString(value, nbits).split(b)
-            ]
-    acc: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def finish(nodes) -> None:
-        for dst in nodes:
-            for s, expected in in_lengths[dst].items():
-                if expected <= 0:
-                    continue
-                value, bits = acc.get((dst, s), (0, 0))
-                if bits < expected:
-                    raise ProtocolViolation(
-                        f"route: node {dst} received {bits} of "
-                        f"{expected} bits from node {s}"
-                    )
-                result[dst][s] = (value >> (bits - expected), expected)
-
-    for r in range(total_rounds):
-        esrc, edst, evals, ewids = [], [], [], []
-        for (s, d), chunks in chunked.items():
-            if r < len(chunks):
-                value, w = chunks[r]
-                esrc.append(s)
-                edst.append(d)
-                evals.append(value)
-                ewids.append(w)
-        if esrc:
-            ctx.send(
-                np.asarray(esrc, dtype=_I64),
-                np.asarray(edst, dtype=_I64),
-                np.asarray(evals, dtype=_U64),
-                np.asarray(ewids, dtype=_I64),
-            )
-        yield
-        src, dst, val, wid = ctx.inbox_messages
-        for i in range(src.size):
-            key = (int(dst[i]), int(src[i]))
-            if in_lengths[key[0]].get(key[1], 0) <= 0:
-                if r == total_rounds - 1:
-                    # The generator twin's lower nodes finish (and may
-                    # fail) before this node reads its last inbox.
-                    finish(range(key[0]))
-                raise _unannounced_chunk(*key)
-            value, bits = acc.get(key, (0, 0))
-            acc[key] = (
-                (value << int(wid[i])) | int(val[i]),
-                bits + int(wid[i]),
-            )
-    finish(range(n))
 
 
 def _array_route_lenzen(ctx, flows: BulkBatch, inbound, loads: np.ndarray):
@@ -477,9 +411,6 @@ def _array_route_relay(
     ctx, live, in_lengths, result
 ) -> Generator[None, None, None]:
     n, b = ctx.n, ctx.bandwidth
-    if n == 2:
-        yield from _array_route_direct(ctx, live, in_lengths, result)
-        return
     node_w = uint_width(max(1, n - 1))
     payload_w = b - 1 - node_w
     if payload_w < 1:

@@ -133,12 +133,12 @@ def agree_on_witness(
     if found:
         if witness is None or len(witness) != k:
             raise ValueError("found=True requires a k-tuple witness")
-        w.write_uint_seq(list(witness), vw)
+        w.write_uints(list(witness), vw)
     else:
-        w.write_uint_seq([0] * k, vw)
+        w.write_uints([0] * k, vw)
     payloads = yield from all_broadcast(node, w.finish())
     for v in range(n):
         r = BitReader(payloads[v])
         if r.read_bit():
-            return True, tuple(r.read_uint_seq(k, vw))
+            return True, tuple(r.read_uints(k, vw))
     return False, None

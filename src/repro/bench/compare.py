@@ -5,7 +5,7 @@
 wall clocks, with workloads present on only one side reported as
 ``added`` / ``removed`` (never silently dropped).  The verdict object
 renders both a CLI table and the markdown table CI appends to the job
-summary, and ``ok`` is the single bit the CI bench job gates on.
+summary, and ``ok`` is the single bit the CI ratchet step gates on.
 
 Timings are only comparable within one machine class, so the tolerance
 is generous by design on shared runners (CI uses 1.4x): the ratchet

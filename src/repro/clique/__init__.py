@@ -8,7 +8,7 @@ complexity measure.
 """
 
 from .algorithm import run_algorithm
-from .bits import BitReader, BitString, BitWriter, decode_uint, encode_uint, uint_width
+from .bits import BitReader, BitString, BitWriter, uint_width
 from .errors import (
     BandwidthExceeded,
     CacheCorruption,
@@ -29,7 +29,6 @@ from .primitives import (
     agree_uint_max,
     all_broadcast,
     all_broadcast_concat,
-    all_gather_bits,
     all_gather_uint,
     broadcast_from,
     chunks_needed,
@@ -68,15 +67,12 @@ __all__ = [
     "agree_uint_max",
     "all_broadcast",
     "all_broadcast_concat",
-    "all_gather_bits",
     "all_gather_uint",
     "broadcast_from",
     "chunks_needed",
-    "decode_uint",
     "default_bandwidth",
     "distributed_sort",
     "edge_owner",
-    "encode_uint",
     "exchange",
     "idle",
     "private_bit_layout",

@@ -26,8 +26,6 @@ __all__ = [
     "BitWriter",
     "BitReader",
     "uint_width",
-    "encode_uint",
-    "decode_uint",
     "encode_uint_array",
     "decode_uint_array",
     "concat_uints",
@@ -378,7 +376,7 @@ def encode_uint_array(values: Sequence[int], width: int) -> BitString:
 def decode_uint_array(bits: BitString, count: int, width: int) -> list[int]:
     """Decode the first ``count * width`` bits of ``bits`` as ``count``
     unsigned ``width``-bit ints (bulk counterpart of
-    :meth:`BitReader.read_uint_seq`; bit-exact with it).  Like
+    :meth:`BitReader.read_uints`; bit-exact with it).  Like
     :func:`encode_uint_array`, a width of 0 is rejected.
     """
     if width < 1:
@@ -393,20 +391,6 @@ def decode_uint_array(bits: BitString, count: int, width: int) -> list[int]:
     if count == 0:
         return []
     return _split_uints(bits.value >> (len(bits) - total), count, width)
-
-
-def encode_uint(value: int, width: int) -> BitString:
-    """Encode ``value`` as an unsigned ``width``-bit string."""
-    if value < 0:
-        raise EncodingError(f"cannot encode negative value {value}")
-    if value.bit_length() > width:
-        raise EncodingError(f"value {value} does not fit in {width} bits")
-    return BitString(value, width)
-
-
-def decode_uint(bits: BitString) -> int:
-    """Decode a bit string as an unsigned integer."""
-    return bits.value
 
 
 class BitWriter:
@@ -462,15 +446,6 @@ class BitWriter:
         self._value = (self._value << chunk._length) | chunk._value
         self._length += chunk._length
         return self
-
-    def write_uint_seq(self, values: Sequence[int], width: int) -> "BitWriter":
-        """Append each value as ``width`` unsigned bits."""
-        if width == 0:
-            # Scalar semantics: a zero-width write of 0 is a no-op.
-            for v in values:
-                self.write_uint(v, width)
-            return self
-        return self.write_uints(values, width)
 
     def __len__(self) -> int:
         return self._length
@@ -549,12 +524,6 @@ class BitReader:
         value = (bits.value >> (len(bits) - end)) & ((1 << total) - 1)
         self._pos = end
         return _split_uints(value, count, width)
-
-    def read_uint_seq(self, count: int, width: int) -> list[int]:
-        """Read ``count`` unsigned ``width``-bit integers."""
-        if width == 0:
-            return [self.read_uint(width) for _ in range(count)]
-        return self.read_uints(count, width)
 
     def read_rest(self) -> BitString:
         """Read all remaining bits."""

@@ -25,7 +25,6 @@ __all__ = [
     "all_broadcast",
     "all_broadcast_concat",
     "broadcast_from",
-    "all_gather_bits",
     "agree_uint_max",
     "chunks_needed",
 ]
@@ -212,18 +211,6 @@ def broadcast_from(
                 )
             parts.append(got)
     return BitString.concat(parts)
-
-
-def all_gather_bits(
-    node: Node, payload: BitString, length: int
-) -> Generator[None, None, list[BitString]]:
-    """Alias of :func:`all_broadcast` with an explicit common length check."""
-    if len(payload) != length:
-        raise ProtocolViolation(
-            f"all_gather_bits: payload has {len(payload)} bits, "
-            f"declared {length}"
-        )
-    return (yield from all_broadcast(node, payload))
 
 
 def agree_uint_max(

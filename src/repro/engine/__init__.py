@@ -53,12 +53,10 @@ from .columnar import (
     BulkBatch,
     ColumnarEngine,
     DualProgram,
-    adapt_generator,
     array_program,
 )
 from .diff import (
     CATALOG,
-    COLUMNAR_CATALOG,
     COST_DECLARATIONS,
     NATIVE_RESILIENT,
     RESILIENT_CATALOG,
@@ -93,7 +91,6 @@ __all__ = [
     "BulkBatch",
     "CATALOG",
     "CHECK_LEVELS",
-    "COLUMNAR_CATALOG",
     "COST_DECLARATIONS",
     "Cell",
     "ColumnarEngine",
@@ -108,7 +105,6 @@ __all__ = [
     "RunCache",
     "RunSpec",
     "SweepOutcome",
-    "adapt_generator",
     "aggregate_sweep_metrics",
     "algorithm",
     "array_program",

@@ -60,9 +60,10 @@ emissions before a ``yield`` are delivered when the generator resumes
 value becomes the per-node outputs (a mapping, a length-``n`` sequence
 or array of per-node values, or ``None``).  Mark a bare array program
 with :func:`array_program`, or attach one to an existing generator node
-program with :class:`DualProgram` so a single catalog entry runs on
-every backend — ``repro.engine.diff`` uses exactly that to gate the
-columnar ports against the reference engine.
+program with :class:`DualProgram`.  The engine runs a program's array
+form when it has one; any other node program runs through the
+generator bridge (:func:`adapt_generator`), so every program runs on
+every backend and only the ported ones are vectorised.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ __all__ = [
     "BulkBatch",
     "ColumnarEngine",
     "DualProgram",
-    "adapt_generator",
     "array_program",
 ]
 
@@ -353,33 +353,28 @@ class DualProgram:
         return f"DualProgram({self.__name__})"
 
 
-def _array_form(program: Any) -> Callable:
-    """The columnar form of ``program``, or raise with guidance."""
+def _array_form(program: Any, check: str) -> Callable:
+    """The columnar form of ``program``: its array form when it has one,
+    else the generator bridged at the engine's check level."""
     array = getattr(program, "array", None)
     if array is not None:
         return array
     if getattr(program, "__is_array_program__", False):
         return program
-    name = getattr(program, "__name__", None) or repr(program)
-    raise CliqueError(
-        f"the columnar engine needs an array program, but {name!r} is a "
-        f"plain per-node generator program; decorate a whole-clique form "
-        f"with @array_program or attach one via "
-        f"DualProgram(generator, array) — or run on another engine"
-    )
+    return adapt_generator(program, check)
 
 
-def adapt_generator(program: Callable) -> Callable:
+def adapt_generator(program: Callable, check: str) -> Callable:
     """Bridge a per-node generator program onto the columnar engine.
 
-    The adapted form drives ``n`` instances of ``program`` against real
-    :class:`~repro.clique.node.Node` objects (so send-side validation is
-    byte-identical to the reference engine) and shuttles their outboxes
-    and inboxes through the :class:`ArrayContext` column API.  Rounds,
-    bit accounting, halting and counters all follow reference
-    semantics: silent rounds count while any node is live, a node that
-    sends and then returns still has its messages delivered, and every
-    counter a node touches becomes a full per-node column.
+    The adapted form drives ``n`` instances of ``program`` against the
+    reference engine's node class for ``check`` (so send-side validation
+    is byte-identical to the reference engine at the same level) and
+    shuttles their outboxes and inboxes through the :class:`ArrayContext`
+    column API.  Rounds, bit accounting, halting and counters all follow
+    reference semantics: silent rounds count while any node is live, a
+    node that sends and then returns still has its messages delivered,
+    and a node's counters hold exactly the keys its program touched.
 
     The bridge is for *correctness* (differential gating, fault plans),
     not speed — it runs the same Python generators the reference engine
@@ -387,12 +382,15 @@ def adapt_generator(program: Callable) -> Callable:
     wider payloads belong on the bulk channel, which is forwarded as-is.
     """
     from ..clique.node import Node
+    from .reference import _LaxNode
+
+    node_cls = Node if check == "full" else _LaxNode
 
     @array_program
     def adapted(ctx: "ArrayContext") -> Generator[None, None, dict]:
         n = ctx.n
         nodes = [
-            Node(v, n, ctx.bandwidth, ctx.inputs[v], ctx.auxes[v])
+            node_cls(v, n, ctx.bandwidth, ctx.inputs[v], ctx.auxes[v])
             for v in range(n)
         ]
         steps = NodeStepper(program, nodes)
@@ -447,10 +445,8 @@ def adapt_generator(program: Callable) -> Callable:
             steps.hand_off(ctx.round, inboxes)
             steps.advance(ctx.round)
 
-        for key in sorted({k for node in nodes for k in node.counters}):
-            ctx.count(
-                key, [node.counters.get(key, 0) for node in nodes]
-            )
+        for node in nodes:
+            ctx._counters[node.id].update(node.counters)
         return steps.outputs
 
     adapted.__name__ = getattr(program, "__name__", "adapted_generator")
@@ -519,7 +515,9 @@ class ArrayContext:
         # Preallocated (n, n) delivery scratch, materialised on first use.
         self._dense_val: np.ndarray | None = None
         self._dense_mask: np.ndarray | None = None
-        self._counters: dict[str, np.ndarray] = {}
+        # Per-node counter dicts, so a bridged node keeps exactly the
+        # keys its program touched, as on the reference engine.
+        self._counters: tuple[dict[str, int], ...] = tuple({} for _ in range(n))
 
     # -- emission --------------------------------------------------------
 
@@ -579,10 +577,9 @@ class ArrayContext:
 
     def count(self, key: str, amounts: Any) -> None:
         """Add per-node amounts to the measurement counter ``key``."""
-        column = self._counters.get(key)
-        if column is None:
-            column = self._counters[key] = np.zeros(self.n, dtype=_I64)
-        column += np.asarray(amounts, dtype=_I64)
+        column = np.broadcast_to(np.asarray(amounts, dtype=_I64), (self.n,))
+        for counters, amount in zip(self._counters, column.tolist()):
+            counters[key] = counters.get(key, 0) + amount
 
     # -- inbox -----------------------------------------------------------
 
@@ -682,7 +679,8 @@ def _first(mask: np.ndarray) -> int:
 
 @register_engine
 class ColumnarEngine(Engine):
-    """Vectorised whole-round backend for array programs.
+    """Vectorised whole-round backend: array programs run as they are,
+    per-node generator programs through :func:`adapt_generator`.
 
     Parameters
     ----------
@@ -708,11 +706,10 @@ class ColumnarEngine(Engine):
                 "only; use the reference engine for broadcast-only cliques "
                 "or CONGEST topologies"
             )
-        _array_form(program)
 
     def _start(self, clique, program, inputs, auxes, **run) -> "_ColumnarRun":
         ctx = ArrayContext(clique.n, clique.bandwidth, inputs, auxes)
-        gen = _array_form(program)(ctx)
+        gen = _array_form(program, self.check)(ctx)
         if not hasattr(gen, "send"):
             raise CliqueError(
                 "array program must be a generator function "
@@ -807,13 +804,8 @@ class _ColumnarRun:
 
     def finish(self) -> tuple[dict[int, Any], tuple[dict, ...]]:
         """Per-node outputs from the program's return value, and counters."""
-        n = self.ctx.n
-        outputs = _normalise_outputs(self.value, n)
-        counters = tuple(
-            {key: int(col[v]) for key, col in self.ctx._counters.items()}
-            for v in range(n)
-        )
-        return outputs, counters
+        outputs = _normalise_outputs(self.value, self.ctx.n)
+        return outputs, tuple(dict(c) for c in self.ctx._counters)
 
 
 def _record_round(

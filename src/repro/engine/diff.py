@@ -38,7 +38,6 @@ from .spec import ExecutionSpec
 
 __all__ = [
     "CATALOG",
-    "COLUMNAR_CATALOG",
     "COLUMNAR_FAULT_CATALOG",
     "COLUMNAR_FAULT_PLANS",
     "COST_DECLARATIONS",
@@ -61,10 +60,6 @@ __all__ = [
 #: by the :func:`algorithm` decorator below.
 CATALOG: dict[str, Callable[[dict], RunSpec]] = {}
 
-#: Catalog entries whose :class:`~repro.engine.columnar.DualProgram`
-#: carries a columnar form, i.e. the entries the columnar engine column runs.
-COLUMNAR_CATALOG: tuple[str, ...] = ()
-
 #: Analytic-twin declarations: catalog entry name -> the
 #: :mod:`repro.analysis.symbolic` cost-model name it is accountable to.
 #: Populated by the ``cost=`` key of the :func:`algorithm` decorator;
@@ -74,15 +69,9 @@ COST_DECLARATIONS: dict[str, str] = {}
 
 
 def algorithm(
-    name: str, *, columnar: bool = False, cost: str | None = None
+    name: str, *, cost: str | None = None
 ) -> Callable[[Callable[[dict], RunSpec]], Callable[[dict], RunSpec]]:
     """Register a catalog entry: ``@algorithm("name")`` on a spec builder.
-
-    ``columnar=True`` declares that the builder's program is a
-    :class:`~repro.engine.columnar.DualProgram` carrying both the
-    generator form and a columnar array form, adding the entry to
-    :data:`COLUMNAR_CATALOG` so the columnar column of
-    :func:`run_matrix` picks it up automatically.
 
     ``cost`` names the entry's analytic twin — the symbolic
     :class:`~repro.analysis.symbolic.CostModel` whose closed forms must
@@ -92,13 +81,10 @@ def algorithm(
     """
 
     def register(builder: Callable[[dict], RunSpec]) -> Callable[[dict], RunSpec]:
-        global COLUMNAR_CATALOG
         if name in CATALOG:
             raise CliqueError(f"catalog algorithm {name!r} already registered")
         CATALOG[name] = builder
         COST_DECLARATIONS[name] = cost or name
-        if columnar:
-            COLUMNAR_CATALOG = COLUMNAR_CATALOG + (name,)
         return builder
 
     return register
@@ -186,7 +172,7 @@ def _spec_apsp(config: dict) -> RunSpec:
     )
 
 
-@algorithm("matmul", columnar=True)
+@algorithm("matmul")
 def _spec_matmul(config: dict) -> RunSpec:
     """Integer matrix product; node i holds rows A[i], B[i], returns C[i]."""
     from ..algorithms import RING, distributed_matmul
@@ -270,7 +256,7 @@ def _spec_kis(config: dict) -> RunSpec:
     )
 
 
-@algorithm("sorting", columnar=True)
+@algorithm("sorting")
 def _spec_sorting(config: dict) -> RunSpec:
     """Distributed sorting of per-node key lists."""
     from ..clique.sorting import distributed_sort
@@ -300,7 +286,7 @@ def _spec_sorting(config: dict) -> RunSpec:
     )
 
 
-@algorithm("fanout", columnar=True)
+@algorithm("fanout")
 def _spec_fanout(config: dict) -> RunSpec:
     """All-to-all broadcast stress: R rounds of evolving broadcasts.
 
@@ -324,7 +310,7 @@ def _spec_fanout(config: dict) -> RunSpec:
     )
 
 
-@algorithm("fanout_work", columnar=True)
+@algorithm("fanout_work")
 def _spec_fanout_work(config: dict) -> RunSpec:
     """Compute-heavy fan-out: lane mixing plus k-regular ring digests.
 
@@ -358,16 +344,26 @@ def _spec_fanout_work(config: dict) -> RunSpec:
     )
 
 
-@algorithm("routing", columnar=True)
+@algorithm("routing")
 def _spec_routing(config: dict) -> RunSpec:
-    """Relay-scheme routing of pseudo-random variable-length flows."""
+    """Relay-scheme routing of pseudo-random variable-length flows.
+
+    Direct delivery (``scheme="direct"``, and relay on two nodes, where
+    it degenerates to direct) has no array port: the columnar engine
+    runs the generator through its bridge.
+    """
     from ..algorithms.columnar import routing_array, routing_generator
     from .columnar import DualProgram
 
     n = int(config.get("n", 8))
     scheme = str(config.get("scheme", "relay"))
+    direct = scheme == "direct" or (scheme == "relay" and n == 2)
     return RunSpec(
-        program=DualProgram(routing_generator, routing_array, "routing"),
+        program=(
+            routing_generator
+            if direct
+            else DualProgram(routing_generator, routing_array, "routing")
+        ),
         node_input=list(range(n)),
         aux=scheme,
         n=n,
@@ -385,11 +381,10 @@ def _byzantine_point(config: dict) -> tuple[int, int, int, int, int]:
     return n, f, broadcaster, value_width, value
 
 
-@algorithm("bracha", columnar=True)
+@algorithm("bracha")
 def _spec_bracha(config: dict) -> RunSpec:
     """Bracha reliable broadcast (natively Byzantine-resilient)."""
     from ..algorithms import bracha_broadcast
-    from .columnar import DualProgram, adapt_generator
 
     n, f, broadcaster, value_width, value = _byzantine_point(config)
 
@@ -401,18 +396,17 @@ def _spec_bracha(config: dict) -> RunSpec:
         )
 
     return RunSpec(
-        program=DualProgram(prog, adapt_generator(prog), "bracha"),
+        program=prog,
         node_input=[value] * n,
         n=n,
         bandwidth=2 + value_width,
     )
 
 
-@algorithm("dolev", columnar=True)
+@algorithm("dolev")
 def _spec_dolev(config: dict) -> RunSpec:
     """Dolev path-verified relay (natively Byzantine-resilient)."""
     from ..algorithms import dolev_broadcast
-    from .columnar import DualProgram, adapt_generator
 
     n, f, broadcaster, value_width, value = _byzantine_point(config)
 
@@ -424,7 +418,7 @@ def _spec_dolev(config: dict) -> RunSpec:
         )
 
     return RunSpec(
-        program=DualProgram(prog, adapt_generator(prog), "dolev"),
+        program=prog,
         node_input=[value] * n,
         n=n,
         bandwidth=value_width,
@@ -695,22 +689,17 @@ def _run_row(
     plan: "str | object | None",
     wrapped: bool = False,
 ) -> Iterator[Cell]:
-    """Run one entry on each column that can run it under one plan.
+    """Run one entry on each column under one plan.
 
     Lazy, so a caller that needs only the baseline runs only that.  The
-    first such column is the row's baseline; every later cell is
-    compared against it.  The columnar engine runs only entries that
-    carry an array form (:class:`~repro.engine.columnar.DualProgram`).
+    first column is the row's baseline; every later cell is compared
+    against it.
     """
-    from .columnar import DualProgram
-
     if wrapped:
         point = {**point, "resilient": True}
     base = None
     for label, engine in columns:
         spec = catalog_factory(dict(point))
-        if engine.name == "columnar" and not isinstance(spec.program, DualProgram):
-            continue
         execution = ExecutionSpec(engine=engine, fault_plan=plan)
         result, _ = run_spec(spec, execution=execution)
         cell = Cell(name, label, plan, wrapped, result)
@@ -735,9 +724,9 @@ def run_matrix(
     ``names`` defaults to the whole :data:`CATALOG`; ``config`` supplies
     shared overrides (``n``, ``seed``, ...).  ``engines`` are the
     columns — names or :class:`Engine` instances, so each check level
-    is a column of its own.  The first column that
-    can run an entry is the baseline of its row; every other cell runs
-    once and is checked against it by :func:`compare`.
+    is a column of its own.  The first column is the baseline of each
+    row; every other cell runs once and is checked against it by
+    :func:`compare`.
 
     ``fault_plan`` is one plan or a sequence of plans; ``None`` is the
     fault-free leg.  Under a plan, :data:`NATIVE_RESILIENT` and

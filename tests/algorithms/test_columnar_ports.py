@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms.columnar import _take_bits, array_all_broadcast
 from repro.clique.bits import BitReader, BitString
-from repro.clique.errors import EncodingError, ProtocolViolation
+from repro.clique.errors import CliqueError, EncodingError, ProtocolViolation
 from repro.engine.diff import Cell, catalog_factory, compare
 from repro.engine.pool import run_spec
 from repro.engine.spec import ExecutionSpec
@@ -25,6 +25,8 @@ TWIN_CASES = [
     {"algorithm": "routing", "n": 64, "scheme": "relay"},
     {"algorithm": "routing", "n": 64, "scheme": "direct"},
     {"algorithm": "routing", "n": 64, "scheme": "lenzen"},
+    # Two nodes: relay degenerates to direct delivery (the bridged twin).
+    {"algorithm": "routing", "n": 2, "scheme": "relay"},
 ]
 
 
@@ -162,6 +164,26 @@ def test_lenzen_replays_are_read_alike_on_every_engine(config, plan, want):
         assert outcomes[0] != _outcome(config, "reference", None)
     else:
         assert outcomes[0] == want
+
+
+def test_corrupted_direct_routing_ends_alike_on_every_engine():
+    # A corrupted length header makes a twin wait for chunks that never
+    # come; the columnar engine runs that very generator.
+    config = {"algorithm": "routing", "n": 3, "seed": 0, "scheme": "direct"}
+    outcomes = [
+        _outcome(config, engine, "corrupt=0.05,seed=2")
+        for engine in ("reference", "fast", "columnar")
+    ]
+    assert outcomes == [
+        "RoundLimitExceeded: algorithm did not halt within 1024 rounds"
+    ] * 3
+
+
+def test_array_route_has_no_direct_scheme():
+    spec = catalog_factory({"algorithm": "matmul", "n": 8})
+    spec.aux = lambda v: {"max_entry": 8, "scheme": "direct"}
+    with pytest.raises(CliqueError, match="'lenzen' and with 'relay'"):
+        run_spec(spec, execution=ExecutionSpec(engine="columnar"))
 
 
 @pytest.mark.parametrize(

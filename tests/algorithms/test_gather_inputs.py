@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.broadcast import gather_graph, gather_weighted_graph
 from repro.clique.algorithm import run_algorithm
-from repro.clique.graph import INF
+from repro.clique.graph import INF, CliqueGraph
 from repro.problems import generators as gen
 
 
@@ -23,6 +23,18 @@ def test_weighted_gather_with_wide_codes(width):
 
     result = run_algorithm(prog, g)
     assert result.common_output() == g.adjacency.tobytes()
+
+
+def test_weight_equal_to_the_inf_code_is_rejected():
+    # 15 is the all-ones code at width 4: it must not decode as INF.
+    g = CliqueGraph.from_weighted_edges(3, [(0, 1, 15), (1, 2, 3)])
+
+    def prog(node):
+        adj = yield from gather_weighted_graph(node, 4)
+        return adj.tobytes()
+
+    with pytest.raises(ValueError, match="finite weight 15 collides"):
+        run_algorithm(prog, g)
 
 
 @pytest.mark.parametrize("gather", [gather_graph, gather_weighted_graph])

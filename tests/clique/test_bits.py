@@ -8,8 +8,6 @@ from repro.clique.bits import (
     BitReader,
     BitString,
     BitWriter,
-    decode_uint,
-    encode_uint,
     uint_width,
 )
 from repro.clique.errors import EncodingError
@@ -127,19 +125,19 @@ class TestBitString:
 class TestEncodeDecodeUint:
     def test_roundtrip(self):
         for v in (0, 1, 5, 255):
-            assert decode_uint(encode_uint(v, 8)) == v
+            assert BitString(v, 8).value == v
 
     def test_overflow_rejected(self):
         with pytest.raises(EncodingError):
-            encode_uint(4, 2)
+            BitString(4, 2)
 
     def test_negative_rejected(self):
         with pytest.raises(EncodingError):
-            encode_uint(-1, 8)
+            BitString(-1, 8)
 
     @given(st.integers(0, 2**32 - 1))
     def test_roundtrip_property(self, v):
-        assert decode_uint(encode_uint(v, 32)) == v
+        assert BitString(v, 32).value == v
 
 
 class TestWriterReader:
@@ -148,7 +146,7 @@ class TestWriterReader:
         w.write_uint(5, 4)
         w.write_bit(1)
         w.write_int(-3, 8)
-        w.write_uint_seq([1, 2, 3], 5)
+        w.write_uints([1, 2, 3], 5)
         w.write_bits(BitString.from_str("0110"))
         bits = w.finish()
         assert len(bits) == 4 + 1 + 8 + 15 + 4
@@ -157,7 +155,7 @@ class TestWriterReader:
         assert r.read_uint(4) == 5
         assert r.read_bit() == 1
         assert r.read_int(8) == -3
-        assert r.read_uint_seq(3, 5) == [1, 2, 3]
+        assert r.read_uints(3, 5) == [1, 2, 3]
         assert r.read_bits(4).to_str() == "0110"
         assert r.remaining == 0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clique.bits import BitString, encode_uint
+from repro.clique.bits import BitString
 from repro.clique.errors import (
     BandwidthExceeded,
     CliqueError,
@@ -228,7 +228,7 @@ class TestInputs:
 class TestTranscripts:
     def test_transcripts_recorded(self):
         def prog(node):
-            node.send((node.id + 1) % node.n, encode_uint(node.id, 2))
+            node.send((node.id + 1) % node.n, BitString(node.id, 2))
             yield
             yield
             return None
@@ -237,14 +237,14 @@ class TestTranscripts:
         assert result.transcripts is not None
         t0 = result.transcripts[0]
         assert t0.num_rounds() == 2
-        assert t0.rounds[0].sent == {1: encode_uint(0, 2)}
-        assert t0.rounds[0].received == {2: encode_uint(2, 2)}
+        assert t0.rounds[0].sent == {1: BitString(0, 2)}
+        assert t0.rounds[0].received == {2: BitString(2, 2)}
         assert t0.rounds[1].sent == {}
 
     def test_transcripts_pairwise_consistent(self):
         def prog(node):
             for r in range(3):
-                node.send((node.id + 1 + r) % node.n, encode_uint(node.id, 3))
+                node.send((node.id + 1 + r) % node.n, BitString(node.id, 3))
                 yield
             return None
 

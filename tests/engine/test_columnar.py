@@ -4,6 +4,7 @@ and the differential gate against the reference backend."""
 import numpy as np
 import pytest
 
+from repro.clique.bits import BitString
 from repro.clique.errors import (
     BandwidthExceeded,
     CliqueError,
@@ -13,8 +14,8 @@ from repro.clique.errors import (
 )
 from repro.clique.network import CongestedClique
 from repro.engine import (
+    CATALOG,
     CHECK_LEVELS,
-    COLUMNAR_CATALOG,
     NATIVE_RESILIENT,
     BulkBatch,
     ColumnarEngine,
@@ -43,16 +44,15 @@ class TestDiffGate:
             for name in ("reference", "columnar")
         ]
         cells = run_matrix(
-            COLUMNAR_CATALOG,
             engines=engines,
             fault_plan=(None, *COLUMNAR_FAULT_PLANS),
         )
         bad = [c.summary() for c in cells if not c.ok]
         assert not bad, bad
-        # Every ported algorithm ran on every column fault-free; the
-        # fault catalog and the Byzantine protocols ran every faulty leg.
+        # Every catalog entry ran on every column fault-free; the fault
+        # catalog and the Byzantine protocols ran every faulty leg.
         faulty = set(COLUMNAR_FAULT_CATALOG) | NATIVE_RESILIENT
-        per_column = len(COLUMNAR_CATALOG) + len(faulty) * len(COLUMNAR_FAULT_PLANS)
+        per_column = len(CATALOG) + len(faulty) * len(COLUMNAR_FAULT_PLANS)
         assert len(cells) == len(engines) * per_column
         for name in COLUMNAR_FAULT_CATALOG:
             assert {c.leg for c in cells if c.algorithm == name} == {
@@ -80,14 +80,6 @@ class TestDiffGate:
         )
         assert expected <= set(result.metrics.faults), result.metrics.faults
 
-    def test_catalog_lists_the_ported_algorithms(self):
-        assert set(COLUMNAR_CATALOG) >= {
-            "fanout",
-            "matmul",
-            "routing",
-            "sorting",
-        }
-
     def test_single_entry_with_config_override(self):
         cells = run_matrix(
             ["fanout"],
@@ -109,13 +101,50 @@ class TestColumnarExecution:
         assert col.total_message_bits == fast.total_message_bits
         assert col.metrics.engine == "columnar"
 
-    def test_plain_generator_program_is_rejected(self):
+    def test_plain_generator_runs_like_the_reference(self):
+        # No array form: the engine bridges the generator itself.
         def prog(node):
+            node.send_to_all(BitString(node.id, 2))
+            if node.id == 0:
+                node.count("sender_zero", 1)
             yield
+            return sum(p.value for p in node.inbox.values())
 
         clique = CongestedClique(4)
-        with pytest.raises(CliqueError, match="array"):
-            clique.run(prog, execution="columnar")
+        ref = clique.run(prog, execution="reference")
+        col = clique.run(prog, execution="columnar")
+        assert col.outputs == ref.outputs == {0: 6, 1: 5, 2: 4, 3: 3}
+        assert col.rounds == ref.rounds == 1
+        assert col.total_message_bits == ref.total_message_bits == 24
+        assert col.sent_bits == ref.sent_bits
+        assert col.received_bits == ref.received_bits
+        # Only the node that counted holds the key.
+        assert col.counters == ref.counters == ({"sender_zero": 1}, {}, {}, {})
+
+    @pytest.mark.parametrize("check", CHECK_LEVELS)
+    def test_bridged_double_send_follows_the_check_level(self, check):
+        # The bridge runs the reference engine's node class for the
+        # level: the last write wins at "bandwidth", "full" refuses.
+        def prog(node):
+            other = (node.id + 1) % node.n
+            node.send(other, BitString(1, 2))
+            node.send(other, BitString(node.id, 3))
+            yield
+            return sorted((s, p.value, len(p)) for s, p in node.inbox.items())
+
+        clique = CongestedClique(4, bandwidth_multiplier=2)
+        outcomes = []
+        for engine in ("reference", "fast", "columnar"):
+            execution = ExecutionSpec(engine=engine, check=check)
+            try:
+                outcomes.append(clique.run(prog, execution=execution).outputs)
+            except DuplicateMessage as exc:
+                outcomes.append(str(exc))
+        assert outcomes[1:] == outcomes[:1] * 2
+        if check == "full":
+            assert outcomes[0] == str(DuplicateMessage(0, 1))
+        else:
+            assert outcomes[0][1] == [(0, 0, 3)]
 
     def test_dual_program_runs_on_generator_engines(self):
         cfg = {"algorithm": "fanout", "n": 8, "seed": 0}

@@ -23,7 +23,6 @@ from repro.engine import (
     ColumnarEngine,
     ExecutionSpec,
     FastEngine,
-    adapt_generator,
     array_program,
 )
 from repro.engine.diff import catalog_factory
@@ -117,11 +116,10 @@ def test_per_message_core_matches_reference(spec, engine):
     """Transcripts and per-link metrics through the shared core equal the
     reference engine's scalar loop, under every plan."""
     g = CliqueGraph.from_edges(N, [(0, 1)])
-    program = adapt_generator(talker) if engine == "columnar" else talker
 
-    def run(prog, eng):
+    def run(eng):
         return run_algorithm(
-            prog,
+            talker,
             g,
             execution=ExecutionSpec(
                 engine=eng,
@@ -131,7 +129,7 @@ def test_per_message_core_matches_reference(spec, engine):
             ),
         )
 
-    ref, other = run(talker, "reference"), run(program, engine)
+    ref, other = run("reference"), run(engine)
     assert ref.outputs == other.outputs
     assert ref.received_bits == other.received_bits
     assert ref.transcripts == other.transcripts

@@ -133,9 +133,13 @@ class TestMatrixRunsEachCellOnce:
             assert free and free[0].baseline is None
         symbolic = [c.algorithm for c in cells if c.column == "symbolic"]
         assert symbolic == ["fanout", "bfs", "kds"]
-        # kds sits out every faulty leg; columnar skips generator entries.
+        # kds sits out every faulty leg; columnar runs generator entries
+        # (bfs) on every leg they join, through the generator bridge.
         assert not [c for c in runs if c.algorithm == "kds" and c.plan is not None]
-        assert not [c for c in runs if c.algorithm == "bfs" and "columnar" in c.column]
+        faulty = {c.plan for c in runs if c.algorithm == "bfs"} - {None}
+        assert faulty and faulty <= {
+            c.plan for c in runs if c.algorithm == "bfs" and "columnar" in c.column
+        }
 
 
 # Faulty legs the fuzzer draws from: drop-only (the wrapped entries

@@ -9,11 +9,9 @@ from repro.clique.errors import CliqueError
 from repro.clique.network import CongestedClique
 from repro.engine import (
     ColumnarEngine,
-    DualProgram,
     ExecutionSpec,
     FastEngine,
     ReferenceEngine,
-    adapt_generator,
 )
 from repro.engine.diff import catalog_factory
 from repro.engine.pool import run_spec
@@ -118,9 +116,8 @@ def test_traffic_queued_by_returning_nodes_is_delivered_on_every_engine():
     # Termination is "no live program and nothing queued": the bulk send
     # of a node that returns at once still takes one round everywhere,
     # the columnar generator bridge included.
-    program = DualProgram(_bulk_then_return, adapt_generator(_bulk_then_return))
     for engine in ENGINES:
-        result = CongestedClique(4).run(program, execution=engine)
+        result = CongestedClique(4).run(_bulk_then_return, execution=engine)
         assert result.rounds == 1, engine
         assert result.bulk_bits == 80, engine
         assert result.received_bits == (0, 80, 0, 0), engine

@@ -6,7 +6,7 @@ import pytest
 
 from repro.clique import CliqueGraph, run_algorithm
 from repro.clique.bits import BitString
-from repro.engine import ExecutionSpec, adapt_generator
+from repro.engine import ExecutionSpec
 
 ROUNDS = 4
 ENGINES = ("reference", "fast")
@@ -107,14 +107,13 @@ class TestCrossEngineParity:
     )
     def test_engines_agree_on_outputs_and_fault_counts(self, spec, engine):
         g = _graph()
-        program = adapt_generator(chatter) if engine == "columnar" else chatter
         ref = run_algorithm(
             chatter,
             g,
             execution=ExecutionSpec(engine="reference", fault_plan=spec),
         )
         other = run_algorithm(
-            program,
+            chatter,
             g,
             execution=ExecutionSpec(engine=engine, fault_plan=spec),
         )
