@@ -7,8 +7,11 @@ the standard decide-and-agree epilogue.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Generator, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Generator, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -16,9 +19,10 @@ from ..clique.bits import (
     BitReader,
     BitString,
     BitWriter,
+    concat_uints,
     uint_width,
 )
-from ..clique.errors import CliqueError
+from ..clique.errors import CliqueError, EncodingError
 from ..clique.node import Node
 from ..clique.primitives import all_broadcast
 
@@ -27,8 +31,11 @@ __all__ = [
     "group_of",
     "node_label",
     "label_union",
+    "DolevLayout",
+    "dolev_layout",
     "encode_bool_row",
     "decode_bool_row",
+    "decode_bool_rows",
     "agree_on_witness",
     "int_ceil_root",
 ]
@@ -83,6 +90,63 @@ def label_union(label: Sequence[int], groups: list[list[int]]) -> list[int]:
     return sorted(seen)
 
 
+@dataclass(frozen=True, eq=False)
+class DolevLayout:
+    """The label scheme of an ``n``-node clique at one ``k``.
+
+    Every node derives the same layout from ``(n, k)`` alone, so it is
+    built once per clique size (:func:`dolev_layout`) and shared by all
+    nodes.  Every field is immutable (tuples, read-only mappings and
+    arrays), so no node can change another node's view.
+    """
+
+    #: Number of groups, ``floor(n^(1/k))``.
+    g: int
+    #: :func:`group_partition` ``(n, g)``.
+    groups: tuple[tuple[int, ...], ...]
+    #: ``labels[v]`` is :func:`node_label` ``(v, g, k)``.
+    labels: tuple[tuple[int, ...], ...]
+    #: ``unions[v]`` is ``S_v`` (:func:`label_union`), ascending.
+    unions: tuple[tuple[int, ...], ...]
+    #: ``S_v`` as a read-only ``intp`` array, for indexing rows.
+    union_index: tuple[np.ndarray, ...]
+    #: ``audience[j]``: the nodes whose label names group ``j``, ascending.
+    audience: tuple[tuple[int, ...], ...]
+    #: ``positions[v][u]``: the index of ``u`` in ``S_v``.
+    positions: tuple[Mapping[int, int], ...]
+
+
+@functools.lru_cache(maxsize=32)
+def dolev_layout(n: int, k: int) -> DolevLayout:
+    """The :class:`DolevLayout` of an ``n``-node clique at ``k``
+    (cached per ``(n, k)``; the cache is bounded)."""
+    g = int_ceil_root(n, k)
+    groups = tuple(tuple(grp) for grp in group_partition(n, g))
+    labels = tuple(node_label(v, g, k) for v in range(n))
+    unions = tuple(tuple(label_union(lab, groups)) for lab in labels)
+    union_index = []
+    for union in unions:
+        arr = np.array(union, dtype=np.intp)
+        arr.flags.writeable = False
+        union_index.append(arr)
+    audience: list[list[int]] = [[] for _ in range(g)]
+    for v, lab in enumerate(labels):
+        for j in sorted(set(lab)):
+            audience[j].append(v)
+    return DolevLayout(
+        g=g,
+        groups=groups,
+        labels=labels,
+        unions=unions,
+        union_index=tuple(union_index),
+        audience=tuple(tuple(a) for a in audience),
+        positions=tuple(
+            MappingProxyType({u: i for i, u in enumerate(union)})
+            for union in unions
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # row encodings
 
@@ -100,14 +164,36 @@ def encode_bool_row(row: np.ndarray) -> BitString:
 
 
 def decode_bool_row(bits: BitString, n: int) -> np.ndarray:
-    """Unpack ``n`` leading bits into a boolean vector (vectorised)."""
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    nbytes = (n + 7) // 8
-    head = bits[:n]
-    value = head.value << (8 * nbytes - n)
+    """Unpack ``n`` leading bits into a boolean vector (vectorised).
+
+    Raises :class:`EncodingError` when ``bits`` is shorter than ``n``.
+    """
+    return decode_bool_rows((bits,), n)[0]
+
+
+def decode_bool_rows(rows: Iterable[BitString], n: int) -> np.ndarray:
+    """Unpack the ``n`` leading bits of each row into one ``(rows, n)``
+    boolean matrix, with a single unpack for all rows.
+
+    Rows are read in order, so with a lazy ``rows`` the first failing
+    entry (a missing row, or one shorter than ``n`` bits, which raises
+    :class:`EncodingError`) is the one a per-row loop would hit.
+    """
+    heads = []
+    for bits in rows:
+        length = len(bits)
+        if n > length:
+            raise EncodingError(
+                f"read of {n} bits at offset 0 overruns {length}-bit message"
+            )
+        heads.append(bits.value >> (length - n))
+    total = len(heads) * n
+    if total == 0:
+        return np.zeros((len(heads), n), dtype=bool)
+    nbytes = (total + 7) // 8
+    value = concat_uints(heads, n).value << (8 * nbytes - total)
     raw = np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
-    return np.unpackbits(raw)[:n].astype(bool)
+    return np.unpackbits(raw, count=total).reshape(len(heads), n).view(bool)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,10 @@ from ..clique.node import Node
 from ..clique.routing import route
 from .common import (
     agree_on_witness,
-    decode_bool_row,
+    decode_bool_rows,
+    dolev_layout,
     encode_bool_row,
     group_of,
-    group_partition,
-    int_ceil_root,
-    label_union,
-    node_label,
 )
 
 __all__ = ["k_dominating_set", "local_dominating_check"]
@@ -79,28 +76,24 @@ def k_dominating_set(
     """
     n = node.n
     me = node.id
-    g = int_ceil_root(n, k)
-    groups = group_partition(n, g)
-    labels = [node_label(v, g, k) for v in range(n)]
-    my_group = group_of(me, n, g)
+    layout = dolev_layout(n, k)
     row = np.asarray(node.input, dtype=bool)
 
     # Step 3 communication: our full incidence row goes to every node v
     # whose label mentions our group (we are in S_v).
-    flows: dict[int, BitString] = {}
     encoded = encode_bool_row(row)
-    for v in range(n):
-        if my_group in labels[v]:
-            flows[v] = encoded
+    flows: dict[int, BitString] = {
+        v: encoded for v in layout.audience[group_of(me, n, layout.g)]
+    }
     received = yield from route(node, flows, scheme=scheme)
 
-    s_v = label_union(labels[me], groups)
-    incident = np.zeros((len(s_v), n), dtype=bool)
-    for i, u in enumerate(s_v):
-        if u == me:
-            incident[i] = row
-        else:
-            incident[i] = decode_bool_row(received[u], n)
-
+    # One unpack for every received row; our own row is local knowledge
+    # (a zero placeholder in the unpack, then overwritten).
+    s_v = layout.unions[me]
+    own = BitString.zeros(n)
+    incident = decode_bool_rows((own if u == me else received[u] for u in s_v), n)
+    pos = layout.positions[me]
+    if me in pos:
+        incident[pos[me]] = row
     witness = local_dominating_check(s_v, incident, n, k)
     return (yield from agree_on_witness(node, witness is not None, witness, k))

@@ -21,13 +21,15 @@ in Figure 1 (Boolean MM, Ring MM, (min,+) MM / Semiring MM).
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, Generator
 
 import numpy as np
 
 from ..clique.bits import (
+    _SMALL_COUNT,
+    _U64_WIDTH,
     BitReader,
     BitString,
     BitWriter,
@@ -35,6 +37,7 @@ from ..clique.bits import (
     encode_uint_array,
     uint_width,
 )
+from ..clique.errors import EncodingError
 from ..clique.graph import INF
 from ..clique.network import CongestedClique
 from ..clique.node import Node
@@ -46,6 +49,8 @@ __all__ = [
     "BOOLEAN",
     "RING",
     "MINPLUS",
+    "CubeLayout",
+    "cube_layout",
     "distributed_matmul",
     "run_matmul",
 ]
@@ -70,8 +75,43 @@ class Semiring:
     uses_inf: bool = False
 
     def encode_entries(self, values: np.ndarray, width: int) -> BitString:
-        """Pack entries at ``width`` bits each (INF -> the all-ones code)."""
+        """Pack entries at ``width`` bits each (INF -> the all-ones code).
+
+        Blocks of at most ``_SMALL_COUNT`` entries on lanes narrower than
+        64 bits take an int loop; both paths raise the same errors in
+        the same order.
+        """
         arr = np.asarray(values, dtype=np.int64).ravel()
+        if arr.size <= _SMALL_COUNT and width < _U64_WIDTH:
+            return self._encode_ints(arr.tolist(), width)
+        return self._encode_array(arr, width)
+
+    def _encode_ints(self, values: list[int], width: int) -> BitString:
+        if not values:
+            return BitString.empty()
+        if self.uses_inf:
+            sentinel = (1 << width) - 1
+            coded = []
+            for v in values:
+                if v >= INF:
+                    v = sentinel
+                elif v >= sentinel:
+                    raise ValueError(
+                        f"{self.name}: finite entry {v} collides with the "
+                        f"{width}-bit INF sentinel"
+                    )
+                coded.append(v)
+            values = coded
+        if width < 1:
+            raise EncodingError(f"bulk encode width must be >= 1, got {width}")
+        acc = 0
+        for v in values:
+            if v < 0 or v.bit_length() > width:
+                raise EncodingError(f"value {v} does not fit in {width} bits")
+            acc = (acc << width) | v
+        return BitString(acc, len(values) * width)
+
+    def _encode_array(self, arr: np.ndarray, width: int) -> BitString:
         if arr.size == 0:
             return BitString.empty()
         if self.uses_inf:
@@ -88,7 +128,20 @@ class Semiring:
         return encode_uint_array(arr, width)
 
     def decode_entries(self, bits: BitString, count: int, width: int) -> np.ndarray:
-        """Unpack ``count`` entries of ``width`` bits each."""
+        """Unpack ``count`` entries of ``width`` bits each (an int loop
+        for blocks as small as :meth:`encode_entries` codes on ints)."""
+        if count <= _SMALL_COUNT and width < _U64_WIDTH:
+            return self._decode_ints(bits, count, width)
+        return self._decode_array(bits, count, width)
+
+    def _decode_ints(self, bits: BitString, count: int, width: int) -> np.ndarray:
+        values = decode_uint_array(bits, count, width)
+        if self.uses_inf:
+            sentinel = (1 << width) - 1
+            values = [INF if v == sentinel else v for v in values]
+        return np.array(values, dtype=np.int64)
+
+    def _decode_array(self, bits: BitString, count: int, width: int) -> np.ndarray:
         out = np.fromiter(
             decode_uint_array(bits, count, width), dtype=np.int64, count=count
         )
@@ -168,6 +221,59 @@ def _triple_of(t: int, g: int) -> tuple[int, int, int]:
     return (t // (g * g), (t // g) % g, t % g)
 
 
+@dataclass(frozen=True)
+class CubeLayout:
+    """The cube partition of an ``n``-node clique into ``g`` blocks.
+
+    Every node derives the same layout from ``(n, g)`` alone, so it is
+    built once per clique size (:func:`cube_layout`) and shared by all
+    nodes; every field is a tuple, so no node can change another node's
+    view.
+    """
+
+    g: int
+    #: :func:`group_partition` ``(n, g)``.
+    blocks: tuple[tuple[int, ...], ...]
+    #: Each block as a slice of a row (blocks are contiguous).
+    spans: tuple[slice, ...]
+    #: ``block_of[i]``: the block holding node ``i``.
+    block_of: tuple[int, ...]
+    #: ``position[i]``: node ``i``'s index inside its block.
+    position: tuple[int, ...]
+    #: ``targets[x]``: the cube nodes ``(t, a, b, c)``, in ``t`` order,
+    #: with ``a == x`` or ``b == x`` (those that need a row of block x).
+    targets: tuple[tuple[tuple[int, int, int, int], ...], ...]
+
+
+@functools.lru_cache(maxsize=32)
+def cube_layout(n: int, g: int) -> CubeLayout:
+    """The :class:`CubeLayout` of ``n`` nodes in ``g`` blocks (cached per
+    ``(n, g)``; the cache is bounded)."""
+    blocks = tuple(tuple(blk) for blk in group_partition(n, g))
+    block_of = [0] * n
+    position = [0] * n
+    for x, blk in enumerate(blocks):
+        for p, i in enumerate(blk):
+            block_of[i] = x
+            position[i] = p
+    targets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g)]
+    for t in range(g**3):
+        a, b, c = _triple_of(t, g)
+        targets[a].append((t, a, b, c))
+        if b != a:
+            targets[b].append((t, a, b, c))
+    return CubeLayout(
+        g=g,
+        blocks=blocks,
+        spans=tuple(
+            slice(blk[0], blk[-1] + 1) if blk else slice(0, 0) for blk in blocks
+        ),
+        block_of=tuple(block_of),
+        position=tuple(position),
+        targets=tuple(tuple(ts) for ts in targets),
+    )
+
+
 def distributed_matmul(
     node: Node,
     a_row: np.ndarray,
@@ -184,34 +290,33 @@ def distributed_matmul(
     """
     n = node.n
     me = node.id
-    g = int_ceil_root(n, 3)
-    blocks = group_partition(n, g)
+    layout = cube_layout(n, int_ceil_root(n, 3))
+    g = layout.g
+    blocks = layout.blocks
+    spans = layout.spans
+    block_of = layout.block_of
+    position = layout.position
     in_w = semiring.in_width(n, max_entry)
     acc_w = semiring.acc_width(n, max_entry)
     a_row = np.asarray(a_row, dtype=np.int64)
     b_row = np.asarray(b_row, dtype=np.int64)
 
-    def block_of(i: int) -> int:
-        size = math.ceil(n / g)
-        return min(i // size, g - 1)
-
     # ---- Phase 1: distribute input blocks to the cube nodes.
     # Each A/B block goes to g cube nodes; encode it once, at its first
     # use in t order (so an unencodable entry fails where it always did).
-    my_block = block_of(me)
+    my_block = block_of[me]
     a_bits: dict[int, BitString] = {}
     b_bits: dict[int, BitString] = {}
     flows: dict[int, BitString] = {}
-    for t in range(g**3):
-        a, b, c = _triple_of(t, g)
+    for t, a, b, c in layout.targets[my_block]:
         w = BitWriter()
         if a == my_block:  # t needs our A row restricted to Bb
             if b not in a_bits:
-                a_bits[b] = semiring.encode_entries(a_row[blocks[b]], in_w)
+                a_bits[b] = semiring.encode_entries(a_row[spans[b]], in_w)
             w.write_bits(a_bits[b])
         if b == my_block:  # t needs our B row restricted to Bc
             if c not in b_bits:
-                b_bits[c] = semiring.encode_entries(b_row[blocks[c]], in_w)
+                b_bits[c] = semiring.encode_entries(b_row[spans[c]], in_w)
             w.write_bits(b_bits[c])
         payload = w.finish()
         if len(payload) > 0:
@@ -227,15 +332,15 @@ def distributed_matmul(
         b_block = np.full((len(Bb), len(Bc)), semiring.identity, dtype=np.int64)
         for src, bits in received.items():
             r = BitReader(bits)
-            src_block = block_of(src)
+            src_block = block_of[src]
             if src_block == a:
                 chunk = r.read_bits(len(Bb) * in_w)
-                a_block[Ba.index(src)] = semiring.decode_entries(
+                a_block[position[src]] = semiring.decode_entries(
                     chunk, len(Bb), in_w
                 )
             if src_block == b:
                 chunk = r.read_bits(len(Bc) * in_w)
-                b_block[Bb.index(src)] = semiring.decode_entries(
+                b_block[position[src]] = semiring.decode_entries(
                     chunk, len(Bc), in_w
                 )
         partial = semiring.local_matmul(a_block, b_block)
@@ -252,9 +357,9 @@ def distributed_matmul(
     c_row = np.full(n, semiring.identity, dtype=np.int64)
     for t, bits in received3.items():
         a, b, c = _triple_of(t, g)
-        Bc = blocks[c]
-        vals = semiring.decode_entries(bits, len(Bc), acc_w)
-        c_row[Bc] = semiring.combine(c_row[Bc], vals)
+        span = spans[c]
+        vals = semiring.decode_entries(bits, len(blocks[c]), acc_w)
+        c_row[span] = semiring.combine(c_row[span], vals)
     return c_row
 
 

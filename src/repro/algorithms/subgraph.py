@@ -24,13 +24,10 @@ from ..clique.node import Node
 from ..clique.routing import route
 from .common import (
     agree_on_witness,
-    decode_bool_row,
+    decode_bool_rows,
+    dolev_layout,
     encode_bool_row,
     group_of,
-    group_partition,
-    int_ceil_root,
-    label_union,
-    node_label,
 )
 
 __all__ = [
@@ -45,7 +42,11 @@ __all__ = [
 
 def learn_subclique_edges(
     node: Node, k: int, scheme: str = "lenzen"
-) -> Generator[None, None, tuple[list[int], np.ndarray, tuple[int, ...], list[list[int]]]]:
+) -> Generator[
+    None,
+    None,
+    tuple[tuple[int, ...], np.ndarray, tuple[int, ...], tuple[tuple[int, ...], ...]],
+]:
     """The communication core of the Dolev et al. scheme.
 
     Returns ``(S_v, M, label, groups)`` where ``M`` is the full adjacency
@@ -53,29 +54,33 @@ def learn_subclique_edges(
     """
     n = node.n
     me = node.id
-    g = int_ceil_root(n, k)
-    groups = group_partition(n, g)
-    labels = [node_label(v, g, k) for v in range(n)]
-    unions = [label_union(labels[v], groups) for v in range(n)]
-    my_group = group_of(me, n, g)
+    layout = dolev_layout(n, k)
+    union_index = layout.union_index
     row = np.asarray(node.input, dtype=bool)
 
     flows: dict[int, BitString] = {}
-    for v in range(n):
-        if my_group in labels[v]:
-            sub_row = row[unions[v]]
-            flows[v] = encode_bool_row(sub_row)
+    for v in layout.audience[group_of(me, n, layout.g)]:
+        flows[v] = encode_bool_row(row[union_index[v]])
     received = yield from route(node, flows, scheme=scheme)
 
-    s_v = unions[me]
-    pos = {u: i for i, u in enumerate(s_v)}
+    s_v = layout.unions[me]
+    pos = layout.positions[me]
     m = np.zeros((len(s_v), len(s_v)), dtype=bool)
-    for src, bits in received.items():
-        m[pos[src]] = decode_bool_row(bits, len(s_v))
+    index: list[int] = []
+
+    def rows():
+        # Each row's length is checked before its sender's position is
+        # looked up, as in a decode-then-store loop over senders.
+        for src, bits in received.items():
+            yield bits
+            index.append(pos[src])
+
+    decoded = decode_bool_rows(rows(), len(s_v))
+    m[index] = decoded
     # Our own row is local knowledge.
     if me in pos:
-        m[pos[me]] = row[s_v]
-    return s_v, m | m.T, labels[me], groups
+        m[pos[me]] = row[union_index[me]]
+    return s_v, m | m.T, layout.labels[me], layout.groups
 
 
 def _match_pattern(
