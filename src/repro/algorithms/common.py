@@ -106,10 +106,9 @@ class DolevLayout:
     groups: tuple[tuple[int, ...], ...]
     #: ``labels[v]`` is :func:`node_label` ``(v, g, k)``.
     labels: tuple[tuple[int, ...], ...]
-    #: ``unions[v]`` is ``S_v`` (:func:`label_union`), ascending.
-    unions: tuple[tuple[int, ...], ...]
-    #: ``S_v`` as a read-only ``intp`` array, for indexing rows.
-    union_index: tuple[np.ndarray, ...]
+    #: ``unions[v]`` is ``S_v`` (:func:`label_union`), ascending, as a
+    #: read-only ``intp`` array for indexing rows.
+    unions: tuple[np.ndarray, ...]
     #: ``audience[j]``: the nodes whose label names group ``j``, ascending.
     audience: tuple[tuple[int, ...], ...]
     #: ``positions[v][u]``: the index of ``u`` in ``S_v``.
@@ -123,12 +122,11 @@ def dolev_layout(n: int, k: int) -> DolevLayout:
     g = int_ceil_root(n, k)
     groups = tuple(tuple(grp) for grp in group_partition(n, g))
     labels = tuple(node_label(v, g, k) for v in range(n))
-    unions = tuple(tuple(label_union(lab, groups)) for lab in labels)
-    union_index = []
-    for union in unions:
-        arr = np.array(union, dtype=np.intp)
-        arr.flags.writeable = False
-        union_index.append(arr)
+    unions = []
+    for lab in labels:
+        union = np.array(label_union(lab, groups), dtype=np.intp)
+        union.flags.writeable = False
+        unions.append(union)
     audience: list[list[int]] = [[] for _ in range(g)]
     for v, lab in enumerate(labels):
         for j in sorted(set(lab)):
@@ -137,11 +135,10 @@ def dolev_layout(n: int, k: int) -> DolevLayout:
         g=g,
         groups=groups,
         labels=labels,
-        unions=unions,
-        union_index=tuple(union_index),
+        unions=tuple(unions),
         audience=tuple(tuple(a) for a in audience),
         positions=tuple(
-            MappingProxyType({u: i for i, u in enumerate(union)})
+            MappingProxyType({u: i for i, u in enumerate(union.tolist())})
             for union in unions
         ),
     )

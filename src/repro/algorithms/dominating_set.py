@@ -89,7 +89,7 @@ def k_dominating_set(
 
     # One unpack for every received row; our own row is local knowledge
     # (a zero placeholder in the unpack, then overwritten).
-    s_v = layout.unions[me]
+    s_v = layout.unions[me].tolist()
     own = BitString.zeros(n)
     incident = decode_bool_rows((own if u == me else received[u] for u in s_v), n)
     pos = layout.positions[me]

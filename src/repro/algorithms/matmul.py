@@ -37,7 +37,6 @@ from ..clique.bits import (
     encode_uint_array,
     uint_width,
 )
-from ..clique.errors import EncodingError
 from ..clique.graph import INF
 from ..clique.network import CongestedClique
 from ..clique.node import Node
@@ -75,79 +74,51 @@ class Semiring:
     uses_inf: bool = False
 
     def encode_entries(self, values: np.ndarray, width: int) -> BitString:
-        """Pack entries at ``width`` bits each (INF -> the all-ones code).
-
-        Blocks of at most ``_SMALL_COUNT`` entries on lanes narrower than
-        64 bits take an int loop; both paths raise the same errors in
-        the same order.
-        """
+        """Pack entries at ``width`` bits each (INF -> the all-ones code)."""
         arr = np.asarray(values, dtype=np.int64).ravel()
-        if arr.size <= _SMALL_COUNT and width < _U64_WIDTH:
-            return self._encode_ints(arr.tolist(), width)
-        return self._encode_array(arr, width)
-
-    def _encode_ints(self, values: list[int], width: int) -> BitString:
-        if not values:
-            return BitString.empty()
-        if self.uses_inf:
-            sentinel = (1 << width) - 1
-            coded = []
-            for v in values:
-                if v >= INF:
-                    v = sentinel
-                elif v >= sentinel:
-                    raise ValueError(
-                        f"{self.name}: finite entry {v} collides with the "
-                        f"{width}-bit INF sentinel"
-                    )
-                coded.append(v)
-            values = coded
-        if width < 1:
-            raise EncodingError(f"bulk encode width must be >= 1, got {width}")
-        acc = 0
-        for v in values:
-            if v < 0 or v.bit_length() > width:
-                raise EncodingError(f"value {v} does not fit in {width} bits")
-            acc = (acc << width) | v
-        return BitString(acc, len(values) * width)
-
-    def _encode_array(self, arr: np.ndarray, width: int) -> BitString:
         if arr.size == 0:
             return BitString.empty()
         if self.uses_inf:
-            sentinel = (1 << width) - 1
-            infinite = arr >= INF
-            colliding = ~infinite & (arr >= sentinel)
-            if colliding.any():
-                bad = int(arr[int(np.argmax(colliding))])
-                raise ValueError(
-                    f"{self.name}: finite entry {bad} collides with the "
-                    f"{width}-bit INF sentinel"
-                )
-            arr = np.where(infinite, np.int64(sentinel), arr)
+            return encode_uint_array(self._inf_codes(arr, width), width)
         return encode_uint_array(arr, width)
 
-    def decode_entries(self, bits: BitString, count: int, width: int) -> np.ndarray:
-        """Unpack ``count`` entries of ``width`` bits each (an int loop
-        for blocks as small as :meth:`encode_entries` codes on ints)."""
-        if count <= _SMALL_COUNT and width < _U64_WIDTH:
-            return self._decode_ints(bits, count, width)
-        return self._decode_array(bits, count, width)
+    def _inf_codes(self, arr: np.ndarray, width: int) -> list[int] | np.ndarray:
+        """``arr`` with INF as the all-ones code; a finite entry at or
+        above that code raises ``ValueError``.
 
-    def _decode_ints(self, bits: BitString, count: int, width: int) -> np.ndarray:
+        Blocks of at most ``_SMALL_COUNT`` entries on lanes narrower than
+        64 bits take an int loop, which beats numpy's per-call cost there;
+        both forms raise at the same first entry.
+        """
+        sentinel = (1 << width) - 1
+        if arr.size <= _SMALL_COUNT and width < _U64_WIDTH:
+            codes = []
+            for v in arr.tolist():
+                if v >= INF:
+                    v = sentinel
+                elif v >= sentinel:
+                    raise self._collision(v, width)
+                codes.append(v)
+            return codes
+        infinite = arr >= INF
+        colliding = ~infinite & (arr >= sentinel)
+        if colliding.any():
+            raise self._collision(int(arr[int(np.argmax(colliding))]), width)
+        return np.where(infinite, np.int64(sentinel), arr)
+
+    def _collision(self, value: int, width: int) -> ValueError:
+        return ValueError(
+            f"{self.name}: finite entry {value} collides with the "
+            f"{width}-bit INF sentinel"
+        )
+
+    def decode_entries(self, bits: BitString, count: int, width: int) -> np.ndarray:
+        """Unpack ``count`` entries of ``width`` bits each."""
         values = decode_uint_array(bits, count, width)
         if self.uses_inf:
             sentinel = (1 << width) - 1
             values = [INF if v == sentinel else v for v in values]
         return np.array(values, dtype=np.int64)
-
-    def _decode_array(self, bits: BitString, count: int, width: int) -> np.ndarray:
-        out = np.fromiter(
-            decode_uint_array(bits, count, width), dtype=np.int64, count=count
-        )
-        if self.uses_inf:
-            out[out == (1 << width) - 1] = INF
-        return out
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

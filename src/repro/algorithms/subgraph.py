@@ -14,7 +14,7 @@ The same harness detects induced patterns (independent sets need
 
 from __future__ import annotations
 
-from typing import Generator, Sequence
+from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ def learn_subclique_edges(
 ) -> Generator[
     None,
     None,
-    tuple[tuple[int, ...], np.ndarray, tuple[int, ...], tuple[tuple[int, ...], ...]],
+    tuple[list[int], np.ndarray, tuple[int, ...], tuple[tuple[int, ...], ...]],
 ]:
     """The communication core of the Dolev et al. scheme.
 
@@ -55,46 +55,38 @@ def learn_subclique_edges(
     n = node.n
     me = node.id
     layout = dolev_layout(n, k)
-    union_index = layout.union_index
+    unions = layout.unions
     row = np.asarray(node.input, dtype=bool)
 
     flows: dict[int, BitString] = {}
     for v in layout.audience[group_of(me, n, layout.g)]:
-        flows[v] = encode_bool_row(row[union_index[v]])
+        flows[v] = encode_bool_row(row[unions[v]])
     received = yield from route(node, flows, scheme=scheme)
 
-    s_v = layout.unions[me]
+    s_v = unions[me].tolist()
     pos = layout.positions[me]
     m = np.zeros((len(s_v), len(s_v)), dtype=bool)
-    index: list[int] = []
-
-    def rows():
-        # Each row's length is checked before its sender's position is
-        # looked up, as in a decode-then-store loop over senders.
-        for src, bits in received.items():
-            yield bits
-            index.append(pos[src])
-
-    decoded = decode_bool_rows(rows(), len(s_v))
-    m[index] = decoded
+    m[[pos[src] for src in received]] = decode_bool_rows(
+        received.values(), len(s_v)
+    )
     # Our own row is local knowledge.
     if me in pos:
-        m[pos[me]] = row[union_index[me]]
+        m[pos[me]] = row[unions[me]]
     return s_v, m | m.T, layout.labels[me], layout.groups
 
 
 def _match_pattern(
     s_v: Sequence[int],
+    pos: Mapping[int, int],
     m: np.ndarray,
     label: tuple[int, ...],
-    groups: list[list[int]],
+    groups: Sequence[Sequence[int]],
     pattern: CliqueGraph,
     induced: bool,
 ) -> tuple[int, ...] | None:
     """Backtracking search for an ordered tuple ``(u_1..u_k)`` with
     ``u_i`` in the ``i``-th labelled group matching the pattern."""
     k = pattern.n
-    pos = {u: i for i, u in enumerate(s_v)}
     candidate_lists = [[pos[u] for u in groups[j]] for j in label]
     pat = pattern.adjacency
 
@@ -138,7 +130,8 @@ def detect_pattern(
     ``(found, witness)`` at every node."""
     k = pattern.n
     s_v, m, label, groups = yield from learn_subclique_edges(node, k, scheme)
-    witness = _match_pattern(s_v, m, label, groups, pattern, induced)
+    pos = dolev_layout(node.n, k).positions[node.id]
+    witness = _match_pattern(s_v, pos, m, label, groups, pattern, induced)
     return (
         yield from agree_on_witness(node, witness is not None, witness, k)
     )
@@ -150,7 +143,7 @@ def triangle_detection(
     """Triangle detection with a vectorised local check (einsum over the
     three group submatrices)."""
     s_v, m, label, groups = yield from learn_subclique_edges(node, 3, scheme)
-    pos = {u: i for i, u in enumerate(s_v)}
+    pos = dolev_layout(node.n, 3).positions[node.id]
     g1 = [pos[u] for u in groups[label[0]]]
     g2 = [pos[u] for u in groups[label[1]]]
     g3 = [pos[u] for u in groups[label[2]]]

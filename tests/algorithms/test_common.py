@@ -136,8 +136,7 @@ class TestDolevLayout:
             assert list(layout.labels) == labels
             for v in range(n):
                 union = label_union(labels[v], groups)
-                assert list(layout.unions[v]) == union
-                index = layout.union_index[v]
+                index = layout.unions[v]
                 assert index.dtype == np.intp and index.tolist() == union
                 assert dict(layout.positions[v]) == {u: i for i, u in enumerate(union)}
             for j in range(g):
@@ -152,7 +151,7 @@ class TestDolevLayout:
         layout = dolev_layout(16, 2)
         assert dolev_layout(16, 2) is layout
         with pytest.raises(ValueError):
-            layout.union_index[0][0] = 3
+            layout.unions[0][0] = 3
         with pytest.raises(TypeError):
             layout.positions[0][0] = 3
         with pytest.raises(dataclasses.FrozenInstanceError):

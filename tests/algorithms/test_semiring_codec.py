@@ -1,8 +1,9 @@
-"""The semiring entry codec's two paths, and matmul's cached cube layout.
+"""The semiring entry codec, and matmul's cached cube layout.
 
-Blocks of at most ``_SMALL_COUNT`` entries on lanes narrower than 64 bits
-are coded on Python ints; everything else goes through numpy.  Both paths
-must return the same bits or array, or raise the same error.
+The encoder maps INF on Python ints for blocks of at most ``_SMALL_COUNT``
+entries on lanes narrower than 64 bits, and through numpy otherwise; it
+must return the bits, or raise the error, of the all-numpy encoder it
+replaced.  The decoder is checked against a per-entry read.
 """
 
 import dataclasses
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 
 from repro.algorithms.common import group_of, group_partition, int_ceil_root
 from repro.algorithms.matmul import SEMIRINGS, _triple_of, cube_layout
-from repro.clique.bits import _SMALL_COUNT, _U64_WIDTH, BitString
+from repro.clique.bits import (
+    _SMALL_COUNT,
+    BitReader,
+    BitString,
+    encode_uint_array,
+)
+from repro.clique.errors import EncodingError
 from repro.clique.graph import INF
 
 INT64_MAX = 2**63 - 1
@@ -30,6 +37,25 @@ def outcome(fn, *args):
         return ("array", out.dtype.str, out.shape, out.tolist())
     assert isinstance(out, BitString)
     return ("bits", out.value, len(out))
+
+
+def numpy_encode(semiring, values, width):
+    """The all-numpy encoder: the reference for both INF mappings."""
+    arr = np.asarray(values, dtype=np.int64).ravel()
+    if arr.size == 0:
+        return BitString.empty()
+    if semiring.uses_inf:
+        sentinel = (1 << width) - 1
+        infinite = arr >= INF
+        colliding = ~infinite & (arr >= sentinel)
+        if colliding.any():
+            bad = int(arr[int(np.argmax(colliding))])
+            raise ValueError(
+                f"{semiring.name}: finite entry {bad} collides with the "
+                f"{width}-bit INF sentinel"
+            )
+        arr = np.where(infinite, np.int64(sentinel), arr)
+    return encode_uint_array(arr, width)
 
 
 def entries(width):
@@ -87,29 +113,37 @@ def messages(draw):
 class TestSemiringCodecPaths:
     @settings(max_examples=300, deadline=None)
     @given(block=blocks())
-    def test_encode_paths_agree(self, name, block):
+    def test_encode_matches_the_numpy_encoder(self, name, block):
         semiring = SEMIRINGS[name]
         arr, width = block
-        want = outcome(semiring._encode_array, arr, width)
+        want = outcome(numpy_encode, semiring, arr, width)
         assert outcome(semiring.encode_entries, arr, width) == want
-        if arr.size <= _SMALL_COUNT and width < _U64_WIDTH:
-            assert outcome(semiring._encode_ints, arr.tolist(), width) == want
 
     @settings(max_examples=300, deadline=None)
     @given(message=messages())
-    def test_decode_paths_agree(self, name, message):
+    def test_decode_matches_a_per_entry_read(self, name, message):
         semiring = SEMIRINGS[name]
         bits, count, width = message
-        want = outcome(semiring._decode_array, bits, count, width)
-        assert outcome(semiring.decode_entries, bits, count, width) == want
-        if count <= _SMALL_COUNT and width < _U64_WIDTH:
-            assert outcome(semiring._decode_ints, bits, count, width) == want
+        got = outcome(semiring.decode_entries, bits, count, width)
+        total = count * width
+        if total > len(bits):
+            text = f"read of {total} bits at offset 0 overruns {len(bits)}-bit message"
+            assert got == ("raises", EncodingError, text)
+            return
+        reader = BitReader(bits)
+        want = [reader.read_uint(width) for _ in range(count)]
+        if semiring.uses_inf:
+            want = [INF if v == (1 << width) - 1 else v for v in want]
+        if all(v <= INT64_MAX for v in want):
+            assert got == ("array", np.dtype(np.int64).str, (count,), want)
+        else:
+            assert got[:2] == ("raises", OverflowError)
 
     def test_collision_is_reported_before_an_unencodable_entry(self, name):
         semiring = SEMIRINGS[name]
         arr = np.array([-1, 40], dtype=np.int64)
-        want = outcome(semiring._encode_array, arr, 5)
-        assert outcome(semiring._encode_ints, arr.tolist(), 5) == want
+        want = outcome(numpy_encode, semiring, arr, 5)
+        assert outcome(semiring.encode_entries, arr, 5) == want
         if semiring.uses_inf:
             assert want[1] is ValueError and "collides" in want[2]
 
